@@ -16,6 +16,7 @@ from .combinatorics import (
     dim_energy_preserving,
     dim_invariant_algebra,
     dim_product,
+    dimension,
     dim_symmetric_closed_form,
     euler_totient,
     evaluate,

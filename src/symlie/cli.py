@@ -20,17 +20,19 @@ import json
 import math
 import os
 import sys
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import combinatorics as comb
-from .combinatorics import Family, GroupSpec, ProductGroupSpec
+from .combinatorics import AnySpec, Family, GroupSpec, ProductGroupSpec
 from .dense_oracle import (
     commutant_dimension,
     energy_hamiltonian,
     group_constraint_matrices,
 )
 from .errors import SymlieError
+from .indexing import DEFAULT_ORDER_CAP, DEFAULT_SPACE_CAP
 from .pauli_orbits import enumerate_invariant_basis, orbit_to_json, pauli_string_to_str
+from .permutation_rep import count_orbits_bruteforce
 from .variance_lab import (
     AnsatzKind,
     ExperimentConfig,
@@ -38,8 +40,6 @@ from .variance_lab import (
     rows_to_json,
     run_variance_experiment,
 )
-
-AnySpec = Union[GroupSpec, ProductGroupSpec]
 
 _FAMILIES = {f.value: f for f in Family}
 
@@ -72,14 +72,15 @@ def _parse_part(token: str, allow_variable: bool) -> Tuple[Family, Optional[int]
     return _FAMILIES[letter], size
 
 
+def _spec_from_parts(parts: Sequence[Tuple[Family, int]]) -> AnySpec:
+    """One group, or the product of the parts sorted into partition order."""
+    specs = sorted((GroupSpec(fam, size) for fam, size in parts), key=lambda s: -s.size)
+    return specs[0] if len(specs) == 1 else ProductGroupSpec(tuple(specs))
+
+
 def parse_group_spec(text: str) -> AnySpec:
     """Parse a fully sized spec such as ``S:4`` or ``S:3xE:2``."""
-    parts = [_parse_part(tok, allow_variable=False) for tok in text.split("x")]
-    specs = [GroupSpec(fam, size) for fam, size in parts]
-    if len(specs) == 1:
-        return specs[0]
-    specs.sort(key=lambda s: -s.size)
-    return ProductGroupSpec(tuple(specs))
+    return _spec_from_parts([_parse_part(tok, allow_variable=False) for tok in text.split("x")])
 
 
 def _specs_for_sweep(text: str, sweep: Sequence[int]) -> List[AnySpec]:
@@ -95,13 +96,8 @@ def _specs_for_sweep(text: str, sweep: Sequence[int]) -> List[AnySpec]:
             raise SpecSyntaxError(
                 f"sweep value {n} leaves no symbols for the variable part "
                 f"(fixed parts already use {fixed_total})")
-        sized = [(fam, size if size is not None else var_size) for fam, size in parts]
-        specs = [GroupSpec(fam, size) for fam, size in sized]
-        if len(specs) == 1:
-            out.append(specs[0])
-        else:
-            specs.sort(key=lambda s: -s.size)
-            out.append(ProductGroupSpec(tuple(specs)))
+        out.append(_spec_from_parts(
+            [(fam, size if size is not None else var_size) for fam, size in parts]))
     return out
 
 
@@ -117,38 +113,33 @@ def _parse_range(text: str, step: int = 1) -> List[int]:
     return [int(text)]
 
 
-def _dimension(spec: AnySpec, alphabet: int) -> int:
-    if isinstance(spec, ProductGroupSpec):
-        return comb.dim_product(spec, alphabet)
-    return comb.dim_invariant_algebra(spec, alphabet)
-
-
-def _emit_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
-    widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-              for i, h in enumerate(headers)]
-    print("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip())
-    for row in rows:
-        print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+def _emit_rows(fmt: str, headers: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Print rows as semicolon CSV (streamed), a JSON list of objects or an
+    aligned table."""
+    if fmt == "json":
+        print(json.dumps([dict(zip(headers, row)) for row in rows]))
+    elif fmt == "csv":
+        print(";".join(headers))
+        for row in rows:
+            print(";".join(str(c) for c in row))
+    else:
+        cells = [[str(c) for c in row] for row in rows]
+        widths = [max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
+                  for i, h in enumerate(headers)]
+        for line in [headers, *cells]:
+            print("  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip())
 
 
 def _cmd_dim(args: argparse.Namespace) -> int:
     if args.sweep:
         sweep = _parse_range(args.sweep)
         specs = _specs_for_sweep(args.spec, sweep)
-        dims = [(n, spec, _dimension(spec, args.alphabet)) for n, spec in zip(sweep, specs)]
-        if args.format == "csv":
-            print("N;spec;dimension")
-            for n, spec, d in dims:
-                print(f"{n};{spec};{d}")
-        elif args.format == "json":
-            print(json.dumps([{"N": n, "spec": str(spec), "dimension": d}
-                              for n, spec, d in dims]))
-        else:
-            _emit_table(["N", "spec", "dimension"],
-                        [(str(n), str(spec), str(d)) for n, spec, d in dims])
+        _emit_rows(args.format, ["N", "spec", "dimension"],
+                   [(n, str(spec), comb.dimension(spec, args.alphabet))
+                    for n, spec in zip(sweep, specs)])
         return 0
     spec = parse_group_spec(args.spec)
-    dim = _dimension(spec, args.alphabet)
+    dim = comb.dimension(spec, args.alphabet)
     if args.format == "csv":
         print(dim)
     elif args.format == "json":
@@ -160,25 +151,21 @@ def _cmd_dim(args: argparse.Namespace) -> int:
 
 def _cmd_orbits(args: argparse.Namespace) -> int:
     spec = parse_group_spec(args.spec)
-    basis = enumerate_invariant_basis(spec, space_cap=args.cap_space, order_cap=args.cap_order)
     if args.count_only:
+        # one orbit per label-scan representative, less the identity word's
+        count = count_orbits_bruteforce(spec, 4, args.cap_space) - 1
         if args.format == "json":
-            print(json.dumps({"spec": str(spec), "count": len(basis)}))
+            print(json.dumps({"spec": str(spec), "count": count}))
         else:
-            print(len(basis))
+            print(count)
         return 0
-    if args.format == "csv":
-        print("representative;weight;members")
-        for orbit in basis:
-            members = ",".join(pauli_string_to_str(m) for m in orbit.members)
-            print(f"{pauli_string_to_str(orbit.representative)};{orbit.weight};{members}")
-    elif args.format == "json":
+    basis = enumerate_invariant_basis(spec, space_cap=args.cap_space)
+    if args.format == "json":
         print(json.dumps([orbit_to_json(o) for o in basis]))
     else:
-        _emit_table(
-            ["representative", "weight", "members"],
-            [(pauli_string_to_str(o.representative), str(o.weight),
-              ",".join(pauli_string_to_str(m) for m in o.members)) for o in basis])
+        _emit_rows(args.format, ["representative", "weight", "members"],
+                   ((pauli_string_to_str(o.representative), o.weight,
+                     ",".join(pauli_string_to_str(m) for m in o.members)) for o in basis))
     return 0
 
 
@@ -195,7 +182,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         n = spec.degree
         generators = group_constraint_matrices(spec, full_group=args.full_group,
                                                order_cap=args.cap_order)
-        expected = _dimension(spec, 4)
+        expected = comb.dimension(spec)
         label = str(spec)
     report = commutant_dimension(generators, n)
     agrees = report.dimension == expected
@@ -215,14 +202,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
               f"tolerance {report.tolerance:.3g}, singular-value gap "
               f"{report.singular_value_gap:.3g}")
     return 0
-
-
-_RATIO_NAMES = {
-    Family.CYCLIC: "dim*N/4^N",
-    Family.DIHEDRAL: "dim*N/4^N",
-    Family.ALTERNATING: "dim/N^3",
-    Family.SYMMETRIC: "dim/N^3",
-}
 
 
 def _scaling_rows(max_qubits: int) -> Tuple[List[str], List[List[str]]]:
@@ -245,15 +224,7 @@ def _scaling_rows(max_qubits: int) -> Tuple[List[str], List[List[str]]]:
 
 
 def _cmd_scaling_table(args: argparse.Namespace) -> int:
-    headers, rows = _scaling_rows(args.max_qubits)
-    if args.format == "csv":
-        print(";".join(headers))
-        for row in rows:
-            print(";".join(row))
-    elif args.format == "json":
-        print(json.dumps([dict(zip(headers, row)) for row in rows]))
-    else:
-        _emit_table(headers, rows)
+    _emit_rows(args.format, *_scaling_rows(args.max_qubits))
     return 0
 
 
@@ -315,8 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_orb = sub.add_parser("orbits", help="list the symmetrized Pauli-orbit basis")
     p_orb.add_argument("spec")
     p_orb.add_argument("--count-only", action="store_true")
-    p_orb.add_argument("--cap-space", type=int, default=4**12)
-    p_orb.add_argument("--cap-order", type=int, default=10**6)
+    p_orb.add_argument("--cap-space", type=int, default=DEFAULT_SPACE_CAP)
     add_format(p_orb)
     p_orb.set_defaults(func=_cmd_orbits)
 
@@ -325,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_orc.add_argument("--qubits", type=int, help="qubit count for the energy oracle")
     p_orc.add_argument("--full-group", action="store_true",
                        help="constrain against every element instead of generators")
-    p_orc.add_argument("--cap-order", type=int, default=10**6)
+    p_orc.add_argument("--cap-order", type=int, default=DEFAULT_ORDER_CAP)
     add_format(p_orc)
     p_orc.set_defaults(func=_cmd_oracle)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Tuple
+from typing import Dict, Tuple, Union
 
 from .errors import NonIntegerCount
 
@@ -23,11 +23,13 @@ __all__ = [
     "Family",
     "GroupSpec",
     "ProductGroupSpec",
+    "AnySpec",
     "CycleIndex",
     "cycle_index",
     "evaluate",
     "dim_invariant_algebra",
     "dim_product",
+    "dimension",
     "dim_symmetric_closed_form",
     "dim_energy_preserving",
     "euler_totient",
@@ -98,6 +100,9 @@ class ProductGroupSpec:
 
     def __str__(self) -> str:
         return "x".join(str(p) for p in self.parts)
+
+
+AnySpec = Union[GroupSpec, ProductGroupSpec]
 
 
 def euler_totient(d: int) -> int:
@@ -218,7 +223,7 @@ def evaluate(ci: CycleIndex, k: int) -> int:
     return int(total)
 
 
-def group_order(spec: GroupSpec | ProductGroupSpec) -> int:
+def group_order(spec: AnySpec) -> int:
     """Order of the (faithfully represented) group."""
     if isinstance(spec, ProductGroupSpec):
         result = 1
@@ -257,6 +262,13 @@ def dim_product(spec: ProductGroupSpec, alphabet: int = 4) -> int:
     for part in spec.parts:
         result *= evaluate(cycle_index(part), alphabet)
     return result - 1
+
+
+def dimension(spec: AnySpec, alphabet: int = 4) -> int:
+    """Invariant-subalgebra dimension of a named group or a product of them."""
+    if isinstance(spec, ProductGroupSpec):
+        return dim_product(spec, alphabet)
+    return dim_invariant_algebra(spec, alphabet)
 
 
 def dim_symmetric_closed_form(n: int) -> int:

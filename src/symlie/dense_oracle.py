@@ -17,20 +17,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .combinatorics import group_order
+from .combinatorics import AnySpec, group_order
 from .errors import IndeterminateRank, MatrixSizeCapExceeded, OrderCapExceeded
-from .pauli_orbits import pauli_matrix
-from .permutation_rep import (
+from .indexing import (
+    DEFAULT_MATRIX_CAP,
     DEFAULT_ORDER_CAP,
-    AnySpec,
-    enumerate_elements,
-    group_generators,
-    qubit_permutation_matrix,
+    MAX_ORACLE_QUBITS,
+    hamming_weights,
+    index_to_word,
 )
+from .pauli_orbits import pauli_matrix
+from .permutation_rep import enumerate_elements, group_generators, qubit_permutation_matrix
 
 __all__ = [
     "CommutantReport",
@@ -43,8 +44,6 @@ __all__ = [
     "is_block_diagonal",
     "exp_membership_check",
 ]
-
-MAX_ORACLE_QUBITS = 6  # 64x64 matrices over a 4095-element basis; >5 is slow
 
 
 @dataclass(frozen=True)
@@ -72,13 +71,12 @@ class CommutantReport:
         }
 
 
-def _classify_singular_values(svals: np.ndarray, rtol: float,
-                              gap_factor: float) -> Tuple[int, float, float]:
+def _classify_singular_values(svals: np.ndarray, rtol: float) -> Tuple[int, float, float]:
     """Split singular values into accepted/rejected; returns (rank, tol, gap).
 
     The gap is the ratio between the smallest accepted and largest rejected
-    value (inf when either side is empty); a gap below `gap_factor` means
-    the rank is not trustworthy.
+    value (inf when either side is empty); the caller decides which gap
+    makes the rank trustworthy.
     """
     if svals.size == 0 or svals[0] == 0.0:
         return 0, 0.0, math.inf
@@ -101,9 +99,8 @@ def _constraint_matrix(generators: Sequence[np.ndarray], n_qubits: int) -> np.nd
             raise ValueError(f"generator shape {b.shape} does not match {dim}x{dim}")
     rows = 2 * dim * dim * len(generators)
     matrix = np.empty((rows, n_basis))
-    strings = _all_pauli_strings(n_qubits)
-    for j, s in enumerate(strings):
-        basis_element = 1j * pauli_matrix(s)
+    for j in range(n_basis):
+        basis_element = 1j * pauli_matrix(index_to_word(j + 1, n_qubits))
         offset = 0
         for b in generators:
             comm = b @ basis_element - basis_element @ b
@@ -113,19 +110,9 @@ def _constraint_matrix(generators: Sequence[np.ndarray], n_qubits: int) -> np.nd
     return matrix
 
 
-def _all_pauli_strings(n: int) -> List[Tuple[int, ...]]:
-    out = []
-    for index in range(1, 4**n):
-        digits = []
-        for j in range(n - 1, -1, -1):
-            digits.append((index >> (2 * j)) & 3)
-        out.append(tuple(digits))
-    return out
-
-
 def _report_from_svals(svals: np.ndarray, n_qubits: int, constraint_count: int,
                        rtol: float, gap_factor: float) -> CommutantReport:
-    rank, tol, gap = _classify_singular_values(svals, rtol, gap_factor)
+    rank, tol, gap = _classify_singular_values(svals, rtol)
     report = CommutantReport(
         n_qubits=n_qubits,
         constraint_count=constraint_count,
@@ -140,14 +127,19 @@ def _report_from_svals(svals: np.ndarray, n_qubits: int, constraint_count: int,
     return report
 
 
+def _constraints(generators: Sequence[np.ndarray], n_qubits: int) -> Optional[np.ndarray]:
+    """The constraint matrix under the qubit cap; None without generators."""
+    if n_qubits > MAX_ORACLE_QUBITS:
+        raise MatrixSizeCapExceeded(1 << n_qubits, 1 << MAX_ORACLE_QUBITS)
+    return _constraint_matrix(generators, n_qubits) if generators else None
+
+
 def commutant_dimension(generators: Sequence[np.ndarray], n_qubits: int,
                         rtol: float = 1e-8, gap_factor: float = 10.0) -> CommutantReport:
     """Dimension of {a in su(2^N) : [B, a] = 0 for every generator B}."""
-    if n_qubits > MAX_ORACLE_QUBITS:
-        raise MatrixSizeCapExceeded(1 << n_qubits, 1 << MAX_ORACLE_QUBITS)
-    if not generators:
+    matrix = _constraints(generators, n_qubits)
+    if matrix is None:
         return CommutantReport(n_qubits, 0, 0, 4**n_qubits - 1, 0.0, math.inf)
-    matrix = _constraint_matrix(generators, n_qubits)
     svals = np.linalg.svd(matrix, compute_uv=False)
     return _report_from_svals(svals, n_qubits, matrix.shape[0], rtol, gap_factor)
 
@@ -160,13 +152,10 @@ def commutant_nullspace(generators: Sequence[np.ndarray], n_qubits: int,
     Row k of the returned array holds the coefficients c with
     a = sum_j c_j * i*P_j a commutant element.
     """
-    if n_qubits > MAX_ORACLE_QUBITS:
-        raise MatrixSizeCapExceeded(1 << n_qubits, 1 << MAX_ORACLE_QUBITS)
-    n_basis = 4**n_qubits - 1
-    if not generators:
-        report = CommutantReport(n_qubits, 0, 0, n_basis, 0.0, math.inf)
-        return report, np.eye(n_basis)
-    matrix = _constraint_matrix(generators, n_qubits)
+    matrix = _constraints(generators, n_qubits)
+    if matrix is None:
+        n_basis = 4**n_qubits - 1
+        return CommutantReport(n_qubits, 0, 0, n_basis, 0.0, math.inf), np.eye(n_basis)
     _, svals, vh = np.linalg.svd(matrix, full_matrices=False)
     report = _report_from_svals(svals, n_qubits, matrix.shape[0], rtol, gap_factor)
     return report, vh[report.rank:]
@@ -176,10 +165,10 @@ def coefficients_to_operator(coefficients: np.ndarray, n_qubits: int) -> np.ndar
     """Assemble sum_j c_j * i*P_j from a Pauli coefficient vector."""
     dim = 1 << n_qubits
     out = np.zeros((dim, dim), dtype=np.complex128)
-    for j, s in enumerate(_all_pauli_strings(n_qubits)):
+    for j in range(4**n_qubits - 1):
         c = coefficients[j]
         if c != 0.0:
-            out += c * 1j * pauli_matrix(s)
+            out += c * 1j * pauli_matrix(index_to_word(j + 1, n_qubits))
     return out
 
 
@@ -201,19 +190,14 @@ def group_constraint_matrices(spec: AnySpec, full_group: bool = False,
     return [qubit_permutation_matrix(p) for p in perms]
 
 
-def energy_hamiltonian(n: int, matrix_cap: int = 1 << 12) -> np.ndarray:
+def energy_hamiltonian(n: int, matrix_cap: int = DEFAULT_MATRIX_CAP) -> np.ndarray:
     """Diagonal matrix whose entry at basis state b is the Hamming weight of b."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     dim = 1 << n
     if dim > matrix_cap:
         raise MatrixSizeCapExceeded(dim, matrix_cap)
-    idx = np.arange(dim)
-    weight = np.zeros(dim, dtype=np.int64)
-    while idx.any():
-        weight += idx & 1
-        idx = idx >> 1
-    return np.diag(weight.astype(np.complex128))
+    return np.diag(hamming_weights(n).astype(np.complex128))
 
 
 def block_profile(n: int) -> List[int]:
@@ -227,8 +211,9 @@ def weight_sort_permutation(n: int) -> np.ndarray:
     """Index order sorting basis states by Hamming weight (stable), i.e. the
     basis change that brings weight-commuting operators to block form."""
     dim = 1 << n
-    weights = [bin(i).count("1") for i in range(dim)]
-    return np.argsort(weights, kind="stable")
+    if dim > DEFAULT_MATRIX_CAP:
+        raise MatrixSizeCapExceeded(dim, DEFAULT_MATRIX_CAP)
+    return np.argsort(hamming_weights(n), kind="stable")
 
 
 def is_block_diagonal(a: np.ndarray, profile: Sequence[int], tol: float) -> bool:

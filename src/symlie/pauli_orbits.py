@@ -16,15 +16,10 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .combinatorics import group_order
-from .errors import MatrixSizeCapExceeded, OrderCapExceeded
-from .permutation_rep import (
-    DEFAULT_MATRIX_CAP,
-    DEFAULT_ORDER_CAP,
-    DEFAULT_SPACE_CAP,
-    AnySpec,
-    orbit_canonical_labels,
-)
+from .combinatorics import AnySpec
+from .errors import MatrixSizeCapExceeded
+from .indexing import DEFAULT_MATRIX_CAP, DEFAULT_SPACE_CAP, hamming_weights, index_to_word
+from .permutation_rep import orbit_canonical_labels
 
 __all__ = [
     "SIGMA",
@@ -79,11 +74,7 @@ def pauli_action(s: PauliString) -> Tuple[np.ndarray, np.ndarray]:
     n_y = sum(1 for d in s if d == 2)
     cols = np.arange(1 << n, dtype=np.int64)
     rows = cols ^ xmask
-    parity = np.zeros(1 << n, dtype=np.int64)
-    masked = cols & phasemask
-    while np.any(masked):
-        parity ^= masked & 1
-        masked >>= 1
+    parity = hamming_weights(n)[cols & phasemask] & 1
     vals = (1j**n_y) * np.where(parity, -1.0, 1.0)
     return rows, vals.astype(np.complex128)
 
@@ -119,24 +110,14 @@ class OrbitBasisElement:
         return len(self.members)
 
 
-def _index_to_string(index: int, n: int) -> PauliString:
-    digits = []
-    for j in range(n - 1, -1, -1):
-        digits.append((index >> (2 * j)) & 3)
-    return tuple(digits)
-
-
 def enumerate_invariant_basis(spec: AnySpec,
-                              space_cap: int = DEFAULT_SPACE_CAP,
-                              order_cap: int = DEFAULT_ORDER_CAP) -> List[OrbitBasisElement]:
+                              space_cap: int = DEFAULT_SPACE_CAP) -> List[OrbitBasisElement]:
     """All orbits of nonzero Pauli strings, sorted by representative.
 
     The orbits partition {0..3}^N minus the all-identity word, so the list
-    length is exactly the invariant-subalgebra dimension.
+    length is exactly the invariant-subalgebra dimension.  The label scan
+    walks generator edges only, so the state-space cap is the one bound.
     """
-    order = group_order(spec)
-    if order > order_cap:
-        raise OrderCapExceeded(order, order_cap)
     n = spec.degree
     labels = orbit_canonical_labels(spec, 4, space_cap)
     grouped: Dict[int, List[int]] = {}
@@ -146,8 +127,8 @@ def enumerate_invariant_basis(spec: AnySpec,
     for rep in sorted(grouped):
         if rep == 0:
             continue  # the all-identity word is not an algebra element
-        members = tuple(_index_to_string(i, n) for i in grouped[rep])
-        basis.append(OrbitBasisElement(_index_to_string(rep, n), members))
+        members = tuple(index_to_word(i, n) for i in grouped[rep])
+        basis.append(OrbitBasisElement(index_to_word(rep, n), members))
     return basis
 
 

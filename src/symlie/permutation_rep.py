@@ -15,14 +15,16 @@ two actions together (and the property the tests pin down).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .combinatorics import Family, GroupSpec, ProductGroupSpec, group_order
+from .combinatorics import AnySpec, Family, GroupSpec, ProductGroupSpec, group_order
 from .errors import MatrixSizeCapExceeded, OrderCapExceeded, StateSpaceCapExceeded
+from .indexing import DEFAULT_MATRIX_CAP, DEFAULT_ORDER_CAP, DEFAULT_SPACE_CAP, digit_action
 
 __all__ = [
     "Permutation",
@@ -40,19 +42,10 @@ __all__ = [
 ]
 
 Permutation = Tuple[int, ...]
-AnySpec = Union[GroupSpec, ProductGroupSpec]
-
-DEFAULT_ORDER_CAP = 10**6
-DEFAULT_SPACE_CAP = 4**12
-DEFAULT_MATRIX_CAP = 2**12
 
 
 def identity(n: int) -> Permutation:
     return tuple(range(n))
-
-
-def is_permutation(p: Sequence[int]) -> bool:
-    return sorted(p) == list(range(len(p)))
 
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
@@ -102,6 +95,16 @@ def _embed(p: Permutation, offset: int, total: int) -> Permutation:
     return tuple(out)
 
 
+def _embedded_parts(spec: ProductGroupSpec, perms_of: Callable[[GroupSpec], Iterable[Permutation]]
+                    ) -> List[List[Permutation]]:
+    """perms_of(part) for every part, each moved onto its part's block of points."""
+    blocks, offset = [], 0
+    for part in spec.parts:
+        blocks.append([_embed(p, offset, spec.degree) for p in perms_of(part)])
+        offset += part.size
+    return blocks
+
+
 def group_generators(spec: AnySpec) -> List[Permutation]:
     """A small generating set for the group (empty for trivial groups).
 
@@ -111,13 +114,7 @@ def group_generators(spec: AnySpec) -> List[Permutation]:
     3-cycles.
     """
     if isinstance(spec, ProductGroupSpec):
-        total = spec.degree
-        gens: List[Permutation] = []
-        offset = 0
-        for part in spec.parts:
-            gens.extend(_embed(g, offset, total) for g in group_generators(part))
-            offset += part.size
-        return gens
+        return [g for block in _embedded_parts(spec, group_generators) for g in block]
 
     n = spec.size
     if spec.family is Family.SYMMETRIC:
@@ -165,19 +162,8 @@ def enumerate_elements(spec: AnySpec, order_cap: int = DEFAULT_ORDER_CAP) -> Gro
         raise OrderCapExceeded(order, order_cap)
 
     if isinstance(spec, ProductGroupSpec):
-        total = spec.degree
-        factors = []
-        offset = 0
-        for part in spec.parts:
-            part_elems = enumerate_elements(part, order_cap).elements
-            factors.append([_embed(p, offset, total) for p in part_elems])
-            offset += part.size
-        elements = []
-        for combo in itertools.product(*factors):
-            p = combo[0]
-            for q in combo[1:]:
-                p = compose(p, q)
-            elements.append(p)
+        factors = _embedded_parts(spec, lambda part: enumerate_elements(part, order_cap).elements)
+        elements = [functools.reduce(compose, combo) for combo in itertools.product(*factors)]
         return GroupElements(spec, tuple(sorted(elements)))
 
     n = spec.size
@@ -196,21 +182,6 @@ def enumerate_elements(spec: AnySpec, order_cap: int = DEFAULT_ORDER_CAP) -> Gro
     result = GroupElements(spec, tuple(sorted(elems)))
     assert result.order == order
     return result
-
-
-def _index_action(p: Permutation, k: int) -> np.ndarray:
-    """The action of apply_to_tuple on base-k encoded tuples.
-
-    Tuples are encoded most-significant-digit first, so integer order on
-    indices is lexicographic order on tuples.
-    """
-    n = len(p)
-    idx = np.arange(k**n, dtype=np.int64)
-    out = np.zeros_like(idx)
-    for j in range(n):
-        digit = (idx // k ** (n - 1 - p[j])) % k
-        out += digit * k ** (n - 1 - j)
-    return out
 
 
 def orbit_canonical_labels(spec: AnySpec, alphabet: int = 4,
@@ -232,7 +203,7 @@ def orbit_canonical_labels(spec: AnySpec, alphabet: int = 4,
         for q in (g, inverse(g)):
             if q not in seen and q != identity(n):
                 seen.add(q)
-                maps.append(_index_action(q, alphabet))
+                maps.append(digit_action(q, alphabet))
     labels = np.arange(size, dtype=np.int64)
     if not maps:
         return labels
@@ -260,13 +231,7 @@ def qubit_index_permutation(p: Permutation) -> np.ndarray:
 
     Bit j of out[c] is bit p[j] of c, with qubit 0 the most significant bit.
     """
-    n = len(p)
-    idx = np.arange(1 << n, dtype=np.int64)
-    out = np.zeros_like(idx)
-    for j in range(n):
-        bit = (idx >> (n - 1 - p[j])) & 1
-        out |= bit << (n - 1 - j)
-    return out
+    return digit_action(p, 2)
 
 
 def qubit_permutation_matrix(p: Permutation, matrix_cap: int = DEFAULT_MATRIX_CAP) -> np.ndarray:

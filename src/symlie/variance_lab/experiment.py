@@ -26,7 +26,7 @@ import numpy as np
 from ..errors import DatasetGenerationFailed
 from .circuits import AnsatzKind, build_ansatz, default_layer_count, probe_slot
 from .gradients import _loss_gradient_from_arrays
-from .simulator import graph_state
+from .simulator import Circuit, graph_state
 
 __all__ = [
     "ExperimentConfig",
@@ -148,12 +148,16 @@ def _build_circuit(kind: AnsatzKind, n: int, cfg: ExperimentConfig):
     return build_ansatz(kind, n, layers, cyclic_distance2=cfg.cyclic_distance2)
 
 
+def _probed_slots(circuit: Circuit, cfg: ExperimentConfig) -> List[int]:
+    return list(range(circuit.n_params)) if cfg.probe_all_slots else [probe_slot(circuit)]
+
+
 def _gradient_samples(cfg: ExperimentConfig, kind: AnsatzKind, n: int,
                       start: int, stop: int) -> np.ndarray:
     """Gradients for samples [start, stop); shape (stop-start, n_probed_slots)."""
     circuit = _build_circuit(kind, n, cfg)
     amps, labels = generate_dataset(n, cfg)
-    slots = list(range(circuit.n_params)) if cfg.probe_all_slots else [probe_slot(circuit)]
+    slots = _probed_slots(circuit, cfg)
     ansatz_index = list(AnsatzKind).index(kind)
     lo, hi = cfg.parameter_range
     out = np.empty((stop - start, len(slots)))
@@ -185,9 +189,7 @@ def run_variance_experiment(cfg: ExperimentConfig) -> List[VarianceRow]:
         for kind in cfg.ansatz_kinds:
             for n in cfg.qubit_counts:
                 grads = _collect_point(cfg, kind, n, pool)
-                circuit = _build_circuit(kind, n, cfg)
-                slots = (list(range(circuit.n_params)) if cfg.probe_all_slots
-                         else [probe_slot(circuit)])
+                slots = _probed_slots(_build_circuit(kind, n, cfg), cfg)
                 for col, slot in enumerate(slots):
                     variance = float(np.var(grads[:, col], ddof=1))
                     rows.append(VarianceRow(
@@ -203,14 +205,11 @@ def run_variance_experiment(cfg: ExperimentConfig) -> List[VarianceRow]:
 def rows_to_csv(rows: Sequence[VarianceRow]) -> str:
     """Semicolon-delimited table; a slot column appears only in all-slot mode."""
     with_slot = any(r.slot is not None for r in rows)
-    if with_slot:
-        lines = ["qubits;ansatz;slot;variance;samples;seed"]
-        lines += [f"{r.qubits};{r.ansatz};{r.slot};{r.variance!r};{r.samples};{r.seed}"
-                  for r in rows]
-    else:
-        lines = ["qubits;ansatz;variance;samples;seed"]
-        lines += [f"{r.qubits};{r.ansatz};{r.variance!r};{r.samples};{r.seed}"
-                  for r in rows]
+    columns = [c for c in ("qubits", "ansatz", "slot", "variance", "samples", "seed")
+               if with_slot or c != "slot"]
+    lines = [";".join(columns)]
+    lines += [";".join(repr(r.variance) if c == "variance" else str(getattr(r, c))
+                       for c in columns) for r in rows]
     return "\n".join(lines) + "\n"
 
 

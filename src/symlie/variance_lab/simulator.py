@@ -18,6 +18,8 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..indexing import hamming_weights
+
 __all__ = [
     "GateKind",
     "Gate",
@@ -145,12 +147,7 @@ def _cnot_permutation(n: int, control: int, target: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _parity_signs(n: int) -> np.ndarray:
-    idx = np.arange(1 << n)
-    weight = np.zeros(1 << n, dtype=np.int64)
-    while idx.any():
-        weight += idx & 1
-        idx = idx >> 1
-    return np.where(weight % 2, -1.0, 1.0)
+    return np.where(hamming_weights(n) % 2, -1.0, 1.0)
 
 
 def _rx(theta: float) -> np.ndarray:

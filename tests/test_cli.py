@@ -114,6 +114,27 @@ class TestOrbits:
         assert len(data) == 9
         assert data[0] == {"representative": "01", "weight": 2, "members": ["01", "10"]}
 
+    def test_count_above_former_order_cap(self, capsys):
+        # S:10 has 10! > 10^6 elements, but the label scan never lists them
+        code, out, err = run_cli(capsys, "orbits", "S:10", "--count-only")
+        assert code == 0 and err == ""
+        assert out == "285\n"
+
+    @pytest.mark.parametrize("spec", [f"{f.value}:{n}" for f in Family for n in range(1, 6)]
+                             + ["S:3xE:2"])
+    def test_count_equals_listing_length(self, capsys, spec):
+        code, count, _ = run_cli(capsys, "orbits", spec, "--count-only")
+        assert code == 0
+        code, listing, _ = run_cli(capsys, "orbits", spec, "--format", "json")
+        assert code == 0
+        assert int(count) == len(json.loads(listing))
+
+    @pytest.mark.parametrize("extra", [(), ("--count-only",)])
+    def test_count_and_listing_share_the_state_cap(self, capsys, extra):
+        code, out, err = run_cli(capsys, "orbits", "S:7", "--cap-space", str(4**6), *extra)
+        assert code == 2 and out == ""
+        assert "state space of size 16384 exceeds cap 4096" in err
+
 
 class TestOracle:
     def test_symmetric_2(self, capsys):

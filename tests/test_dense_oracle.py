@@ -121,14 +121,14 @@ class TestNullspace:
 class TestRankClassification:
     def test_clean_gap(self):
         svals = np.array([10.0, 8.0, 2.0, 1e-12, 1e-13])
-        rank, tol, gap = _classify_singular_values(svals, 1e-8, 10.0)
+        rank, tol, gap = _classify_singular_values(svals, 1e-8)
         assert rank == 3
         assert np.isclose(tol, 1e-7)
         assert gap > 1e10
 
     def test_borderline_gap_raises_via_report(self):
         svals = np.array([1.0, 1e-8, 5e-9])
-        rank, tol, gap = _classify_singular_values(svals, 1e-8, 10.0)
+        rank, tol, gap = _classify_singular_values(svals, 1e-8)
         assert rank == 1 and gap == 1e8
         # a gap below the factor must surface as IndeterminateRank
         from symlie.dense_oracle import _report_from_svals
@@ -136,7 +136,7 @@ class TestRankClassification:
             _report_from_svals(np.array([1.0, 2e-8, 5e-9]), 1, 8, 1e-8, 10.0)
 
     def test_zero_matrix(self):
-        rank, tol, gap = _classify_singular_values(np.zeros(4), 1e-8, 10.0)
+        rank, tol, gap = _classify_singular_values(np.zeros(4), 1e-8)
         assert rank == 0 and tol == 0.0 and math.isinf(gap)
 
 
@@ -196,6 +196,11 @@ class TestBlockStructure:
     def test_profile_shape_mismatch(self):
         with pytest.raises(ValueError):
             is_block_diagonal(np.eye(4), [1, 2], 1e-12)
+
+    def test_weight_sort_permutation_cap(self):
+        # the same cap as energy_hamiltonian: refused before its 2^N entries exist
+        with pytest.raises(MatrixSizeCapExceeded):
+            weight_sort_permutation(13)
 
 
 class TestExponentialMap:
