@@ -30,7 +30,7 @@ from .dense_oracle import (
     group_constraint_matrices,
 )
 from .errors import SymlieError
-from .indexing import DEFAULT_ORDER_CAP, DEFAULT_SPACE_CAP
+from .indexing import DEFAULT_ORDER_CAP, DEFAULT_SPACE_CAP, MAX_ORACLE_QUBITS
 from .pauli_orbits import enumerate_invariant_basis, orbit_to_json, pauli_string_to_str
 from .permutation_rep import count_orbits_bruteforce
 from .variance_lab import (
@@ -174,7 +174,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         if args.qubits is None:
             raise SpecSyntaxError("oracle energy requires --qubits")
         n = args.qubits
-        generators = [energy_hamiltonian(n)]
+        generators = [energy_hamiltonian(n, matrix_cap=1 << MAX_ORACLE_QUBITS)]
         expected = comb.dim_energy_preserving(n)
         label = f"energy:{n}"
     else:

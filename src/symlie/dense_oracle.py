@@ -178,11 +178,14 @@ def group_constraint_matrices(spec: AnySpec, full_group: bool = False,
     by default, every element's in the (debug) full-group mode.
 
     Either way the order cap is enforced, since the commutant only makes
-    sense for groups that could in principle be enumerated.
+    sense for groups that could in principle be enumerated.  The oracle's
+    qubit cap is checked next, before any 2^N x 2^N matrix exists.
     """
     order = group_order(spec)
     if order > order_cap:
         raise OrderCapExceeded(order, order_cap)
+    if spec.degree > MAX_ORACLE_QUBITS:
+        raise MatrixSizeCapExceeded(1 << spec.degree, 1 << MAX_ORACLE_QUBITS)
     if full_group:
         perms = enumerate_elements(spec, order_cap).elements
     else:

@@ -164,8 +164,7 @@ def _gradient_samples(cfg: ExperimentConfig, kind: AnsatzKind, n: int,
     for row, sample in enumerate(range(start, stop)):
         rng = _stream(cfg.seed, 1 + ansatz_index, n, sample)
         params = rng.uniform(lo, hi, circuit.n_params)
-        for col, slot in enumerate(slots):
-            out[row, col] = _loss_gradient_from_arrays(circuit, params, amps, labels, slot)
+        out[row] = _loss_gradient_from_arrays(circuit, params, amps, labels, slots)
     return out
 
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from functools import cached_property, lru_cache
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -101,6 +101,25 @@ class Circuit:
             raise ValueError(f"slot {slot} out of range")
         return tuple((gi, k) for gi, g in enumerate(self.gates)
                      for k, s in enumerate(g.slots) if s == slot)
+
+    @cached_property
+    def inverse(self) -> "Circuit":
+        """The circuit that undoes this one when run with negated parameters.
+
+        Gates come in reverse order and ROT3 is split into its RZ, RY, RZ
+        rotations, so every parametrized gate of the inverse carries one
+        slot.  Consecutive ZZ gates stay consecutive and are fused alike.
+        """
+        gates = []
+        for gate in reversed(self.gates):
+            if gate.kind is GateKind.ROT3:
+                first, middle, last = gate.slots
+                gates += [Gate(GateKind.RZ, gate.targets, (last,)),
+                          Gate(GateKind.RY, gate.targets, (middle,)),
+                          Gate(GateKind.RZ, gate.targets, (first,))]
+            else:
+                gates.append(gate)
+        return Circuit(self.n_qubits, tuple(gates), self.n_params)
 
 
 @dataclass
@@ -234,18 +253,11 @@ def _summed_pair_signs(n: int, pairs: Tuple[Tuple[int, int], ...]) -> np.ndarray
 
 
 def _run_batch(circuit: Circuit, params: Sequence[float], amps: np.ndarray,
-               overrides: Optional[Dict[Tuple[int, int], float]] = None,
                start: int = 0, stop: Optional[int] = None) -> np.ndarray:
     """Apply gates [start, stop) to a batch of states (last axis is the state).
 
-    `overrides` adds a shift to the angle of one specific gate occurrence,
-    keyed by (gate_index, slot_position); shared slots elsewhere keep their
-    base value.  This is the hook the parameter-shift rule needs (gradients
-    cache the prefix state and re-run only suffixes).
-
     Consecutive ZZ gates sharing one slot commute and are fused into a
-    single cached diagonal (an overridden occurrence is left out of the
-    fusion and applied on its own).
+    single cached diagonal.
     """
     if len(params) != circuit.n_params:
         raise ValueError(f"expected {circuit.n_params} parameters, got {len(params)}")
@@ -256,12 +268,11 @@ def _run_batch(circuit: Circuit, params: Sequence[float], amps: np.ndarray,
     gi = start
     while gi < count:
         gate = gates[gi]
-        if gate.kind is GateKind.ZZ and not (overrides and (gi, 0) in overrides):
+        if gate.kind is GateKind.ZZ:
             slot = gate.slots[0]
             run_end = gi + 1
             while (run_end < count and gates[run_end].kind is GateKind.ZZ
-                   and gates[run_end].slots[0] == slot
-                   and not (overrides and (run_end, 0) in overrides)):
+                   and gates[run_end].slots[0] == slot):
                 run_end += 1
             if run_end - gi > 1:
                 pairs = tuple(gates[g].targets for g in range(gi, run_end))
@@ -269,13 +280,7 @@ def _run_batch(circuit: Circuit, params: Sequence[float], amps: np.ndarray,
                 work *= np.exp((-0.5j * params[slot]) * signs)
                 gi = run_end
                 continue
-        angles = [params[s] for s in gate.slots]
-        if overrides:
-            for k in range(len(angles)):
-                delta = overrides.get((gi, k))
-                if delta is not None:
-                    angles[k] += delta
-        work = _apply_gate_array(work, gate, angles, n)
+        work = _apply_gate_array(work, gate, [params[s] for s in gate.slots], n)
         gi += 1
     return work
 

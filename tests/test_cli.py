@@ -1,6 +1,7 @@
 """Command-line surface: spec grammar, outputs, exit codes."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -160,6 +161,20 @@ class TestOracle:
         assert code == 2
         assert out == ""
         assert "exceeds" in err
+
+    @pytest.mark.parametrize("argv", [("D:12",), ("C:12",), ("energy", "--qubits", "12")])
+    def test_qubit_cap_refuses_before_allocating(self, capsys, argv):
+        # the 6-qubit cap is checked before any 2^N x 2^N generator exists
+        # (a 4096 x 4096 complex matrix alone is 268 MB)
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "oracle", *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert "matrix dimension 4096 exceeds cap 64" in err
+        assert peak < 10 * 2**20
 
     def test_full_group_mode(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "C:3", "--full-group",

@@ -1,21 +1,36 @@
-"""Loss values and the parameter-shift / finite-difference agreement."""
+"""Loss values and the three-way gradient agreement: adjoint (the
+package's method), a parameter-shift reference kept here, and central finite
+differences."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from symlie.variance_lab.circuits import AnsatzKind, build_ansatz, default_layer_count
+from symlie.variance_lab.circuits import (
+    AnsatzKind,
+    build_ansatz,
+    default_layer_count,
+    probe_slot,
+)
+from symlie.variance_lab.experiment import ExperimentConfig, generate_dataset
 from symlie.variance_lab.gradients import (
+    _loss_gradient_from_arrays,
     gradient,
     gradient_finite_difference,
     mse_loss,
     predictions,
 )
 from symlie.variance_lab.simulator import (
+    _N_SLOTS,
+    _N_TARGETS,
     Circuit,
     Gate,
     GateKind,
+    StateVector,
     graph_state,
     zero_state,
 )
@@ -105,7 +120,8 @@ class TestGradient:
 
     @pytest.mark.parametrize("kind", list(AnsatzKind))
     def test_parameter_shift_matches_finite_difference(self, kind):
-        # 100 random configurations per ansatz at n=4, tolerance 1e-6
+        # gradient() (adjoint) against finite differences: 100 random
+        # configurations per ansatz at n=4, tolerance 1e-6
         rng = np.random.default_rng(hash(kind.value) % 2**32)
         n = 4
         c = build_ansatz(kind, n, default_layer_count(kind, n))
@@ -123,3 +139,142 @@ class TestGradient:
         c = build_ansatz(AnsatzKind.PERMUTATION, 4, 1)
         with pytest.raises(ValueError):
             gradient(c, np.zeros(c.n_params), [(zero_state(4), 1.0)], 99)
+
+
+def parameter_shift(circuit, params, dataset, slot):
+    """Reference gradient by the parameter-shift rule.
+
+    Every parametrized gate is exp(-i*theta/2 * G) with G^2 = 1, so each
+    occurrence of the slot contributes (p(+pi/2) - p(-pi/2)) / 2 to the
+    prediction's derivative.  The occurrence being shifted is moved to a
+    fresh slot, so the other occurrences keep the base angle.
+    """
+    occurrences = circuit.slot_occurrences(slot)
+    labels = np.array([label for _, label in dataset])
+    base = predictions(circuit, params, dataset)
+    pred_grad = np.zeros(len(dataset))
+    for gi, k in occurrences:
+        shifted_circuit, values, index = circuit, list(params), slot
+        if len(occurrences) > 1:
+            gate = circuit.gates[gi]
+            slots = tuple(circuit.n_params if j == k else s
+                          for j, s in enumerate(gate.slots))
+            gates = list(circuit.gates)
+            gates[gi] = Gate(gate.kind, gate.targets, slots)
+            shifted_circuit = Circuit(circuit.n_qubits, tuple(gates), circuit.n_params + 1)
+            values.append(params[slot])
+            index = circuit.n_params
+        for sign in (1.0, -1.0):
+            shifted = list(values)
+            shifted[index] += sign * math.pi / 2
+            pred_grad += 0.5 * sign * predictions(shifted_circuit, shifted, dataset)
+    return float(np.mean(2.0 * (base - labels) * pred_grad))
+
+
+@st.composite
+def shared_slot_problems(draw):
+    """A random circuit over every gate kind on n <= 4 qubits with few slots,
+    so slots are shared across ZZ runs, ROT3 positions and the first and
+    last gate; plus a probe slot, parameters and a small random dataset."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    pool = draw(st.integers(min_value=1, max_value=3))
+    gates = []
+    for _ in range(draw(st.integers(min_value=1, max_value=10))):
+        kind = draw(st.sampled_from(list(GateKind)))
+        # a ZZ entry is a run of up to three same-slot ZZ gates, fused by
+        # the simulator
+        repeat = draw(st.integers(min_value=1, max_value=3)) if kind is GateKind.ZZ else 1
+        slots = tuple(draw(st.integers(0, pool - 1)) for _ in range(_N_SLOTS[kind]))
+        for _ in range(repeat):
+            order = draw(st.permutations(range(n)))
+            gates.append(Gate(kind, tuple(order[:_N_TARGETS[kind]]), slots))
+    if not any(g.slots for g in gates):
+        gates.append(Gate(GateKind.RY, (0,), (0,)))
+    # renumber densely by first use
+    dense = {}
+    for g in gates:
+        for s in g.slots:
+            dense.setdefault(s, len(dense))
+    gates = [Gate(g.kind, g.targets, tuple(dense[s] for s in g.slots)) for g in gates]
+    circuit = Circuit(n, tuple(gates), len(dense))
+    probe = draw(st.integers(0, circuit.n_params - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = rng.uniform(-2 * math.pi, 2 * math.pi, circuit.n_params)
+    dataset = []
+    for _ in range(3):
+        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        dataset.append((StateVector(n, amps / np.linalg.norm(amps)),
+                        float(rng.choice([-1.0, 1.0]))))
+    return circuit, params, dataset, probe
+
+
+def assert_three_way(circuit, params, dataset, slot):
+    adjoint = gradient(circuit, params, dataset, slot)
+    shift = parameter_shift(circuit, params, dataset, slot)
+    fd = gradient_finite_difference(circuit, params, dataset, slot)
+    assert abs(adjoint - shift) <= 1e-12 * max(1.0, abs(shift))
+    assert abs(adjoint - fd) <= 1e-6
+
+
+class TestAdjointDifferential:
+    @given(shared_slot_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_random_circuits(self, problem):
+        assert_three_way(*problem)
+
+    @pytest.mark.parametrize("k", range(3))
+    def test_rot3_positions(self, k):
+        # slot 0 sits at position k of the first ROT3 and k+1 (mod 3) of the
+        # second, and also drives the fused ZZ run and the first and last gate
+        slots = [1, 2]
+        slots.insert(k, 0)
+        circuit = Circuit(3, (
+            Gate(GateKind.RX, (1,), (0,)),
+            Gate(GateKind.ROT3, (0,), tuple(slots)),
+            Gate(GateKind.ZZ, (0, 1), (0,)),
+            Gate(GateKind.ZZ, (1, 2), (0,)),
+            Gate(GateKind.CNOT, (2, 0)),
+            Gate(GateKind.ROT3, (2,), (slots[2], slots[0], slots[1])),
+            Gate(GateKind.H, (1,)),
+            Gate(GateKind.CZ, (0, 2)),
+            Gate(GateKind.RY, (2,), (0,)),
+        ), 3)
+        rng = np.random.default_rng(40 + k)
+        dataset = random_graph_dataset(rng, 3, 4)
+        params = rng.uniform(-2 * math.pi, 2 * math.pi, 3)
+        for slot in range(3):
+            assert_three_way(circuit, params, dataset, slot)
+
+
+class TestAllSlotSweep:
+    @pytest.mark.parametrize("kind", list(AnsatzKind))
+    def test_one_sweep_equals_per_slot_gradients(self, kind):
+        n = 4
+        c = build_ansatz(kind, n, default_layer_count(kind, n))
+        rng = np.random.default_rng(7)
+        dataset = random_graph_dataset(rng, n, 6)
+        amps = np.stack([sv.amplitudes for sv, _ in dataset])
+        labels = np.array([label for _, label in dataset])
+        params = rng.uniform(-2 * math.pi, 2 * math.pi, c.n_params)
+        swept = _loss_gradient_from_arrays(c, params, amps, labels, range(c.n_params))
+        single = [gradient(c, params, dataset, slot) for slot in range(c.n_params)]
+        assert swept.tolist() == single
+
+
+def test_probe_gradient_memory():
+    # one probe gradient holds state and costate as two batches: the peak
+    # stays near one forward pass plus one batch, not a stacked 2B-row sweep
+    n = 10
+    c = build_ansatz(AnsatzKind.PERMUTATION, n, default_layer_count(AnsatzKind.PERMUTATION, n))
+    amps, labels = generate_dataset(n, ExperimentConfig(qubit_counts=(n,)))
+    params = np.random.default_rng(0).uniform(-2 * math.pi, 2 * math.pi, c.n_params)
+    slots = [probe_slot(c)]
+    _loss_gradient_from_arrays(c, params, amps, labels, slots)  # caches, inverse circuit
+    tracemalloc.start()
+    try:
+        _loss_gradient_from_arrays(c, params, amps, labels, slots)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert amps.shape == (50, 1 << n)
+    assert peak <= 5.5 * amps.nbytes
