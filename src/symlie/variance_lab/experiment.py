@@ -16,7 +16,9 @@ bit-identical for a fixed seed, independent of the worker count.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -168,6 +170,37 @@ def _gradient_samples(cfg: ExperimentConfig, kind: AnsatzKind, n: int,
     return out
 
 
+# thread-count setters exported by OpenBLAS builds, plain and as renamed in
+# the copy that NumPy wheels bundle
+_BLAS_THREAD_SETTERS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
+                        "scipy_openblas_set_num_threads64_",
+                        "scipy_openblas_set_num_threads")
+
+
+def _cap_blas_threads(threads: int) -> None:
+    """Pool initializer: limit the loaded OpenBLAS to `threads` threads.
+
+    Workers x BLAS threads above the core count make the block matmuls spin
+    instead of compute.  Best effort: where the library or its setter cannot
+    be found (no /proc, another BLAS), nothing changes.  The printed results
+    do not depend on the thread count (tests compare 1 thread with the
+    default).
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line.lower()}
+        for path in sorted(paths):
+            library = ctypes.CDLL(path)
+            for name in _BLAS_THREAD_SETTERS:
+                setter = getattr(library, name, None)
+                if setter is not None:
+                    setter.argtypes, setter.restype = [ctypes.c_int], None
+                    setter(threads)
+                    return
+    except OSError:
+        return
+
+
 def _collect_point(cfg: ExperimentConfig, kind: AnsatzKind, n: int,
                    pool: Optional[ProcessPoolExecutor]) -> np.ndarray:
     total = cfg.samples_per_point
@@ -183,7 +216,11 @@ def run_variance_experiment(cfg: ExperimentConfig) -> List[VarianceRow]:
     """One row per (qubit count, ansatz) in default mode; one row per slot
     when probe_all_slots is set."""
     rows: List[VarianceRow] = []
-    pool = ProcessPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else None
+    pool = None
+    if cfg.workers > 1:
+        threads = max(1, (os.cpu_count() or 1) // cfg.workers)
+        pool = ProcessPoolExecutor(max_workers=cfg.workers, initializer=_cap_blas_threads,
+                                   initargs=(threads,))
     try:
         for kind in cfg.ansatz_kinds:
             for n in cfg.qubit_counts:

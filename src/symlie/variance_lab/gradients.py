@@ -7,18 +7,27 @@ gate here is exp(-i*theta/2 * G), so an occurrence of a slot contributes
 dp/dtheta = Im<mu|G|psi>, where psi is the state just after the gate and
 mu the costate P U_after psi with the suffix U_after of the circuit.  One
 forward pass gives the output state psi_out and mu_out = P psi_out; one
-reverse sweep through the inverse circuit carries both back and collects
-every occurrence of every probed slot.  A central finite difference of the
-loss serves as the independent cross-check.
+reverse sweep undoes the circuit's fused steps on both and collects every
+occurrence of every probed slot.
+
+The sweep measures only at step boundaries, so psi and mu are the same
+arrays whichever slots are probed.  A ZZ generator is diagonal and commutes
+with its whole step.  Inside a single-qubit step, the generator G of a
+rotation on qubit q is conjugated by the factors V that follow it on q:
+at the step's output the occurrence contributes Im<mu|V G V^dagger|psi>,
+which is assembled from the four overlaps <mu_a|psi_b> of the sub-blocks
+with qubit q set to a and b, read off one overlap matrix per Kronecker
+block.  A central finite difference of the loss serves as the independent
+cross-check.
 """
 
 from __future__ import annotations
 
-from typing import Container, Dict, List, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .simulator import (Circuit, Gate, GateKind, StateVector, _parity_batch,
+from .simulator import (Circuit, GateKind, StateVector, Step, _factor, _parity_batch,
                         _parity_signs, _run_batch, _summed_pair_signs)
 
 __all__ = ["mse_loss", "predictions", "gradient", "gradient_finite_difference",
@@ -55,58 +64,70 @@ def mse_loss(circuit: Circuit, params: Sequence[float], dataset: Dataset) -> flo
     return float(np.mean((preds - labels) ** 2))
 
 
-def _im_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # Im sum conj(u) v per batch row, from real views: no conjugated copies
-    return (np.einsum("bij,bij->b", u.real, v.imag)
-            - np.einsum("bij,bij->b", u.imag, v.real))
+_PAULI = {"X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
+          "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
+          "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128)}
 
 
-def _re_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return (np.einsum("bij,bij->b", u.real, v.real)
-            + np.einsum("bij,bij->b", u.imag, v.imag))
+def _conjugated_generators(rotations: Sequence[Tuple[str, Optional[int]]],
+                           params: Sequence[float],
+                           probed: Dict[int, np.ndarray]) -> Dict[int, np.ndarray]:
+    """Per probed slot on one qubit of a step: the sum of V G V^dagger over
+    its rotations, V the product of the rotations that follow on the qubit."""
+    v = np.eye(2, dtype=np.complex128)
+    out: Dict[int, np.ndarray] = {}
+    for axis, slot in reversed(rotations):
+        if slot in probed:
+            g = v @ _PAULI[axis] @ v.conj().T
+            out[slot] = out[slot] + g if slot in out else g
+        v = v @ _factor(axis, slot, params)
+    return out
 
 
-def _generator_overlap(mu: np.ndarray, psi: np.ndarray, run: Sequence[Gate],
-                       n: int) -> np.ndarray:
-    """Im<mu|G|psi> per row, G the summed generators of a run of commuting
-    gates (one kind, one slot).  A ZZ run's G is the same summed pair-sign
-    diagonal the simulator fuses the run with."""
-    kind = run[0].kind
-    if kind is GateKind.ZZ:
-        signs = _summed_pair_signs(n, tuple(g.targets for g in run))
-        return (np.einsum("bx,bx,x->b", mu.real, psi.imag, signs)
-                - np.einsum("bx,bx,x->b", mu.imag, psi.real, signs))
-    total = np.zeros(mu.shape[0])
-    for gate in run:
-        lo = 1 << (n - 1 - gate.targets[0])
-        m = mu.reshape(mu.shape[0], -1, 2, lo)
-        p = psi.reshape(m.shape)
-        m0, m1, p0, p1 = m[:, :, 0], m[:, :, 1], p[:, :, 0], p[:, :, 1]
-        if kind is GateKind.RX:
-            total += _im_dot(m0, p1) + _im_dot(m1, p0)
-        elif kind is GateKind.RY:  # Y = [[0, -i], [i, 0]]
-            total += _re_dot(m1, p0) - _re_dot(m0, p1)
-        else:
-            total += _im_dot(m0, p0) - _im_dot(m1, p1)
-    return total
+def _block_overlaps(mu: np.ndarray, psi: np.ndarray, first: int, width: int,
+                    n: int) -> np.ndarray:
+    """D[b, x, y] = <mu_x|psi_y> for row b, x and y the bits of the block's
+    qubits; one matrix product over the batch, shaped as the simulator
+    applies the block."""
+    dim, lo = 1 << width, 1 << (n - first - width)
+    rows = mu.shape[0]
+    m = mu.reshape(rows, -1, dim, lo).conj()
+    p = psi.reshape(m.shape)
+    if lo == 1:
+        return np.matmul(m[..., 0].swapaxes(1, 2), p[..., 0])
+    return np.matmul(m, p.swapaxes(2, 3)).sum(axis=1)
 
 
-def _probed_runs(gates: Sequence[Gate], probed: Container[int]) -> List[Tuple[int, int]]:
-    """(start, stop) of each maximal run of consecutive gates with one kind
-    and one probed slot; their generators commute, so a run is measured at
-    one point of the sweep."""
-    runs = []
-    gi = 0
-    while gi < len(gates):
-        gate = gates[gi]
-        stop = gi + 1
-        if gate.slots and gate.slots[0] in probed:
-            while (stop < len(gates) and gates[stop].kind is gate.kind
-                   and gates[stop].slots == gate.slots):
-                stop += 1
-            runs.append((gi, stop))
-        gi = stop
-    return runs
+def _qubit_overlaps(block: np.ndarray, position: int, width: int) -> np.ndarray:
+    """<mu_a|psi_c> per row, flattened as (a, c), for the qubit at
+    `position` of the block: the partial trace over the other qubits."""
+    left, right = 1 << position, 1 << (width - 1 - position)
+    d = block.reshape(-1, left, 2, right, left, 2, right)
+    return np.einsum("blxrlyr->bxy", d).reshape(-1, 4)
+
+
+def _step_overlaps(step: Step, params: Sequence[float], mu: np.ndarray,
+                   psi: np.ndarray, n: int, pred_grad: Dict[int, np.ndarray]) -> None:
+    """Add each probed occurrence in `step` to its slot's prediction
+    gradient; mu and psi are taken at the step's output."""
+    if step.kind is GateKind.ZZ:
+        for slot, pairs in step.phase_groups:
+            if slot in pred_grad:
+                signs = _summed_pair_signs(n, pairs)
+                pred_grad[slot] += (np.einsum("bx,bx,x->b", mu.real, psi.imag, signs)
+                                    - np.einsum("bx,bx,x->b", mu.imag, psi.real, signs))
+        return
+    for first, width, gated in step.blocks:
+        block = None
+        for q in gated:
+            generators = _conjugated_generators(step.wires[q], params, pred_grad)
+            if not generators:
+                continue
+            if block is None:
+                block = _block_overlaps(mu, psi, first, width, n)
+            d = _qubit_overlaps(block, q - first, width)
+            for slot, g in generators.items():
+                pred_grad[slot] += (d @ g.reshape(4)).imag
 
 
 def _loss_gradient_from_arrays(circuit: Circuit, params: Sequence[float],
@@ -115,10 +136,10 @@ def _loss_gradient_from_arrays(circuit: Circuit, params: Sequence[float],
     """d(loss)/d(theta_s) for every s in `slots` from one forward pass and
     one reverse sweep of state and costate.
 
-    The sweep runs the inverse circuit with negated parameters and stops at
-    the earliest probed occurrence; psi and mu are swept as two separate
-    batches, which keeps the peak allocation at that of one forward pass
-    plus one batch.
+    The sweep undoes the circuit's steps and stops at the earliest step
+    holding a probed slot; psi and mu are swept as two separate batches,
+    which keeps the peak allocation at that of one forward pass plus one
+    batch.
     """
     for slot in slots:
         if slot < 0 or slot >= circuit.n_params:
@@ -127,17 +148,17 @@ def _loss_gradient_from_arrays(circuit: Circuit, params: Sequence[float],
     psi = _run_batch(circuit, params, amps)
     preds = _parity_batch(psi, n)
     mu = psi * _parity_signs(n)
-    inverse = circuit.inverse
-    back = np.negative(params, dtype=np.float64)
+    steps = circuit.steps
     pred_grad: Dict[int, np.ndarray] = {slot: np.zeros(amps.shape[0]) for slot in slots}
-    cursor = 0
-    for start, stop in _probed_runs(inverse.gates, pred_grad):
-        if start > cursor:
-            psi = _run_batch(inverse, back, psi, start=cursor, stop=start)
-            mu = _run_batch(inverse, back, mu, start=cursor, stop=start)
-            cursor = start
-        run = inverse.gates[start:stop]
-        pred_grad[run[0].slots[0]] += _generator_overlap(mu, psi, run, n)
+    cursor = len(steps)
+    for k in reversed(range(len(steps))):
+        if steps[k].slots.isdisjoint(pred_grad):
+            continue
+        if cursor > k + 1:
+            psi = _run_batch(circuit, params, psi, start=k + 1, stop=cursor, adjoint=True)
+            mu = _run_batch(circuit, params, mu, start=k + 1, stop=cursor, adjoint=True)
+            cursor = k + 1
+        _step_overlaps(steps[k], params, mu, psi, n, pred_grad)
     return np.array([np.mean(2.0 * (preds - labels) * pred_grad[slot]) for slot in slots])
 
 

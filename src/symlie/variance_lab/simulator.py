@@ -6,6 +6,16 @@ generator G, and ZZ(theta) acts diagonally with phase exp(-i*theta/2) on
 even-parity and exp(+i*theta/2) on odd-parity bit pairs.  All kernels accept
 a batch of states as an array of shape (..., 2^n); the public StateVector
 API wraps the single-state case.
+
+Circuits run as fused steps (`Circuit.steps`), not gate by gate.  A maximal
+run of single-qubit gates is one step: its gates multiply into one 2x2
+matrix per qubit, and the qubits, grouped in blocks of `BLOCK_QUBITS`
+counted from the least significant end, are applied one block at a time as
+the block's Kronecker product (a block with a single gated qubit keeps the
+2x2 kernel).  A maximal run of ZZ gates is one diagonal, and every CZ or
+CNOT is a step of its own.  Each step returns a new array, and its adjoint
+is the per-qubit dagger or the conjugate phases, so `_run_batch` runs any
+stretch of steps forward or backward without touching its input.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -103,23 +113,81 @@ class Circuit:
                      for k, s in enumerate(g.slots) if s == slot)
 
     @cached_property
-    def inverse(self) -> "Circuit":
-        """The circuit that undoes this one when run with negated parameters.
-
-        Gates come in reverse order and ROT3 is split into its RZ, RY, RZ
-        rotations, so every parametrized gate of the inverse carries one
-        slot.  Consecutive ZZ gates stay consecutive and are fused alike.
-        """
-        gates = []
-        for gate in reversed(self.gates):
-            if gate.kind is GateKind.ROT3:
-                first, middle, last = gate.slots
-                gates += [Gate(GateKind.RZ, gate.targets, (last,)),
-                          Gate(GateKind.RY, gate.targets, (middle,)),
-                          Gate(GateKind.RZ, gate.targets, (first,))]
+    def steps(self) -> Tuple["Step", ...]:
+        """The gate list cut into fused steps: maximal runs of single-qubit
+        gates, maximal runs of ZZ gates, and each CZ or CNOT alone."""
+        runs: list = []
+        for gate in self.gates:
+            kind = _LOCAL if len(gate.targets) == 1 else gate.kind
+            if runs and kind == runs[-1][0] and kind in (_LOCAL, GateKind.ZZ):
+                runs[-1][1].append(gate)
             else:
-                gates.append(gate)
-        return Circuit(self.n_qubits, tuple(gates), self.n_params)
+                runs.append((kind, [gate]))
+        return tuple(Step(kind, tuple(gates), self.n_qubits) for kind, gates in runs)
+
+
+_LOCAL = "1q"  # the kind of a step made of single-qubit gates
+
+# qubits per Kronecker block of a single-qubit step: one matmul by a 16x16
+# matrix reads and writes the batch once for four qubits
+BLOCK_QUBITS = 4
+
+
+def _rotations(gate: Gate) -> Tuple[Tuple[str, Optional[int]], ...]:
+    """(axis, slot) of each rotation of a single-qubit gate in application
+    order; the Hadamard is ("H", None)."""
+    if gate.kind is GateKind.ROT3:
+        return tuple(zip("ZYZ", gate.slots))
+    if gate.kind is GateKind.H:
+        return (("H", None),)
+    return ((gate.kind.value[1], gate.slots[0]),)
+
+
+class Step:
+    """One fused step of a circuit (see the module docstring).
+
+    `kind` is "1q", GateKind.ZZ, GateKind.CZ or GateKind.CNOT.
+    """
+
+    def __init__(self, kind, gates: Tuple[Gate, ...], n_qubits: int):
+        self.kind, self.gates, self.n_qubits = kind, gates, n_qubits
+
+    @cached_property
+    def slots(self) -> frozenset:
+        return frozenset(s for g in self.gates for s in g.slots)
+
+    @cached_property
+    def wires(self) -> Dict[int, Tuple[Tuple[str, Optional[int]], ...]]:
+        """Per gated qubit, ascending: its rotations in application order."""
+        wires: Dict[int, tuple] = {}
+        for gate in self.gates:
+            q = gate.targets[0]
+            wires[q] = wires.get(q, ()) + _rotations(gate)
+        return dict(sorted(wires.items()))
+
+    @cached_property
+    def blocks(self) -> Tuple[Tuple[int, int, Tuple[int, ...]], ...]:
+        """(first qubit, width, gated qubits) of each block with a gated
+        qubit, least significant first.
+
+        Aligning blocks at the low end leaves the trailing axis of every
+        block either 1 or a multiple of 2^BLOCK_QUBITS, where matmul stays
+        fast; only the top block may be narrower."""
+        out = []
+        for stop in range(self.n_qubits, 0, -BLOCK_QUBITS):
+            first = max(0, stop - BLOCK_QUBITS)
+            gated = tuple(q for q in range(first, stop) if q in self.wires)
+            if gated:
+                out.append((first, stop - first, gated))
+        return tuple(out)
+
+    @cached_property
+    def phase_groups(self) -> Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...]:
+        """(slot, pairs) of a ZZ step, slots in order of first use."""
+        groups: Dict[int, tuple] = {}
+        for gate in self.gates:
+            groups[gate.slots[0]] = groups.get(gate.slots[0], ()) + (gate.targets,)
+        return tuple(groups.items())
 
 
 @dataclass
@@ -185,6 +253,31 @@ def _rz(theta: float) -> np.ndarray:
 
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
+_ROTATION = {"X": _rx, "Y": _ry, "Z": _rz}
+_IDENTITY = np.eye(2, dtype=np.complex128)
+
+
+def _factor(axis: str, slot: Optional[int], params: Sequence[float]) -> np.ndarray:
+    """The 2x2 matrix of one rotation, its angle read from `params` by slot;
+    the Hadamard has no slot."""
+    return _HADAMARD if slot is None else _ROTATION[axis](params[slot])
+
+
+def _wire_matrix(rotations: Sequence[Tuple[str, Optional[int]]],
+                 params: Sequence[float]) -> np.ndarray:
+    """Product of one qubit's rotations, the first applied rightmost."""
+    u = _IDENTITY
+    for axis, slot in rotations:
+        u = _factor(axis, slot, params) @ u
+    return u
+
+
+def _kron(factors: Sequence[np.ndarray]) -> np.ndarray:
+    out = factors[0]
+    for f in factors[1:]:
+        out = (out[:, None, :, None] * f[None, :, None, :]).reshape(
+            out.shape[0] * 2, out.shape[1] * 2)
+    return out
 
 
 def _apply_1q(amps: np.ndarray, u: np.ndarray, q: int, n: int) -> np.ndarray:
@@ -217,12 +310,9 @@ def _apply_gate_array(amps: np.ndarray, gate: Gate, angles: Sequence[float],
     if kind is GateKind.H:
         return _apply_1q(amps, _HADAMARD, gate.targets[0], n)
     if kind is GateKind.ROT3:
-        # RZ-RY-RZ Euler rotation; slots are in application order, so the
-        # matrix is RZ(angles[2]) RY(angles[1]) RZ(angles[0]).
-        first, middle, last = angles
-        out = _apply_1q(amps, _rz(first), gate.targets[0], n)
-        out = _apply_1q(out, _ry(middle), gate.targets[0], n)
-        return _apply_1q(out, _rz(last), gate.targets[0], n)
+        # RZ-RY-RZ Euler rotation; slots are in application order
+        u = _rz(angles[2]) @ _ry(angles[1]) @ _rz(angles[0])
+        return _apply_1q(amps, u, gate.targets[0], n)
     if kind is GateKind.ZZ:
         i, j = gate.targets
         parity = _pair_parity(n, i, j)
@@ -240,7 +330,7 @@ def _apply_gate_array(amps: np.ndarray, gate: Gate, angles: Sequence[float],
         perm = _cnot_permutation(n, control, target)
         # out[x] = in[x with target bit flipped when control set]; the map is
         # an involution so gathering by it applies the gate.
-        return amps[..., perm]
+        return np.take(amps, perm, axis=-1)
     raise ValueError(f"unhandled gate kind {kind}")
 
 
@@ -252,37 +342,58 @@ def _summed_pair_signs(n: int, pairs: Tuple[Tuple[int, int], ...]) -> np.ndarray
     return total
 
 
-def _run_batch(circuit: Circuit, params: Sequence[float], amps: np.ndarray,
-               start: int = 0, stop: Optional[int] = None) -> np.ndarray:
-    """Apply gates [start, stop) to a batch of states (last axis is the state).
+def _apply_local(amps: np.ndarray, step: Step, params: Sequence[float], n: int,
+                 adjoint: bool) -> np.ndarray:
+    wires = step.wires
+    for first, width, gated in step.blocks:
+        mats = {}
+        for q in gated:
+            u = _wire_matrix(wires[q], params)
+            mats[q] = u.conj().T if adjoint else u
+        if len(gated) == 1:
+            amps = _apply_1q(amps, mats[gated[0]], gated[0], n)
+            continue
+        k = _kron([mats.get(q, _IDENTITY) for q in range(first, first + width)])
+        lo = 1 << (n - first - width)
+        if lo == 1:
+            # one (rows x 2^w) @ (2^w x 2^w) product instead of a stack of
+            # matrix-vector products
+            out = amps.reshape(-1, 1 << width) @ k.T
+        else:
+            out = np.matmul(k, amps.reshape(-1, 1 << width, lo))
+        amps = out.reshape(amps.shape)
+    return amps
 
-    Consecutive ZZ gates sharing one slot commute and are fused into a
-    single cached diagonal.
+
+def _apply_step(amps: np.ndarray, step: Step, params: Sequence[float], n: int,
+                adjoint: bool = False) -> np.ndarray:
+    if step.kind == _LOCAL:
+        return _apply_local(amps, step, params, n, adjoint)
+    if step.kind is GateKind.ZZ:
+        exponent = sum((-0.5j * params[slot]) * _summed_pair_signs(n, pairs)
+                       for slot, pairs in step.phase_groups)
+        phases = np.exp(exponent)
+        return amps * (phases.conj() if adjoint else phases)
+    # CZ and CNOT are their own inverses
+    return _apply_gate_array(amps, step.gates[0], (), n)
+
+
+def _run_batch(circuit: Circuit, params: Sequence[float], amps: np.ndarray,
+               start: int = 0, stop: Optional[int] = None,
+               adjoint: bool = False) -> np.ndarray:
+    """Apply steps [start, stop) of `circuit.steps` to a batch of states
+    (last axis is the state), or with `adjoint` undo them, last step first.
+
+    Returns a new array; `amps` is never written.
     """
     if len(params) != circuit.n_params:
         raise ValueError(f"expected {circuit.n_params} parameters, got {len(params)}")
     n = circuit.n_qubits
-    work = np.array(amps, dtype=np.complex128, copy=True)
-    gates = circuit.gates
-    count = len(gates) if stop is None else stop
-    gi = start
-    while gi < count:
-        gate = gates[gi]
-        if gate.kind is GateKind.ZZ:
-            slot = gate.slots[0]
-            run_end = gi + 1
-            while (run_end < count and gates[run_end].kind is GateKind.ZZ
-                   and gates[run_end].slots[0] == slot):
-                run_end += 1
-            if run_end - gi > 1:
-                pairs = tuple(gates[g].targets for g in range(gi, run_end))
-                signs = _summed_pair_signs(n, pairs)
-                work *= np.exp((-0.5j * params[slot]) * signs)
-                gi = run_end
-                continue
-        work = _apply_gate_array(work, gate, [params[s] for s in gate.slots], n)
-        gi += 1
-    return work
+    work = np.asarray(amps, dtype=np.complex128)
+    steps = circuit.steps[start:stop]
+    for step in (reversed(steps) if adjoint else steps):
+        work = _apply_step(work, step, params, n, adjoint)
+    return work.copy() if work is amps else work
 
 
 def apply_gate(state: StateVector, gate: Gate, params: Sequence[float] = ()) -> StateVector:
@@ -320,11 +431,12 @@ def graph_state(edges: Iterable[Tuple[int, int]], n: int) -> StateVector:
     for a, b in edge_list:
         if a == b or a < 0 or b >= n:
             raise ValueError(f"bad edge ({a}, {b}) for {n} vertices")
-    state = plus_state(n)
-    amps = state.amplitudes
+    odd = np.zeros(1 << n, dtype=np.int8)
     for a, b in edge_list:
-        amps = _apply_gate_array(amps, Gate(GateKind.CZ, (a, b)), (), n)
-    return StateVector(n, amps)
+        odd ^= _bit(n, a) & _bit(n, b)
+    # each CZ flips the sign where both its bits are set; the flips compose
+    # to one sign per basis state
+    return StateVector(n, plus_state(n).amplitudes * np.where(odd, -1.0, 1.0))
 
 
 def _parity_batch(amps: np.ndarray, n: int) -> np.ndarray:

@@ -231,6 +231,7 @@ def variance_results():
     return table, elapsed, workers
 
 
+@pytest.mark.slow
 def test_criterion_9_runtime(variance_results):
     _, elapsed, workers = variance_results
     limit = 300.0 if workers >= 8 else 1800.0
@@ -250,6 +251,7 @@ def two_design_variance(n: int, seed: int) -> float:
     return 2.0 * sigma_sq_trace / (2**n - 1)
 
 
+@pytest.mark.slow
 def test_criterion_9a_strongly_entangling_decay(variance_results):
     # Full scrambling decays as 2^-n (slope -1, McClean et al.,
     # arXiv:1803.11173); the finite-n reference is printed for comparison.
@@ -266,6 +268,7 @@ def test_criterion_9a_strongly_entangling_decay(variance_results):
                   f"variances {[f'{v:.2e}' for v in values]}")
 
 
+@pytest.mark.slow
 def test_criterion_9b_permutation_polynomial(variance_results):
     table, _, _ = variance_results
     qubits = np.array([4, 6, 8, 10])
@@ -278,6 +281,7 @@ def test_criterion_9b_permutation_polynomial(variance_results):
                   f"perm/SE ratio at n=10: {ratio:.0f}x (need >= 100)")
 
 
+@pytest.mark.slow
 def test_criterion_9c_cyclic_sits_between(variance_results):
     table, _, _ = variance_results
     ok = all(table[("strongly-entangling", n)]

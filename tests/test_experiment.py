@@ -1,6 +1,10 @@
 """Dataset generation, experiment determinism, and output formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,6 +114,23 @@ class TestExperiment:
         serial = run_variance_experiment(ExperimentConfig(**SMALL, workers=1))
         parallel = run_variance_experiment(ExperimentConfig(**SMALL, workers=2))
         assert rows_to_csv(serial) == rows_to_csv(parallel)
+
+    def test_blas_thread_count_does_not_change_output(self):
+        # the block matmuls may run on several BLAS threads; the printed
+        # rows must not depend on how many
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for threads in ("1", None):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            done = subprocess.run(
+                [sys.executable, "-m", "symlie.cli", "variance", "--qubits", "4..8",
+                 "--samples", "2"], env=env, capture_output=True, check=True)
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count(b"\n") == 10  # header and 3 ansatzes x 3 qubit counts
 
     def test_all_slots_mode(self):
         cfg = ExperimentConfig(qubit_counts=(4,), samples_per_point=4,

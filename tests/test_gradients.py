@@ -122,7 +122,7 @@ class TestGradient:
     def test_parameter_shift_matches_finite_difference(self, kind):
         # gradient() (adjoint) against finite differences: 100 random
         # configurations per ansatz at n=4, tolerance 1e-6
-        rng = np.random.default_rng(hash(kind.value) % 2**32)
+        rng = np.random.default_rng(list(AnsatzKind).index(kind))
         n = 4
         c = build_ansatz(kind, n, default_layer_count(kind, n))
         dataset = random_graph_dataset(rng, n, 8)
@@ -245,6 +245,19 @@ class TestAdjointDifferential:
         for slot in range(3):
             assert_three_way(circuit, params, dataset, slot)
 
+    @pytest.mark.parametrize("kind", [AnsatzKind.PERMUTATION, AnsatzKind.STRONGLY_ENTANGLING])
+    def test_every_block_position(self, kind):
+        # at n = 9 the single-qubit steps span a bottom block (trailing axis
+        # 1), a middle block (leading and trailing axes both > 1) and a
+        # one-qubit top block; every first-layer slot is checked
+        n = 9
+        c = build_ansatz(kind, n, 2)
+        rng = np.random.default_rng(90 + list(AnsatzKind).index(kind))
+        dataset = random_graph_dataset(rng, n, 3)
+        params = rng.uniform(-2 * math.pi, 2 * math.pi, c.n_params)
+        for slot in range(c.layer_starts[1]):
+            assert_three_way(c, params, dataset, slot)
+
 
 class TestAllSlotSweep:
     @pytest.mark.parametrize("kind", list(AnsatzKind))
@@ -269,7 +282,7 @@ def test_probe_gradient_memory():
     amps, labels = generate_dataset(n, ExperimentConfig(qubit_counts=(n,)))
     params = np.random.default_rng(0).uniform(-2 * math.pi, 2 * math.pi, c.n_params)
     slots = [probe_slot(c)]
-    _loss_gradient_from_arrays(c, params, amps, labels, slots)  # caches, inverse circuit
+    _loss_gradient_from_arrays(c, params, amps, labels, slots)  # caches, fused steps
     tracemalloc.start()
     try:
         _loss_gradient_from_arrays(c, params, amps, labels, slots)

@@ -8,10 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symlie.variance_lab.simulator import (
+    _N_SLOTS,
+    _N_TARGETS,
+    BLOCK_QUBITS,
     Circuit,
     Gate,
     GateKind,
     StateVector,
+    _run_batch,
     apply_gate,
     circuit_unitary,
     expectation_parity,
@@ -144,6 +148,19 @@ class TestGraphStates:
             assert np.allclose(np.abs(sv.amplitudes), 2 ** (-n / 2))
             assert np.allclose(sv.amplitudes.imag, 0)
 
+    def test_one_pass_signs_equal_the_cz_chain(self):
+        # graph_state sets all CZ signs in one multiply; the amplitudes must
+        # be exactly those of applying the CZ gates one by one to |+>^n
+        rng = np.random.default_rng(21)
+        for n in range(1, 9):
+            for _ in range(10):
+                edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+                         if rng.random() < rng.uniform(0.1, 0.9)]
+                chain = plus_state(n)
+                for edge in edges:
+                    chain = apply_gate(chain, Gate(GateKind.CZ, edge))
+                assert np.array_equal(graph_state(edges, n).amplitudes, chain.amplitudes)
+
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
             graph_state([(1, 1)], 3)
@@ -210,3 +227,107 @@ class TestCircuitRunner:
         circuit = Circuit(2, (Gate(GateKind.RX, (0,), (0,)),), 1)
         with pytest.raises(ValueError):
             run_circuit(circuit, [0.1, 0.2])
+
+
+@st.composite
+def fused_circuits(draw):
+    """A random circuit over every gate kind on 1..7 qubits (below the block
+    size and across block edges), with single-qubit runs that leave some
+    qubits of a block ungated and are broken by CZ, CNOT and ZZ gates; plus
+    parameters and a batch of two random states."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    kinds = [k for k in GateKind if _N_TARGETS[k] <= n]
+    gates = []
+    for _ in range(draw(st.integers(min_value=0, max_value=14))):
+        kind = draw(st.sampled_from(kinds))
+        if _N_TARGETS[kind] == 1:
+            # a run of rotations on a random subset of the qubits
+            qubits = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                                   unique=True))
+            gates += [Gate(kind, (q,), tuple(range(len(gates) * 3, len(gates) * 3
+                                                    + _N_SLOTS[kind])))
+                      for q in qubits]
+        else:
+            order = draw(st.permutations(range(n)))
+            gates.append(Gate(kind, tuple(order[:2]),
+                              tuple(range(len(gates) * 3, len(gates) * 3 + _N_SLOTS[kind]))))
+    dense = {}
+    for g in gates:
+        for slot in g.slots:
+            dense.setdefault(slot, len(dense))
+    gates = tuple(Gate(g.kind, g.targets, tuple(dense[s] for s in g.slots)) for g in gates)
+    circuit = Circuit(n, gates, len(dense))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = rng.uniform(-2 * math.pi, 2 * math.pi, circuit.n_params)
+    states = np.stack([random_state(rng, n).amplitudes for _ in range(2)])
+    return circuit, params, states
+
+
+def gate_by_gate(circuit, params, amps):
+    state = StateVector(circuit.n_qubits, amps)
+    for gate in circuit.gates:
+        state = apply_gate(state, gate, params)
+    return state.amplitudes
+
+
+class TestFusedSteps:
+    def test_step_boundaries(self):
+        gates = (
+            Gate(GateKind.RX, (0,), (0,)), Gate(GateKind.ROT3, (2,), (1, 2, 3)),
+            Gate(GateKind.H, (0,)), Gate(GateKind.ZZ, (0, 1), (0,)),
+            Gate(GateKind.ZZ, (1, 2), (4,)), Gate(GateKind.CZ, (0, 2)),
+            Gate(GateKind.CNOT, (1, 0)), Gate(GateKind.CNOT, (0, 1)),
+            Gate(GateKind.RY, (1,), (4,)),
+        )
+        steps = Circuit(3, gates, 5).steps
+        assert [s.kind for s in steps] == ["1q", GateKind.ZZ, GateKind.CZ, GateKind.CNOT,
+                                           GateKind.CNOT, "1q"]
+        assert steps[0].wires == {0: (("X", 0), ("H", None)),
+                                  2: (("Z", 1), ("Y", 2), ("Z", 3))}
+        assert steps[1].phase_groups == ((0, ((0, 1),)), (4, ((1, 2),)))
+        assert steps[0].blocks == ((0, 3, (0, 2)),)
+
+    def test_blocks_align_at_the_low_end(self):
+        layer = tuple(Gate(GateKind.RX, (q,), (0,)) for q in range(2 * BLOCK_QUBITS + 2))
+        step = Circuit(len(layer), layer, 1).steps[0]
+        assert [(first, width) for first, width, _ in step.blocks] == [
+            (BLOCK_QUBITS + 2, BLOCK_QUBITS), (2, BLOCK_QUBITS), (0, 2)]
+
+    @given(fused_circuits())
+    @settings(max_examples=200, deadline=None)
+    def test_forward_and_adjoint_match_gate_by_gate(self, problem):
+        circuit, params, states = problem
+        expected = np.stack([gate_by_gate(circuit, params, row) for row in states])
+        for row, want in zip(states, expected):
+            got = run_circuit(circuit, params, StateVector(circuit.n_qubits, row))
+            assert np.max(np.abs(got.amplitudes - want), initial=0.0) <= 1e-12
+        out = _run_batch(circuit, params, states)
+        assert np.max(np.abs(out - expected)) <= 1e-12
+        back = _run_batch(circuit, params, out, adjoint=True)
+        assert np.max(np.abs(back - states)) <= 1e-12
+        # any split of the step list composes to the whole run
+        cut = len(circuit.steps) // 2
+        halves = _run_batch(circuit, params, _run_batch(circuit, params, states, stop=cut),
+                            start=cut)
+        assert np.max(np.abs(halves - expected)) <= 1e-12
+        undone = _run_batch(circuit, params, out, start=cut, adjoint=True)
+        assert np.max(np.abs(undone - _run_batch(circuit, params, states, stop=cut))) <= 1e-12
+
+    def test_run_batch_leaves_its_input_unchanged(self):
+        rng = np.random.default_rng(11)
+        n = 5
+        gates = (
+            Gate(GateKind.ROT3, (0,), (0, 1, 2)), Gate(GateKind.RX, (4,), (3,)),
+            Gate(GateKind.ZZ, (1, 3), (3,)), Gate(GateKind.CZ, (0, 4)),
+            Gate(GateKind.H, (2,)), Gate(GateKind.RY, (1,), (1,)),
+            Gate(GateKind.CNOT, (3, 2)), Gate(GateKind.RZ, (3,), (0,)),
+        )
+        circuit = Circuit(n, gates, 4)
+        params = rng.uniform(-3, 3, 4)
+        states = np.stack([random_state(rng, n).amplitudes for _ in range(3)])
+        original = states.copy()
+        for adjoint in (False, True):
+            for start, stop in ((0, None), (2, 5), (3, 3)):
+                out = _run_batch(circuit, params, states, start, stop, adjoint=adjoint)
+                assert np.array_equal(states, original)
+                assert not np.shares_memory(out, states)
