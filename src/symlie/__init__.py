@@ -30,6 +30,7 @@ from .errors import (
     OrderCapExceeded,
     StateSpaceCapExceeded,
     SymlieError,
+    TermCapExceeded,
 )
 
 __version__ = "0.1.0"

@@ -134,6 +134,8 @@ def _cmd_dim(args: argparse.Namespace) -> int:
     if args.sweep:
         sweep = _parse_range(args.sweep)
         specs = _specs_for_sweep(args.spec, sweep)
+        for spec in specs:  # refuse an oversized sweep before building any table
+            comb.check_term_cap(spec)
         _emit_rows(args.format, ["N", "spec", "dimension"],
                    [(n, str(spec), comb.dimension(spec, args.alphabet))
                     for n, spec in zip(sweep, specs)])
@@ -207,6 +209,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 def _scaling_rows(max_qubits: int) -> Tuple[List[str], List[List[str]]]:
     headers = ["N", "C", "D", "A", "S", "unrestricted", "energy",
                "ratio_C", "ratio_D", "ratio_A", "ratio_S", "ratio_energy"]
+    if max_qubits >= 1:  # refuse an oversized table before building any row
+        comb.check_term_cap(GroupSpec(Family.SYMMETRIC, max_qubits))
     rows = []
     for n in range(1, max_qubits + 1):
         dims = {f: comb.dim_invariant_algebra(GroupSpec(f, n)) for f in Family}

@@ -3,9 +3,13 @@
 The dimension of the subalgebra of su(2^N) invariant under a permutation
 group G equals the number of G-orbits of length-N words over a 4-letter
 alphabet, minus one (the all-identity word is dropped).  The orbit count is
-Z[G](k, ..., k) with k = 4, where Z[G] is the cycle index of G.  Everything
-in this module is exact: coefficients are `fractions.Fraction`, dimensions
-are Python big integers, and no floats appear anywhere.
+Z[G](k, ..., k) with k = 4, where Z[G] is the cycle index of G.
+
+Z[S_n] sums a^lambda / z_lambda over the cycle types lambda of n, from integer
+tables of centralizer orders z_lambda = prod_l l^{m_l} m_l! (Harary and
+Palmer, *Graphical Enumeration*, 1973, ch. 2); Z[A_n] keeps the even types,
+doubled.  Coefficients are exact `Fraction`s; an evaluation scales them to
+the lcm of their denominators and sums Python integers, so no float appears.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Tuple, Union
 
-from .errors import NonIntegerCount
+from .errors import NonIntegerCount, TermCapExceeded
+from .indexing import MAX_CYCLE_INDEX_TERMS, max_partition_degree
 
 __all__ = [
     "Family",
@@ -26,6 +31,7 @@ __all__ = [
     "AnySpec",
     "CycleIndex",
     "cycle_index",
+    "check_term_cap",
     "evaluate",
     "dim_invariant_algebra",
     "dim_product",
@@ -112,10 +118,6 @@ def euler_totient(d: int) -> int:
     return sum(1 for i in range(1, d + 1) if math.gcd(i, d) == 1)
 
 
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
 @dataclass(frozen=True)
 class CycleIndex:
     """Exact cycle index Z[G]: map from cycle type to rational coefficient.
@@ -127,72 +129,80 @@ class CycleIndex:
     degree: int
     terms: Dict[Partition, Fraction]
 
+    def _scaled_value(self, k: int) -> Tuple[int, int]:
+        """(D * Z[G](k, ..., k), D), D the lcm of the denominators: each
+        coefficient c becomes the integer c * D, so this is one integer sum."""
+        d = math.lcm(*(c.denominator for c in self.terms.values()))
+        return sum(c.numerator * (d // c.denominator) * k ** len(part)
+                   for part, c in self.terms.items()), d
+
     def coefficient_sum(self) -> Fraction:
-        return sum(self.terms.values(), Fraction(0))
-
-
-def _merge(acc: Dict[Partition, Fraction], key: Partition, coeff: Fraction) -> None:
-    new = acc.get(key, Fraction(0)) + coeff
-    if new == 0:
-        acc.pop(key, None)
-    else:
-        acc[key] = new
+        return Fraction(*self._scaled_value(1))
 
 
 @lru_cache(maxsize=None)
-def _symmetric_terms(n: int) -> Dict[Partition, Fraction]:
-    # Z[S_n] = (1/n) sum_{l=1}^{n} a_l Z[S_{n-l}], Z[S_0] = 1.
+def _symmetric_z(n: int) -> Dict[Partition, int]:
+    """Centralizer order z_lambda of every cycle type lambda of n.
+
+    A type is a largest part l before a type of n - l with parts <= l;
+    prepending l multiplies z by l * (m_l + 1).  Entries come by largest
+    part, ascending, so a smaller table is read up to its first part > l.
+    """
     if n == 0:
-        return {(): Fraction(1)}
-    acc: Dict[Partition, Fraction] = {}
+        return {(): 1}
+    table: Dict[Partition, int] = {}
     for l in range(1, n + 1):
-        for part, coeff in _symmetric_terms(n - l).items():
-            key = tuple(sorted(part + (l,), reverse=True))
-            _merge(acc, key, coeff / n)
-    return acc
+        for rest, z in _symmetric_z(n - l).items():
+            if rest and rest[0] > l:
+                break
+            table[(l,) + rest] = z * l * (rest.count(l) + 1)
+    return table
+
+
+def _symmetric_terms(n: int) -> Dict[Partition, Fraction]:
+    # Z[S_n] = sum over cycle types of a^lambda / z_lambda.
+    return {part: Fraction(1, z) for part, z in _symmetric_z(n).items()}
 
 
 def _alternating_terms(n: int) -> Dict[Partition, Fraction]:
-    # Z[A_n] = Z[S_n]({a_i}) + Z[S_n]({(-1)^(i-1) a_i}).  The substitution
-    # multiplies the monomial of cycle type p by (-1)^(n - len(p)), the sign
-    # of the permutations of that type.  The formula degenerates for n = 1
-    # (it would give 2*a_1), so the trivial A_1 is special-cased.
+    # Z[A_n] = Z[S_n]({a_i}) + Z[S_n]({(-1)^(i-1) a_i}): odd types (n - len
+    # odd) cancel and even ones double.  This would give 2*a_1 for n = 1, so
+    # the trivial A_1 is special-cased.
     if n == 1:
         return {(1,): Fraction(1)}
-    acc: Dict[Partition, Fraction] = {}
-    for part, coeff in _symmetric_terms(n).items():
-        sign = -1 if (n - len(part)) % 2 else 1
-        _merge(acc, part, coeff * (1 + sign))
-    return acc
+    return {part: Fraction(2, z) for part, z in _symmetric_z(n).items()
+            if (n - len(part)) % 2 == 0}
 
 
 def _cyclic_terms(n: int) -> Dict[Partition, Fraction]:
-    # Z[C_n] = (1/n) sum_{d|n} phi(d) a_d^(n/d).
-    acc: Dict[Partition, Fraction] = {}
-    for d in _divisors(n):
-        key = (d,) * (n // d)
-        _merge(acc, key, Fraction(euler_totient(d), n))
-    return acc
+    # Z[C_n] = (1/n) sum_{d|n} phi(d) a_d^(n/d); distinct d give distinct types.
+    return {(d,) * (n // d): Fraction(euler_totient(d), n)
+            for d in range(1, n + 1) if n % d == 0}
 
 
 def _dihedral_terms(n: int) -> Dict[Partition, Fraction]:
-    # Rotation half plus reflection half.  The same expressions hold for the
-    # degenerate sizes: n = 1 gives a_1 (= Z[S_1]) and n = 2 gives
-    # (a_1^2 + a_2)/2 (= Z[S_2], the faithful {id, (01)} action).
-    acc: Dict[Partition, Fraction] = {}
-    for part, coeff in _cyclic_terms(n).items():
-        _merge(acc, part, coeff / 2)
-    if n % 2 == 0:
-        _merge(acc, tuple(sorted((1, 1) + (2,) * ((n - 2) // 2), reverse=True)), Fraction(1, 4))
-        _merge(acc, (2,) * (n // 2), Fraction(1, 4))
-    else:
-        _merge(acc, tuple(sorted((1,) + (2,) * ((n - 1) // 2), reverse=True)), Fraction(1, 2))
+    # Rotation half plus reflection half, the n reflections split evenly over
+    # one cycle type (n odd) or two (n even).  n = 1 gives a_1 (= Z[S_1]) and
+    # n = 2 gives (a_1^2 + a_2)/2 (= Z[S_2], the faithful {id, (01)} action).
+    acc = {part: coeff / 2 for part, coeff in _cyclic_terms(n).items()}
+    flips = [(2,) * (n // 2) + (1,)] if n % 2 else [(2,) * (n // 2 - 1) + (1, 1), (2,) * (n // 2)]
+    for part in flips:
+        acc[part] = acc.get(part, 0) + Fraction(1, 2 * len(flips))
     return acc
+
+
+def check_term_cap(spec: AnySpec) -> None:
+    """Refuse, before any table is built, an S or A part whose cycle index would
+    have more than MAX_CYCLE_INDEX_TERMS terms (one per partition of its degree)."""
+    max_degree = max_partition_degree(MAX_CYCLE_INDEX_TERMS)
+    for part in spec.parts if isinstance(spec, ProductGroupSpec) else (spec,):
+        if part.family in (Family.SYMMETRIC, Family.ALTERNATING) and part.size > max_degree:
+            raise TermCapExceeded(str(part), MAX_CYCLE_INDEX_TERMS, max_degree)
 
 
 def cycle_index(spec: GroupSpec) -> CycleIndex:
     """Build the exact cycle index polynomial for a named group family."""
-    n = spec.size
+    check_term_cap(spec)
     builders = {
         Family.SYMMETRIC: _symmetric_terms,
         Family.ALTERNATING: _alternating_terms,
@@ -200,8 +210,7 @@ def cycle_index(spec: GroupSpec) -> CycleIndex:
         Family.CYCLIC: _cyclic_terms,
         Family.TRIVIAL: lambda m: {(1,) * m: Fraction(1)},
     }
-    terms = dict(builders[spec.family](n))
-    ci = CycleIndex(degree=n, terms=terms)
+    ci = CycleIndex(degree=spec.size, terms=builders[spec.family](spec.size))
     if ci.coefficient_sum() != 1:
         raise NonIntegerCount(f"cycle index coefficients of {spec} do not sum to 1")
     return ci
@@ -209,27 +218,20 @@ def cycle_index(spec: GroupSpec) -> CycleIndex:
 
 def evaluate(ci: CycleIndex, k: int) -> int:
     """Substitute a_i = k for every i; the result is an exact orbit count.
-
-    Raises NonIntegerCount if the rational value is not a non-negative
-    integer, which would mean the cycle index is corrupted.
-    """
+    A value that is not a non-negative integer means a corrupted cycle index
+    and raises NonIntegerCount."""
     if k < 1:
         raise ValueError(f"alphabet size must be >= 1, got {k}")
-    total = Fraction(0)
-    for part, coeff in ci.terms.items():
-        total += coeff * k ** len(part)
-    if total.denominator != 1 or total < 0:
-        raise NonIntegerCount(f"evaluation at k={k} gave non-integer {total}")
-    return int(total)
+    total, d = ci._scaled_value(k)
+    if total % d or total < 0:
+        raise NonIntegerCount(f"evaluation at k={k} gave non-integer {Fraction(total, d)}")
+    return total // d
 
 
 def group_order(spec: AnySpec) -> int:
     """Order of the (faithfully represented) group."""
     if isinstance(spec, ProductGroupSpec):
-        result = 1
-        for part in spec.parts:
-            result *= group_order(part)
-        return result
+        return math.prod(group_order(part) for part in spec.parts)
     n = spec.size
     if spec.family is Family.SYMMETRIC:
         return math.factorial(n)
@@ -258,10 +260,8 @@ def dim_product(spec: ProductGroupSpec, alphabet: int = 4) -> int:
     is applied at the end: identity chains inside a block are allowed, only
     the full-length identity word is excluded.
     """
-    result = 1
-    for part in spec.parts:
-        result *= evaluate(cycle_index(part), alphabet)
-    return result - 1
+    check_term_cap(spec)
+    return math.prod(evaluate(cycle_index(part), alphabet) for part in spec.parts) - 1
 
 
 def dimension(spec: AnySpec, alphabet: int = 4) -> int:

@@ -32,6 +32,17 @@ class MatrixSizeCapExceeded(SymlieError):
         super().__init__(f"matrix dimension {dim} exceeds cap {cap}")
 
 
+class TermCapExceeded(SymlieError):
+    """An S or A cycle index would have more terms (cycle types) than the cap."""
+
+    def __init__(self, spec: str, cap: int, max_degree: int):
+        self.spec = spec
+        self.cap = cap
+        self.max_degree = max_degree
+        super().__init__(f"cycle index of {spec} exceeds term cap {cap}: "
+                         f"S and A are capped at degree {max_degree}")
+
+
 class NonIntegerCount(SymlieError):
     """A cycle-index evaluation produced a non-integer, i.e. the polynomial is corrupted."""
 

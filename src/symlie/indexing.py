@@ -1,5 +1,5 @@
-"""Index encodings and size caps shared by the orbit scan, the oracle and
-the simulator.
+"""Index encodings and size caps shared by the orbit scan, the oracle, the
+cycle index and the simulator.
 
 A word of n base-k digits is encoded most-significant-digit first, so index
 order is lexicographic order (for k = 2, qubit 0 is the most significant
@@ -18,6 +18,7 @@ DEFAULT_ORDER_CAP = 10**6  # group elements listed one by one
 DEFAULT_SPACE_CAP = 4**12  # words in an orbit-label scan
 DEFAULT_MATRIX_CAP = 2**12  # side of a dense 2^N x 2^N matrix
 MAX_ORACLE_QUBITS = 6  # 64x64 matrices over a 4095-element basis; >5 is slow
+MAX_CYCLE_INDEX_TERMS = 10**5  # cycle types of S_n or A_n: p(45) = 89,134 < cap < p(46)
 
 
 def digit_action(p: Sequence[int], k: int) -> np.ndarray:
@@ -47,3 +48,25 @@ def hamming_weights(n: int) -> np.ndarray:
         weights = np.concatenate([weights, weights + 1])
     weights.flags.writeable = False
     return weights
+
+
+@lru_cache(maxsize=None)
+def max_partition_degree(cap: int) -> int:
+    """Largest n with at most `cap` partitions, p(n) <= cap.
+
+    p(n) follows Euler's pentagonal recurrence, the sum over k >= 1 of
+    (-1)^(k+1) [p(n - k(3k-1)/2) + p(n - k(3k+1)/2)].  p grows with n, so
+    the table stops at the first p(n) above the cap and stays that short.
+    """
+    p = [1]
+    while True:
+        n, total, k = len(p), 0, 1
+        while k * (3 * k - 1) // 2 <= n:
+            sign = 1 if k % 2 else -1
+            total += sign * p[n - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= n:
+                total += sign * p[n - k * (3 * k + 1) // 2]
+            k += 1
+        if total > cap:
+            return n - 1
+        p.append(total)

@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+import symlie.combinatorics as comb
 from symlie.cli import main, parse_group_spec
 from symlie.combinatorics import (
     Family,
@@ -91,6 +92,23 @@ class TestDim:
         assert code == 2
         assert out == ""
         assert "error" in err.lower()
+
+
+class TestTermCap:
+    @pytest.mark.parametrize("argv", [
+        ("dim", "S:500"),
+        ("dim", "A", "--sweep", "1..500"),
+        ("dim", "S:3xA:100xE:2"),
+        ("dim", "SxE:3", "--sweep", "4..60", "--format", "csv"),
+        ("scaling-table", "--max-qubits", "120"),
+    ])
+    def test_oversized_request_exits_2_before_building(self, capsys, monkeypatch, argv):
+        def refuse(n):
+            raise AssertionError(f"built the S_{n} table")
+        monkeypatch.setattr(comb, "_symmetric_z", refuse)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "exceeds term cap 100000" in err
 
 
 class TestOrbits:

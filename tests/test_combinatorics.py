@@ -1,27 +1,34 @@
 """Exact cycle-index construction, evaluation, and dimension formulas."""
 
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import symlie.combinatorics as comb
 from symlie.combinatorics import (
     CycleIndex,
     Family,
     GroupSpec,
     ProductGroupSpec,
+    check_term_cap,
     cycle_index,
     dim_energy_preserving,
     dim_invariant_algebra,
     dim_product,
     dim_symmetric_closed_form,
+    dimension,
     euler_totient,
     evaluate,
     group_order,
 )
-from symlie.errors import NonIntegerCount
+from symlie.errors import NonIntegerCount, TermCapExceeded
+from symlie.indexing import MAX_CYCLE_INDEX_TERMS
+from symlie.permutation_rep import enumerate_elements
 
 ALL_FAMILIES = list(Family)
 
@@ -45,6 +52,27 @@ def brute_orbit_count(elements, n, k):
                     frontier.append(v)
         seen |= orbit
     return count
+
+
+def cycle_type(p):
+    """Descending cycle lengths of a permutation given as an image tuple."""
+    seen, lengths = set(), []
+    for start in range(len(p)):
+        length, j = 0, start
+        while j not in seen:
+            seen.add(j)
+            j = p[j]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+def burnside_terms(spec):
+    """Z[G] averaged over the enumerated elements: class counts / order."""
+    elements = enumerate_elements(spec).elements
+    counts = Counter(cycle_type(p) for p in elements)
+    return {t: Fraction(c, len(elements)) for t, c in counts.items()}
 
 
 DIHEDRAL_3 = [
@@ -103,6 +131,17 @@ class TestCycleIndex:
         assert sum(counts) == order
 
 
+@pytest.mark.parametrize("family,n", [
+    *((f, n) for f in (Family.SYMMETRIC, Family.ALTERNATING) for n in range(1, 8)),
+    *((f, n) for f in (Family.CYCLIC, Family.DIHEDRAL, Family.TRIVIAL) for n in range(1, 11)),
+])
+def test_cycle_index_equals_burnside_average(family, n):
+    # a second witness: the element-by-element average shares no code with
+    # the z_lambda tables or the totient sums
+    spec = GroupSpec(family, n)
+    assert cycle_index(spec).terms == burnside_terms(spec)
+
+
 class TestEvaluate:
     def test_cyclic_4_at_4_is_70(self):
         assert evaluate(cycle_index(GroupSpec(Family.CYCLIC, 4)), 4) == 70
@@ -120,6 +159,13 @@ class TestEvaluate:
         bad = CycleIndex(degree=2, terms={(1, 1): Fraction(1, 3), (2,): Fraction(2, 3)})
         with pytest.raises(NonIntegerCount):
             evaluate(bad, 2)
+
+    def test_builder_not_summing_to_one_rejected(self, monkeypatch):
+        # each term alone evaluates to an integer at k = 4, but the sum is 3/4
+        monkeypatch.setattr(comb, "_cyclic_terms",
+                            lambda n: {(1, 1): Fraction(1, 2), (2,): Fraction(1, 4)})
+        with pytest.raises(NonIntegerCount, match="do not sum to 1"):
+            cycle_index(GroupSpec(Family.CYCLIC, 2))
 
     def test_bad_alphabet_rejected(self):
         ci = cycle_index(GroupSpec(Family.CYCLIC, 3))
@@ -143,10 +189,17 @@ class TestDimensions:
         assert dim_symmetric_closed_form(2) == 9
         assert dim_symmetric_closed_form(4) == 34
 
-    @pytest.mark.parametrize("n", range(1, 31))
+    @pytest.mark.parametrize("n", range(1, 41))
     def test_closed_form_equals_cycle_index_route(self, n):
         assert dim_symmetric_closed_form(n) == \
             dim_invariant_algebra(GroupSpec(Family.SYMMETRIC, n))
+
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_alternating_closed_form(self, n):
+        # S_n orbits plus the C(4, n) words of n distinct letters, whose S_n
+        # orbit splits in two under A_n.  A_1 is trivial and gives 3, not 7.
+        assert dim_invariant_algebra(GroupSpec(Family.ALTERNATING, n)) == \
+            math.comb(n + 3, 3) - 1 + math.comb(4, n)
 
     def test_energy_preserving_examples(self):
         assert dim_energy_preserving(1) == 1
@@ -190,6 +243,42 @@ class TestProducts:
     def test_partition_order_enforced(self):
         with pytest.raises(ValueError):
             ProductGroupSpec((GroupSpec(Family.SYMMETRIC, 2), GroupSpec(Family.TRIVIAL, 3)))
+
+
+class TestTermCap:
+    @pytest.fixture(autouse=True)
+    def no_tables(self, monkeypatch):
+        # an oversized request must be refused before any table is built
+        def refuse(n):
+            raise AssertionError(f"built the S_{n} table")
+        monkeypatch.setattr(comb, "_symmetric_z", refuse)
+
+    @pytest.mark.parametrize("spec", [
+        GroupSpec(Family.SYMMETRIC, 500),
+        GroupSpec(Family.ALTERNATING, 46),
+        ProductGroupSpec((GroupSpec(Family.SYMMETRIC, 500), GroupSpec(Family.SYMMETRIC, 3))),
+        ProductGroupSpec((GroupSpec(Family.CYCLIC, 60), GroupSpec(Family.ALTERNATING, 50))),
+    ])
+    def test_oversized_spec_refused_before_building(self, spec):
+        with pytest.raises(TermCapExceeded) as info:
+            dimension(spec)
+        assert info.value.cap == MAX_CYCLE_INDEX_TERMS
+        assert info.value.max_degree == 45
+
+    def test_largest_allowed_degree_passes_the_check(self):
+        check_term_cap(GroupSpec(Family.SYMMETRIC, 45))
+        check_term_cap(GroupSpec(Family.ALTERNATING, 45))
+
+    def test_small_families_are_not_capped(self):
+        for family in (Family.CYCLIC, Family.DIHEDRAL, Family.TRIVIAL):
+            check_term_cap(GroupSpec(family, 10**6))
+
+    def test_cap_counts_cycle_types(self, monkeypatch):
+        # p(7) = 15 types fit a cap of 15, p(8) = 22 do not
+        monkeypatch.setattr(comb, "MAX_CYCLE_INDEX_TERMS", 15)
+        check_term_cap(GroupSpec(Family.SYMMETRIC, 7))
+        with pytest.raises(TermCapExceeded):
+            check_term_cap(GroupSpec(Family.SYMMETRIC, 8))
 
 
 class TestTotient:

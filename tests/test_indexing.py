@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symlie.indexing import digit_action, hamming_weights, index_to_word
+from symlie.indexing import (
+    digit_action,
+    hamming_weights,
+    index_to_word,
+    max_partition_degree,
+)
 from symlie.permutation_rep import apply_to_tuple
 
 
@@ -42,3 +47,28 @@ class TestHammingWeights:
     def test_shared_table_is_read_only(self):
         with pytest.raises(ValueError):
             hamming_weights(3)[0] = 1
+
+
+def partition_counts(n_max):
+    """p(0..n_max) by the coin-change recurrence over largest parts."""
+    p = [1] + [0] * n_max
+    for part in range(1, n_max + 1):
+        for n in range(part, n_max + 1):
+            p[n] += p[n - part]
+    return p
+
+
+class TestPartitionDegree:
+    def test_matches_coin_change_counts(self):
+        p = partition_counts(60)
+        for cap in list(range(1, 1000)) + [89133, 89134, 105557, 105558, 10**6]:
+            assert max_partition_degree(cap) == max(n for n in range(61) if p[n] <= cap)
+
+    def test_known_boundary(self):
+        # p(45) = 89,134 and p(46) = 105,558
+        assert max_partition_degree(10**5) == 45
+
+    def test_agrees_far_past_the_default_cap(self):
+        p = partition_counts(600)
+        assert p[-1] > 10**20
+        assert max_partition_degree(10**20) == max(n for n, v in enumerate(p) if v <= 10**20)
