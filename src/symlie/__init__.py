@@ -23,6 +23,7 @@ from .combinatorics import (
     group_order,
 )
 from .errors import (
+    ConstraintCapExceeded,
     DatasetGenerationFailed,
     IndeterminateRank,
     MatrixSizeCapExceeded,

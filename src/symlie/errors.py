@@ -32,6 +32,17 @@ class MatrixSizeCapExceeded(SymlieError):
         super().__init__(f"matrix dimension {dim} exceeds cap {cap}")
 
 
+class ConstraintCapExceeded(SymlieError):
+    """The oracle's constraint matrix would have more entries than the cap."""
+
+    def __init__(self, rows: int, cols: int, cap: int):
+        self.rows = rows
+        self.cols = cols
+        self.cap = cap
+        super().__init__(f"constraint matrix of {rows} x {cols} = {rows * cols} entries "
+                         f"exceeds cap {cap}")
+
+
 class TermCapExceeded(SymlieError):
     """An S or A cycle index would have more terms (cycle types) than the cap."""
 

@@ -194,6 +194,20 @@ class TestOracle:
         assert "matrix dimension 4096 exceeds cap 64" in err
         assert peak < 10 * 2**20
 
+    @pytest.mark.parametrize("spec,peak_mb", [("S:5", 10), ("S:6", 100)])
+    def test_full_group_constraint_cap_exits_2(self, capsys, spec, peak_mb):
+        # the constraint matrices would hold 2 GB (S:5) and 193 GB (S:6);
+        # only the group's own 2^N x 2^N matrices get built
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "oracle", spec, "--full-group")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert "exceeds cap 134217728" in err
+        assert peak < peak_mb * 2**20
+
     def test_full_group_mode(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "C:3", "--full-group",
                                "--format", "json")

@@ -1,9 +1,12 @@
 """Commutant dimensions, energy Hamiltonian structure, exponential map."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symlie.combinatorics import (
     Family,
@@ -11,8 +14,13 @@ from symlie.combinatorics import (
     dim_energy_preserving,
     dim_invariant_algebra,
 )
+from symlie import dense_oracle
 from symlie.dense_oracle import (
+    _block_svds,
+    _blocks,
     _classify_singular_values,
+    _constraint_matrix,
+    _report_from_svals,
     block_profile,
     coefficients_to_operator,
     commutant_dimension,
@@ -23,9 +31,16 @@ from symlie.dense_oracle import (
     is_block_diagonal,
     weight_sort_permutation,
 )
-from symlie.errors import IndeterminateRank, MatrixSizeCapExceeded, OrderCapExceeded
+from symlie.errors import (
+    ConstraintCapExceeded,
+    IndeterminateRank,
+    MatrixSizeCapExceeded,
+    OrderCapExceeded,
+)
+from symlie.indexing import MAX_CONSTRAINT_ENTRIES, index_to_word
 from symlie.pauli_orbits import enumerate_invariant_basis, pauli_matrix, symmetrized_generator
 from symlie.permutation_rep import qubit_permutation_matrix
+from symlie.cli import parse_group_spec
 
 ALL_FAMILIES = list(Family)
 
@@ -116,6 +131,182 @@ class TestNullspace:
             coeffs = rng.normal(size=report.dimension) @ basis
             a = coefficients_to_operator(coeffs, n)
             assert is_block_diagonal(a[np.ix_(order, order)], profile, 1e-10)
+
+
+def _oracle_generators(label):
+    family, n = label.split(":")
+    if family == "energy":
+        return [energy_hamiltonian(int(n))], int(n), dim_energy_preserving(int(n))
+    spec = GroupSpec(Family(family), int(n))
+    return group_constraint_matrices(spec), int(n), dim_invariant_algebra(spec)
+
+
+def _random_unitary(dim, rng):
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@st.composite
+def planted_block_matrices(draw):
+    """(matrix, planted singular values): blocks of drawn shape and rank with
+    nonzero singular values in [1, 2], all-zero rows and columns added, and
+    rows and columns shuffled.  A block of rank below its size is dense
+    with noise-level singular values; a rank-0 block is all zeros."""
+    shapes = draw(st.lists(st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(0, 7)),
+                           min_size=1, max_size=6))
+    zero_rows, empty_cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix = np.zeros((sum(r for r, _, _ in shapes) + zero_rows,
+                       sum(c for _, c, _ in shapes) + empty_cols))
+    planted, r0, c0 = [], 0, 0
+    for rows, cols, rank in shapes:
+        rank = min(rank, rows, cols)
+        u = np.linalg.qr(rng.normal(size=(rows, rows)))[0][:, :rank]
+        v = np.linalg.qr(rng.normal(size=(cols, cols)))[0][:, :rank]
+        s = rng.uniform(1.0, 2.0, size=rank)
+        matrix[r0:r0 + rows, c0:c0 + cols] = (u * s) @ v.T
+        planted.extend(s)
+        r0, c0 = r0 + rows, c0 + cols
+    matrix = matrix[rng.permutation(matrix.shape[0])][:, rng.permutation(matrix.shape[1])]
+    return matrix, np.sort(planted)[::-1]
+
+
+class TestBlockSplit:
+    @given(planted_block_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_split_matches_one_full_svd(self, case):
+        matrix, planted = case
+        svals, _, _ = _block_svds(matrix, compute_uv=False)
+        full = np.linalg.svd(matrix, compute_uv=False)
+        assert svals.shape == full.shape
+        assert np.all(svals[:-1] >= svals[1:])
+        assert np.all(np.abs(svals - full) <= 1e-12 * full[0])
+        assert np.allclose(svals[:planted.size], planted, rtol=1e-12, atol=0)
+        rank, tol, _ = _classify_singular_values(svals, 1e-8)
+        full_rank, full_tol, _ = _classify_singular_values(full, 1e-8)
+        assert rank == full_rank == planted.size
+        assert math.isclose(tol, full_tol, rel_tol=1e-12)
+
+    @given(planted_block_matrices())
+    @settings(max_examples=50, deadline=None)
+    def test_blocks_partition_the_nonzero_pattern(self, case):
+        matrix, _ = case
+        blocks, empty = _blocks(matrix)
+        row_of = np.full(matrix.shape[0], -1)
+        col_of = np.full(matrix.shape[1], -1)
+        for k, (rows, cols) in enumerate(blocks):
+            assert np.all(np.diff(rows) > 0) and np.all(np.diff(cols) > 0)
+            row_of[rows], col_of[cols] = k, k
+        assert sorted(np.concatenate([c for _, c in blocks] + [empty])) == list(
+            range(matrix.shape[1]))
+        r, c = np.nonzero(matrix)
+        assert np.array_equal(row_of[r], col_of[c])
+        assert np.array_equal(np.flatnonzero(row_of < 0),
+                              np.flatnonzero(~matrix.any(axis=1)))
+        assert np.array_equal(empty, np.flatnonzero(~matrix.any(axis=0)))
+
+    @given(planted_block_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_nullspace_of_planted_blocks(self, case):
+        # wide blocks (fewer rows than columns) need every right-singular vector
+        matrix, planted = case
+        n = 1
+        while 4**n - 1 < matrix.shape[1]:
+            n += 1
+        padded = np.zeros((matrix.shape[0], 4**n - 1))
+        padded[:, :matrix.shape[1]] = matrix
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dense_oracle, "_constraint_matrix", lambda gens, n_qubits: padded)
+            report, basis = commutant_nullspace([np.eye(2**n)], n)
+        assert basis.shape == (4**n - 1 - planted.size, 4**n - 1) == (report.dimension, 4**n - 1)
+        assert np.abs(basis @ basis.T - np.eye(report.dimension)).max() < 1e-12
+        assert np.abs(padded @ basis.T).max() < 1e-12
+
+    def test_dense_generator_is_one_block_and_one_svd(self):
+        u = _random_unitary(8, np.random.default_rng(5))
+        matrix = _constraint_matrix([u], 3)
+        blocks, empty = _blocks(matrix)
+        assert len(blocks) == 1 and empty.size == 0
+        assert blocks[0][0].size == matrix.shape[0]
+        full = _report_from_svals(np.linalg.svd(matrix, compute_uv=False), 3,
+                                  matrix.shape[0], 1e-8, 10.0)
+        report = commutant_dimension([u], 3)
+        assert report == full
+        # operators diagonal in U's eigenbasis, less the identity
+        assert report.dimension == 7
+
+    @pytest.mark.parametrize("label", ["C:5", "S:5", "D:5", "energy:5"])
+    def test_five_qubit_oracle_runs_only_small_svds(self, monkeypatch, label):
+        # a silent fallback to one dense SVD would pass a 1023-column matrix
+        shapes = []
+        svd = np.linalg.svd
+
+        def recording(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        generators, n, expected = _oracle_generators(label)
+        assert commutant_dimension(generators, n).dimension == expected
+        assert shapes and max(cols for _, cols in shapes) <= 160
+
+    @pytest.mark.parametrize("label", ["S:3", "C:3", "D:3", "S:4", "C:4", "D:4",
+                                       "energy:1", "energy:2", "energy:3", "energy:4"])
+    def test_nullspace_is_an_orthonormal_commutant_basis(self, label):
+        generators, n, expected = _oracle_generators(label)
+        report, basis = commutant_nullspace(generators, n)
+        assert report.dimension == expected
+        assert basis.shape == (expected, 4**n - 1)
+        assert np.abs(basis @ basis.T - np.eye(expected)).max() < 1e-12
+        assert np.abs(_constraint_matrix(generators, n) @ basis.T).max() < 1e-12
+        paulis = np.stack([1j * pauli_matrix(index_to_word(j, n)) for j in range(1, 4**n)])
+        ops = np.tensordot(basis, paulis, axes=1)
+        assert np.abs(ops + ops.conj().transpose(0, 2, 1)).max() < 1e-12
+        for b in generators:
+            assert np.abs(b @ ops - ops @ b).max() < 1e-12
+
+
+class TestConstraintCap:
+    def test_refused_before_allocating(self):
+        # five generators at N = 6: 40960 x 4095 entries, 1.3 GB of float64
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConstraintCapExceeded, match="exceeds cap 134217728"):
+                commutant_dimension([np.eye(64)] * 5, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("spec,full_group", [
+        ("S:6", False), ("A:6", False), ("D:6", False), ("C:6", False),
+        ("S:3xS:3", False), ("D:3xD:3", False), ("S:2xS:2xS:2", False),
+        ("A:5", True), ("S:2xS:2xE:2", True),
+    ])
+    def test_admitted(self, monkeypatch, spec, full_group):
+        class Admitted(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise Admitted
+
+        generators = group_constraint_matrices(parse_group_spec(spec), full_group=full_group)
+        monkeypatch.setattr(np, "empty", refuse)
+        with pytest.raises(Admitted):
+            _constraint_matrix(generators, len(generators[0]).bit_length() - 1)
+
+    @pytest.mark.parametrize("spec", ["S:5", "C:6", "S:2xS:2xS:2"])
+    def test_full_group_refused(self, spec):
+        generators = group_constraint_matrices(parse_group_spec(spec), full_group=True)
+        with pytest.raises(ConstraintCapExceeded):
+            _constraint_matrix(generators, len(generators[0]).bit_length() - 1)
+
+    def test_cap_sits_between_largest_admitted_and_smallest_refused(self):
+        # four generators at N = 6 fit; a fifth, or 65 group elements at N = 5, do not
+        assert 4 * 2 * 4**6 * (4**6 - 1) <= MAX_CONSTRAINT_ENTRIES
+        assert 5 * 2 * 4**6 * (4**6 - 1) > MAX_CONSTRAINT_ENTRIES
+        assert 64 * 2 * 4**5 * (4**5 - 1) <= MAX_CONSTRAINT_ENTRIES < 65 * 2 * 4**5 * (4**5 - 1)
 
 
 class TestRankClassification:
