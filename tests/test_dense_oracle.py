@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symlie import dense_oracle
+from symlie.cli import parse_group_spec
 from symlie.combinatorics import (
     Family,
     GroupSpec,
     dim_energy_preserving,
     dim_invariant_algebra,
 )
-from symlie import dense_oracle
 from symlie.dense_oracle import (
     _block_svds,
     _blocks,
@@ -40,7 +41,6 @@ from symlie.errors import (
 from symlie.indexing import MAX_CONSTRAINT_ENTRIES, index_to_word
 from symlie.pauli_orbits import enumerate_invariant_basis, pauli_matrix, symmetrized_generator
 from symlie.permutation_rep import qubit_permutation_matrix
-from symlie.cli import parse_group_spec
 
 ALL_FAMILIES = list(Family)
 
