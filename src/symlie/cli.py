@@ -30,7 +30,7 @@ from .dense_oracle import (
     group_constraint_matrices,
 )
 from .errors import SymlieError
-from .indexing import DEFAULT_ORDER_CAP, DEFAULT_SPACE_CAP, MAX_ORACLE_QUBITS
+from .indexing import DEFAULT_SPACE_CAP
 from .pauli_orbits import enumerate_invariant_basis, orbit_to_json, pauli_string_to_str
 from .permutation_rep import count_orbits_bruteforce
 from .variance_lab import (
@@ -176,14 +176,16 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         if args.qubits is None:
             raise SpecSyntaxError("oracle energy requires --qubits")
         n = args.qubits
-        generators = [energy_hamiltonian(n, matrix_cap=1 << MAX_ORACLE_QUBITS)]
+        generators = [energy_hamiltonian(n)]
         expected = comb.dim_energy_preserving(n)
         label = f"energy:{n}"
     else:
+        if args.qubits is not None:
+            raise SpecSyntaxError("--qubits applies only to `oracle energy`; "
+                                  "a group spec sets its own qubit count")
         spec = parse_group_spec(args.spec)
         n = spec.degree
-        generators = group_constraint_matrices(spec, full_group=args.full_group,
-                                               order_cap=args.cap_order)
+        generators = group_constraint_matrices(spec)
         expected = comb.dimension(spec)
         label = str(spec)
     report = commutant_dimension(generators, n)
@@ -296,10 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_orc = sub.add_parser("oracle", help="commutant dimension by dense linear algebra")
     p_orc.add_argument("spec", help="group spec, or the literal `energy`")
-    p_orc.add_argument("--qubits", type=int, help="qubit count for the energy oracle")
-    p_orc.add_argument("--full-group", action="store_true",
-                       help="constrain against every element instead of generators")
-    p_orc.add_argument("--cap-order", type=int, default=DEFAULT_ORDER_CAP)
+    p_orc.add_argument("--qubits", type=int,
+                       help="qubit count for the energy oracle (not for group specs)")
     add_format(p_orc)
     p_orc.set_defaults(func=_cmd_oracle)
 

@@ -10,7 +10,7 @@ commutant of the whole group.
 
 Ranks come from singular values with a relative threshold plus a mandatory
 gap check, so a borderline spectrum raises instead of silently producing a
-wrong dimension.
+wrong dimension.  Both are module constants.
 
 The constraint matrix is mostly exact zeros (1-3% of its entries are
 nonzero at N = 5 for permutation generators), and under a permutation of
@@ -31,27 +31,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .combinatorics import AnySpec, group_order
-from .errors import (
-    ConstraintCapExceeded,
-    IndeterminateRank,
-    MatrixSizeCapExceeded,
-    OrderCapExceeded,
-)
+from .combinatorics import AnySpec
+from .errors import ConstraintCapExceeded, IndeterminateRank, MatrixSizeCapExceeded
 from .indexing import (
     DEFAULT_MATRIX_CAP,
-    DEFAULT_ORDER_CAP,
     MAX_CONSTRAINT_ENTRIES,
     MAX_ORACLE_QUBITS,
     hamming_weights,
     index_to_word,
 )
 from .pauli_orbits import pauli_matrix
-from .permutation_rep import enumerate_elements, group_generators, qubit_permutation_matrix
+from .permutation_rep import group_generators, qubit_permutation_matrix
 
 __all__ = [
     "CommutantReport",
@@ -68,6 +62,10 @@ __all__ = [
 # Entries per chunk of the constraint build and of the block split: bounds
 # their temporaries to a few MB whatever the matrix size.
 _CHUNK_ENTRIES = 2**18
+# Rank policy: singular values above RTOL * sigma_max count, and the smallest
+# counted one must exceed the largest rejected one by GAP_FACTOR.
+RTOL = 1e-8
+GAP_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -95,16 +93,16 @@ class CommutantReport:
         }
 
 
-def _classify_singular_values(svals: np.ndarray, rtol: float) -> Tuple[int, float, float]:
+def _classify_singular_values(svals: np.ndarray) -> Tuple[int, float, float]:
     """Split singular values into accepted/rejected; returns (rank, tol, gap).
 
     The gap is the ratio between the smallest accepted and largest rejected
-    value (inf when either side is empty); the caller decides which gap
-    makes the rank trustworthy.
+    value (inf when either side is empty); `_report_from_svals` holds it to
+    GAP_FACTOR.
     """
     if svals.size == 0 or svals[0] == 0.0:
         return 0, 0.0, math.inf
-    tol = rtol * float(svals[0])
+    tol = RTOL * float(svals[0])
     rank = int(np.count_nonzero(svals > tol))
     if rank == 0 or rank == svals.size:
         return rank, tol, math.inf
@@ -114,15 +112,23 @@ def _classify_singular_values(svals: np.ndarray, rtol: float) -> Tuple[int, floa
     return rank, tol, float(svals[rank - 1]) / largest_rejected
 
 
+def _check_qubits(n_qubits: int) -> None:
+    """The oracle's qubit cap, checked before any 2^N x 2^N matrix exists."""
+    if n_qubits > MAX_ORACLE_QUBITS:
+        raise MatrixSizeCapExceeded(1 << n_qubits, 1 << MAX_ORACLE_QUBITS)
+
+
 def _constraint_matrix(generators: Sequence[np.ndarray], n_qubits: int) -> np.ndarray:
     """Real matrix of the map from Pauli coefficients to stacked commutators.
 
     Column j holds the real and then the imaginary parts of [B, i*P_(j+1)]
-    for each generator B in turn.  The matrix is filled as its transpose, a
-    chunk of basis words at a time, so every write is a contiguous row and
-    each temporary holds about `_CHUNK_ENTRIES` complex entries; the result
-    is that transpose's column-major view.
+    for each generator B in turn; no generators give 0 rows.  The matrix is
+    filled as its transpose, a chunk of basis words at a time, so every
+    write is a contiguous row and each temporary holds about
+    `_CHUNK_ENTRIES` complex entries; the result is that transpose's
+    column-major view.
     """
+    _check_qubits(n_qubits)
     dim = 1 << n_qubits
     n_basis = 4**n_qubits - 1
     for b in generators:
@@ -133,7 +139,7 @@ def _constraint_matrix(generators: Sequence[np.ndarray], n_qubits: int) -> np.nd
         raise ConstraintCapExceeded(rows, n_basis, MAX_CONSTRAINT_ENTRIES)
     transpose = np.empty((n_basis, rows))
     chunk = max(1, _CHUNK_ENTRIES // (dim * dim))
-    for start in range(0, n_basis, chunk):
+    for start in range(0, n_basis if rows else 0, chunk):  # no generators: no basis
         stop = min(start + chunk, n_basis)
         basis = 1j * np.stack([pauli_matrix(index_to_word(j + 1, n_qubits))
                                for j in range(start, stop)])
@@ -225,9 +231,9 @@ def _block_svds(matrix: np.ndarray, compute_uv: bool):
     return np.sort(np.concatenate(parts + [zeros]))[::-1], factors, empty
 
 
-def _report_from_svals(svals: np.ndarray, n_qubits: int, constraint_count: int,
-                       rtol: float, gap_factor: float) -> CommutantReport:
-    rank, tol, gap = _classify_singular_values(svals, rtol)
+def _report_from_svals(svals: np.ndarray, n_qubits: int,
+                       constraint_count: int) -> CommutantReport:
+    rank, tol, gap = _classify_singular_values(svals)
     report = CommutantReport(
         n_qubits=n_qubits,
         constraint_count=constraint_count,
@@ -236,44 +242,31 @@ def _report_from_svals(svals: np.ndarray, n_qubits: int, constraint_count: int,
         tolerance=tol,
         singular_value_gap=gap,
     )
-    if gap < gap_factor:
+    if gap < GAP_FACTOR:
         raise IndeterminateRank(
-            f"singular-value gap {gap:.3g} below required factor {gap_factor}: {report}")
+            f"singular-value gap {gap:.3g} below required factor {GAP_FACTOR}: {report}")
     return report
 
 
-def _constraints(generators: Sequence[np.ndarray], n_qubits: int) -> Optional[np.ndarray]:
-    """The constraint matrix under the qubit cap; None without generators."""
-    if n_qubits > MAX_ORACLE_QUBITS:
-        raise MatrixSizeCapExceeded(1 << n_qubits, 1 << MAX_ORACLE_QUBITS)
-    return _constraint_matrix(generators, n_qubits) if generators else None
-
-
-def commutant_dimension(generators: Sequence[np.ndarray], n_qubits: int,
-                        rtol: float = 1e-8, gap_factor: float = 10.0) -> CommutantReport:
+def commutant_dimension(generators: Sequence[np.ndarray], n_qubits: int) -> CommutantReport:
     """Dimension of {a in su(2^N) : [B, a] = 0 for every generator B}."""
-    matrix = _constraints(generators, n_qubits)
-    if matrix is None:
-        return CommutantReport(n_qubits, 0, 0, 4**n_qubits - 1, 0.0, math.inf)
+    matrix = _constraint_matrix(generators, n_qubits)
     svals, _, _ = _block_svds(matrix, compute_uv=False)
-    return _report_from_svals(svals, n_qubits, matrix.shape[0], rtol, gap_factor)
+    return _report_from_svals(svals, n_qubits, matrix.shape[0])
 
 
-def commutant_nullspace(generators: Sequence[np.ndarray], n_qubits: int,
-                        rtol: float = 1e-8, gap_factor: float = 10.0
+def commutant_nullspace(generators: Sequence[np.ndarray], n_qubits: int
                         ) -> Tuple[CommutantReport, np.ndarray]:
     """Report plus an orthonormal Pauli-coefficient basis of the commutant.
 
     Row k of the returned array holds the coefficients c with
     a = sum_j c_j * i*P_j a commutant element.  Each row is supported on
-    the columns of one block of the constraint matrix.
+    the columns of one block of the constraint matrix; without generators
+    every column is empty and the basis is the identity.
     """
-    matrix = _constraints(generators, n_qubits)
-    if matrix is None:
-        n_basis = 4**n_qubits - 1
-        return CommutantReport(n_qubits, 0, 0, n_basis, 0.0, math.inf), np.eye(n_basis)
+    matrix = _constraint_matrix(generators, n_qubits)
     svals, factors, empty = _block_svds(matrix, compute_uv=True)
-    report = _report_from_svals(svals, n_qubits, matrix.shape[0], rtol, gap_factor)
+    report = _report_from_svals(svals, n_qubits, matrix.shape[0])
     basis = np.zeros((report.dimension, matrix.shape[1]))
     k = 0
     for cols, s, vh in factors:
@@ -295,34 +288,23 @@ def coefficients_to_operator(coefficients: np.ndarray, n_qubits: int) -> np.ndar
     return out
 
 
-def group_constraint_matrices(spec: AnySpec, full_group: bool = False,
-                              order_cap: int = DEFAULT_ORDER_CAP) -> List[np.ndarray]:
-    """Representation matrices to constrain against: the generators' U_alpha
-    by default, every element's in the (debug) full-group mode.
+def group_constraint_matrices(spec: AnySpec) -> List[np.ndarray]:
+    """The generators' representation matrices U_alpha, the only ones to
+    constrain against: the commutant of a generating set is the commutant of
+    the whole group, so no element is ever listed.
 
-    Either way the order cap is enforced, since the commutant only makes
-    sense for groups that could in principle be enumerated.  The oracle's
-    qubit cap is checked next, before any 2^N x 2^N matrix exists.
+    The oracle's qubit cap is checked first, before any matrix exists.
     """
-    order = group_order(spec)
-    if order > order_cap:
-        raise OrderCapExceeded(order, order_cap)
-    if spec.degree > MAX_ORACLE_QUBITS:
-        raise MatrixSizeCapExceeded(1 << spec.degree, 1 << MAX_ORACLE_QUBITS)
-    if full_group:
-        perms = enumerate_elements(spec, order_cap).elements
-    else:
-        perms = group_generators(spec)
-    return [qubit_permutation_matrix(p) for p in perms]
+    _check_qubits(spec.degree)
+    return [qubit_permutation_matrix(p) for p in group_generators(spec)]
 
 
-def energy_hamiltonian(n: int, matrix_cap: int = DEFAULT_MATRIX_CAP) -> np.ndarray:
-    """Diagonal matrix whose entry at basis state b is the Hamming weight of b."""
+def energy_hamiltonian(n: int) -> np.ndarray:
+    """Diagonal matrix whose entry at basis state b is the Hamming weight of b,
+    under the oracle's qubit cap."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    dim = 1 << n
-    if dim > matrix_cap:
-        raise MatrixSizeCapExceeded(dim, matrix_cap)
+    _check_qubits(n)
     return np.diag(hamming_weights(n).astype(np.complex128))
 
 

@@ -21,7 +21,7 @@ MAX_ORACLE_QUBITS = 6  # 64x64 matrices over a 4095-element basis
 # float64 entries of the oracle's constraint matrix: 2 * 4^N rows per
 # generator times 4^N - 1 columns.  2^27 (1 GiB) admits every generator set
 # up to 6 qubits, the largest being S:3xS:3 and D:3xD:3 with 4 generators
-# (32768 x 4095); --full-group stops at 64 elements at N = 5, 4 at N = 6.
+# (32768 x 4095); it refuses longer generator lists passed in directly.
 MAX_CONSTRAINT_ENTRIES = 2**27
 MAX_CYCLE_INDEX_TERMS = 10**5  # cycle types of S_n or A_n: p(45) = 89,134 < cap < p(46)
 

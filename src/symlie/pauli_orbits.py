@@ -79,12 +79,12 @@ def pauli_action(s: PauliString) -> Tuple[np.ndarray, np.ndarray]:
     return rows, vals.astype(np.complex128)
 
 
-def pauli_matrix(s: PauliString, matrix_cap: int = DEFAULT_MATRIX_CAP) -> np.ndarray:
+def pauli_matrix(s: PauliString) -> np.ndarray:
     """Dense 2^N x 2^N matrix of the string (without the i prefactor)."""
     _validate(s)
     dim = 1 << len(s)
-    if dim > matrix_cap:
-        raise MatrixSizeCapExceeded(dim, matrix_cap)
+    if dim > DEFAULT_MATRIX_CAP:
+        raise MatrixSizeCapExceeded(dim, DEFAULT_MATRIX_CAP)
     rows, vals = pauli_action(s)
     m = np.zeros((dim, dim), dtype=np.complex128)
     m[rows, np.arange(dim)] = vals
@@ -132,16 +132,15 @@ def enumerate_invariant_basis(spec: AnySpec,
     return basis
 
 
-def symmetrized_generator(element: OrbitBasisElement,
-                          matrix_cap: int = DEFAULT_MATRIX_CAP) -> np.ndarray:
+def symmetrized_generator(element: OrbitBasisElement) -> np.ndarray:
     """i times the unnormalized sum of the orbit's matrices: skew-Hermitian,
     traceless, and commuting with every group representation matrix.
 
     Coefficients are 1 per member; rescaling would not change the span.
     """
-    total = pauli_matrix(element.members[0], matrix_cap)
+    total = pauli_matrix(element.members[0])
     for s in element.members[1:]:
-        total += pauli_matrix(s, matrix_cap)
+        total += pauli_matrix(s)
     return 1j * total
 
 

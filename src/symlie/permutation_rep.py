@@ -155,14 +155,14 @@ class GroupElements:
         return len(self.elements)
 
 
-def enumerate_elements(spec: AnySpec, order_cap: int = DEFAULT_ORDER_CAP) -> GroupElements:
-    """List every group element, refusing groups larger than `order_cap`."""
+def enumerate_elements(spec: AnySpec) -> GroupElements:
+    """List every group element, refusing groups larger than DEFAULT_ORDER_CAP."""
     order = group_order(spec)
-    if order > order_cap:
-        raise OrderCapExceeded(order, order_cap)
+    if order > DEFAULT_ORDER_CAP:
+        raise OrderCapExceeded(order, DEFAULT_ORDER_CAP)
 
     if isinstance(spec, ProductGroupSpec):
-        factors = _embedded_parts(spec, lambda part: enumerate_elements(part, order_cap).elements)
+        factors = _embedded_parts(spec, lambda part: enumerate_elements(part).elements)
         elements = [functools.reduce(compose, combo) for combo in itertools.product(*factors)]
         return GroupElements(spec, tuple(sorted(elements)))
 
@@ -234,12 +234,12 @@ def qubit_index_permutation(p: Permutation) -> np.ndarray:
     return digit_action(p, 2)
 
 
-def qubit_permutation_matrix(p: Permutation, matrix_cap: int = DEFAULT_MATRIX_CAP) -> np.ndarray:
+def qubit_permutation_matrix(p: Permutation) -> np.ndarray:
     """The unique 0/1 unitary permuting qubits: built as a bit permutation on
     row indices, never by assembling Kronecker factors."""
     dim = 1 << len(p)
-    if dim > matrix_cap:
-        raise MatrixSizeCapExceeded(dim, matrix_cap)
+    if dim > DEFAULT_MATRIX_CAP:
+        raise MatrixSizeCapExceeded(dim, DEFAULT_MATRIX_CAP)
     rows = qubit_index_permutation(p)
     u = np.zeros((dim, dim), dtype=np.complex128)
     u[rows, np.arange(dim)] = 1.0

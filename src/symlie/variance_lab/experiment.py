@@ -63,8 +63,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.qubit_counts or any(n < 2 for n in self.qubit_counts):
             raise ValueError("qubit counts must all be >= 2")
-        if self.samples_per_point < 1:
-            raise ValueError("samples_per_point must be positive")
+        if self.samples_per_point < 2:
+            # the variance is the unbiased (ddof=1) estimate
+            raise ValueError("samples_per_point must be >= 2")
         if self.dataset_size < 2 or self.dataset_size % 2:
             raise ValueError("dataset_size must be a positive even number")
         if not 0.0 < self.edge_probability < 1.0:

@@ -194,24 +194,11 @@ class TestOracle:
         assert "matrix dimension 4096 exceeds cap 64" in err
         assert peak < 10 * 2**20
 
-    @pytest.mark.parametrize("spec,peak_mb", [("S:5", 10), ("S:6", 100)])
-    def test_full_group_constraint_cap_exits_2(self, capsys, spec, peak_mb):
-        # the constraint matrices would hold 2 GB (S:5) and 193 GB (S:6);
-        # only the group's own 2^N x 2^N matrices get built
-        tracemalloc.start()
-        try:
-            code, out, err = run_cli(capsys, "oracle", spec, "--full-group")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    def test_qubits_refused_with_group_spec(self, capsys):
+        # a group spec fixes its own qubit count, so --qubits could only be ignored
+        code, out, err = run_cli(capsys, "oracle", "S:3", "--qubits", "9")
         assert code == 2 and out == ""
-        assert "exceeds cap 134217728" in err
-        assert peak < peak_mb * 2**20
-
-    def test_full_group_mode(self, capsys):
-        code, out, _ = run_cli(capsys, "oracle", "C:3", "--full-group",
-                               "--format", "json")
-        assert json.loads(out)["agrees"] is True
+        assert "--qubits" in err
 
 
 class TestScalingTable:
@@ -266,6 +253,13 @@ class TestVariance:
         code, out, _ = run_cli(capsys, *self.ARGS, "--workers", "4",
                                "--ansatz", "permutation")
         assert code == 0
+
+    def test_one_sample_refused(self, capsys):
+        # the unbiased variance of a single sample is nan
+        code, out, err = run_cli(capsys, "variance", "--qubits", "4", "--samples", "1",
+                                 "--dataset-size", "8", "--ansatz", "permutation")
+        assert code == 2 and out == ""
+        assert "samples_per_point must be >= 2" in err
 
     def test_qubit_list_syntax(self, capsys):
         code, out, _ = run_cli(capsys, "variance", "--qubits", "4,5",

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symlie import dense_oracle
@@ -32,19 +32,20 @@ from symlie.dense_oracle import (
     is_block_diagonal,
     weight_sort_permutation,
 )
-from symlie.errors import (
-    ConstraintCapExceeded,
-    IndeterminateRank,
-    MatrixSizeCapExceeded,
-    OrderCapExceeded,
-)
+from symlie.errors import ConstraintCapExceeded, IndeterminateRank, MatrixSizeCapExceeded
 from symlie.indexing import MAX_CONSTRAINT_ENTRIES, index_to_word
 from symlie.pauli_orbits import enumerate_invariant_basis, pauli_matrix, symmetrized_generator
-from symlie.permutation_rep import qubit_permutation_matrix
+from symlie.permutation_rep import enumerate_elements, qubit_permutation_matrix
 
 ALL_FAMILIES = list(Family)
 
 SWAP = qubit_permutation_matrix((1, 0))
+
+
+def _element_matrices(spec):
+    """Every group element's U_p: a valid but much longer constraint list
+    than the generators' matrices."""
+    return [qubit_permutation_matrix(p) for p in enumerate_elements(spec).elements]
 
 
 class TestCommutantDimension:
@@ -55,10 +56,17 @@ class TestCommutantDimension:
         assert report.singular_value_gap > 10
 
     def test_empty_generator_set(self):
+        # a 0-row constraint matrix: the block split finds no block and
+        # every column empty
         for n in (1, 2, 3):
             report = commutant_dimension([], n)
             assert report.dimension == 4**n - 1
             assert report.constraint_count == 0
+            null_report, basis = commutant_nullspace([], n)
+            assert null_report == report
+            assert (report.rank, report.tolerance) == (0, 0.0)
+            assert math.isinf(report.singular_value_gap)
+            assert np.array_equal(basis, np.eye(4**n - 1))
 
     def test_energy_two_qubits_is_five_parameters(self):
         assert commutant_dimension([energy_hamiltonian(2)], 2).dimension == 5
@@ -74,9 +82,10 @@ class TestCommutantDimension:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     @pytest.mark.parametrize("n", (2, 3))
     def test_full_group_debug_mode_agrees(self, family, n):
+        # the commutant of every element is the generators' commutant, which
+        # is why the oracle constrains against generators only
         spec = GroupSpec(family, n)
-        generators = group_constraint_matrices(spec, full_group=True)
-        report = commutant_dimension(generators, n)
+        report = commutant_dimension(_element_matrices(spec), n)
         assert report.dimension == dim_invariant_algebra(spec)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
@@ -104,7 +113,9 @@ class TestCommutantDimension:
             commutant_dimension([np.eye(2**7)], 7)
 
     def test_order_cap_on_constraint_builder(self):
-        with pytest.raises(OrderCapExceeded):
+        # S:13 has 13! elements, but only its generators are built, so the
+        # qubit cap is what refuses it
+        with pytest.raises(MatrixSizeCapExceeded):
             group_constraint_matrices(GroupSpec(Family.SYMMETRIC, 13))
 
     def test_shape_mismatch_rejected(self):
@@ -183,8 +194,8 @@ class TestBlockSplit:
         assert np.all(svals[:-1] >= svals[1:])
         assert np.all(np.abs(svals - full) <= 1e-12 * full[0])
         assert np.allclose(svals[:planted.size], planted, rtol=1e-12, atol=0)
-        rank, tol, _ = _classify_singular_values(svals, 1e-8)
-        full_rank, full_tol, _ = _classify_singular_values(full, 1e-8)
+        rank, tol, _ = _classify_singular_values(svals)
+        full_rank, full_tol, _ = _classify_singular_values(full)
         assert rank == full_rank == planted.size
         assert math.isclose(tol, full_tol, rel_tol=1e-12)
 
@@ -207,9 +218,11 @@ class TestBlockSplit:
         assert np.array_equal(empty, np.flatnonzero(~matrix.any(axis=0)))
 
     @given(planted_block_matrices())
+    @example((np.diag([2.0, 1.5, 1.0]), np.array([2.0, 1.5, 1.0])))
     @settings(max_examples=60, deadline=None)
     def test_nullspace_of_planted_blocks(self, case):
-        # wide blocks (fewer rows than columns) need every right-singular vector
+        # wide blocks (fewer rows than columns) need every right-singular
+        # vector; a full-column-rank draw (the example) has an empty basis
         matrix, planted = case
         n = 1
         while 4**n - 1 < matrix.shape[1]:
@@ -220,8 +233,8 @@ class TestBlockSplit:
             patch.setattr(dense_oracle, "_constraint_matrix", lambda gens, n_qubits: padded)
             report, basis = commutant_nullspace([np.eye(2**n)], n)
         assert basis.shape == (4**n - 1 - planted.size, 4**n - 1) == (report.dimension, 4**n - 1)
-        assert np.abs(basis @ basis.T - np.eye(report.dimension)).max() < 1e-12
-        assert np.abs(padded @ basis.T).max() < 1e-12
+        assert np.abs(basis @ basis.T - np.eye(report.dimension)).max(initial=0.0) < 1e-12
+        assert np.abs(padded @ basis.T).max(initial=0.0) < 1e-12
 
     def test_dense_generator_is_one_block_and_one_svd(self):
         u = _random_unitary(8, np.random.default_rng(5))
@@ -230,7 +243,7 @@ class TestBlockSplit:
         assert len(blocks) == 1 and empty.size == 0
         assert blocks[0][0].size == matrix.shape[0]
         full = _report_from_svals(np.linalg.svd(matrix, compute_uv=False), 3,
-                                  matrix.shape[0], 1e-8, 10.0)
+                                  matrix.shape[0])
         report = commutant_dimension([u], 3)
         assert report == full
         # operators diagonal in U's eigenbasis, less the identity
@@ -279,28 +292,29 @@ class TestConstraintCap:
             tracemalloc.stop()
         assert peak < 2**20
 
-    @pytest.mark.parametrize("spec,full_group", [
+    @pytest.mark.parametrize("spec,elements", [
         ("S:6", False), ("A:6", False), ("D:6", False), ("C:6", False),
         ("S:3xS:3", False), ("D:3xD:3", False), ("S:2xS:2xS:2", False),
         ("A:5", True), ("S:2xS:2xE:2", True),
     ])
-    def test_admitted(self, monkeypatch, spec, full_group):
+    def test_admitted(self, monkeypatch, spec, elements):
         class Admitted(Exception):
             pass
 
         def refuse(*args, **kwargs):
             raise Admitted
 
-        generators = group_constraint_matrices(parse_group_spec(spec), full_group=full_group)
+        spec = parse_group_spec(spec)
+        generators = (_element_matrices if elements else group_constraint_matrices)(spec)
         monkeypatch.setattr(np, "empty", refuse)
         with pytest.raises(Admitted):
-            _constraint_matrix(generators, len(generators[0]).bit_length() - 1)
+            _constraint_matrix(generators, spec.degree)
 
     @pytest.mark.parametrize("spec", ["S:5", "C:6", "S:2xS:2xS:2"])
     def test_full_group_refused(self, spec):
-        generators = group_constraint_matrices(parse_group_spec(spec), full_group=True)
+        spec = parse_group_spec(spec)
         with pytest.raises(ConstraintCapExceeded):
-            _constraint_matrix(generators, len(generators[0]).bit_length() - 1)
+            _constraint_matrix(_element_matrices(spec), spec.degree)
 
     def test_cap_sits_between_largest_admitted_and_smallest_refused(self):
         # four generators at N = 6 fit; a fifth, or 65 group elements at N = 5, do not
@@ -312,22 +326,22 @@ class TestConstraintCap:
 class TestRankClassification:
     def test_clean_gap(self):
         svals = np.array([10.0, 8.0, 2.0, 1e-12, 1e-13])
-        rank, tol, gap = _classify_singular_values(svals, 1e-8)
+        rank, tol, gap = _classify_singular_values(svals)
         assert rank == 3
         assert np.isclose(tol, 1e-7)
         assert gap > 1e10
 
     def test_borderline_gap_raises_via_report(self):
         svals = np.array([1.0, 1e-8, 5e-9])
-        rank, tol, gap = _classify_singular_values(svals, 1e-8)
+        rank, tol, gap = _classify_singular_values(svals)
         assert rank == 1 and gap == 1e8
         # a gap below the factor must surface as IndeterminateRank
         from symlie.dense_oracle import _report_from_svals
         with pytest.raises(IndeterminateRank):
-            _report_from_svals(np.array([1.0, 2e-8, 5e-9]), 1, 8, 1e-8, 10.0)
+            _report_from_svals(np.array([1.0, 2e-8, 5e-9]), 1, 8)
 
     def test_zero_matrix(self):
-        rank, tol, gap = _classify_singular_values(np.zeros(4), 1e-8)
+        rank, tol, gap = _classify_singular_values(np.zeros(4))
         assert rank == 0 and tol == 0.0 and math.isinf(gap)
 
 
@@ -389,7 +403,7 @@ class TestBlockStructure:
             is_block_diagonal(np.eye(4), [1, 2], 1e-12)
 
     def test_weight_sort_permutation_cap(self):
-        # the same cap as energy_hamiltonian: refused before its 2^N entries exist
+        # the dense-matrix cap: refused before its 2^N entries exist
         with pytest.raises(MatrixSizeCapExceeded):
             weight_sort_permutation(13)
 

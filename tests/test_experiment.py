@@ -83,6 +83,8 @@ class TestDatasetGeneration:
         with pytest.raises(ValueError):
             ExperimentConfig(samples_per_point=0)
         with pytest.raises(ValueError):
+            ExperimentConfig(samples_per_point=1)
+        with pytest.raises(ValueError):
             ExperimentConfig(qubit_counts=())
         with pytest.raises(ValueError):
             ExperimentConfig(parameter_range=(1.0, 1.0))
