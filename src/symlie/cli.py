@@ -235,13 +235,15 @@ def _cmd_scaling_table(args: argparse.Namespace) -> int:
 
 
 def _resolve_workers(requested: int) -> int:
+    """`--workers` capped by SYMLIE_THREADS (a cap below 1 counts as 1); a
+    request below 1 passes through for ExperimentConfig to refuse."""
     env = os.environ.get("SYMLIE_THREADS")
     if env:
         try:
-            return max(1, min(requested, int(env)))
+            return min(requested, max(1, int(env)))
         except ValueError:
             raise SpecSyntaxError(f"SYMLIE_THREADS must be an integer, got {env!r}") from None
-    return max(1, requested)
+    return requested
 
 
 def _cmd_variance(args: argparse.Namespace) -> int:

@@ -93,9 +93,13 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
 
 
 def random_graph(n: int, p: float, rng: np.random.Generator) -> List[Tuple[int, int]]:
-    """Erdos-Renyi G(n, p); pairs are tried in (i, j), i < j order."""
-    return [(i, j) for i in range(n) for j in range(i + 1, n)
-            if rng.random() < p]
+    """Erdos-Renyi G(n, p); pairs are tried in (i, j), i < j order.
+
+    One vector draw of n(n-1)/2 coins reads the same stream values as one
+    scalar draw per pair."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    coins = rng.random(len(pairs))
+    return [pair for pair, coin in zip(pairs, coins) if coin < p]
 
 
 def is_connected(n: int, edges: Sequence[Tuple[int, int]]) -> bool:

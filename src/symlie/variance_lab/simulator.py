@@ -12,10 +12,12 @@ run of single-qubit gates is one step: its gates multiply into one 2x2
 matrix per qubit, and the qubits, grouped in blocks of `BLOCK_QUBITS`
 counted from the least significant end, are applied one block at a time as
 the block's Kronecker product (a block with a single gated qubit keeps the
-2x2 kernel).  A maximal run of ZZ gates is one diagonal, and every CZ or
-CNOT is a step of its own.  Each step returns a new array, and its adjoint
-is the per-qubit dagger or the conjugate phases, so `_run_batch` runs any
-stretch of steps forward or backward without touching its input.
+2x2 kernel).  A maximal run of ZZ gates is one diagonal, a maximal run of
+CNOT gates is one gather by the composed index permutation, and every CZ is
+a step of its own.  Each step returns a new array, and its adjoint is the
+per-qubit dagger, the conjugate phases or the inverse gather, so
+`_run_batch` runs any stretch of steps forward or backward without touching
+its input.
 """
 
 from __future__ import annotations
@@ -115,11 +117,12 @@ class Circuit:
     @cached_property
     def steps(self) -> Tuple["Step", ...]:
         """The gate list cut into fused steps: maximal runs of single-qubit
-        gates, maximal runs of ZZ gates, and each CZ or CNOT alone."""
+        gates, maximal runs of ZZ gates, maximal runs of CNOT gates, and
+        each CZ alone."""
         runs: list = []
         for gate in self.gates:
             kind = _LOCAL if len(gate.targets) == 1 else gate.kind
-            if runs and kind == runs[-1][0] and kind in (_LOCAL, GateKind.ZZ):
+            if runs and kind == runs[-1][0] and kind is not GateKind.CZ:
                 runs[-1][1].append(gate)
             else:
                 runs.append((kind, [gate]))
@@ -188,6 +191,24 @@ class Step:
         for gate in self.gates:
             groups[gate.slots[0]] = groups.get(gate.slots[0], ()) + (gate.targets,)
         return tuple(groups.items())
+
+    @cached_property
+    def gather(self) -> np.ndarray:
+        """Indices of a CNOT step: `np.take(amps, gather, axis=-1)` applies
+        its gates in order, since gathering by p and then by q is gathering
+        by p[q]."""
+        perm = _cnot_permutation(self.n_qubits, *self.gates[0].targets)
+        for gate in self.gates[1:]:
+            perm = perm[_cnot_permutation(self.n_qubits, *gate.targets)]
+        return perm
+
+    @cached_property
+    def inverse_gather(self) -> np.ndarray:
+        """Indices that undo `gather`; a run of CNOTs, unlike one CNOT, is
+        in general not its own inverse."""
+        inverse = np.empty_like(self.gather)
+        inverse[self.gather] = np.arange(self.gather.size)
+        return inverse
 
 
 @dataclass
@@ -374,7 +395,9 @@ def _apply_step(amps: np.ndarray, step: Step, params: Sequence[float], n: int,
                        for slot, pairs in step.phase_groups)
         phases = np.exp(exponent)
         return amps * (phases.conj() if adjoint else phases)
-    # CZ and CNOT are their own inverses
+    if step.kind is GateKind.CNOT:
+        return np.take(amps, step.inverse_gather if adjoint else step.gather, axis=-1)
+    # a CZ is its own inverse
     return _apply_gate_array(amps, step.gates[0], (), n)
 
 

@@ -254,6 +254,19 @@ class TestVariance:
                                "--ansatz", "permutation")
         assert code == 0
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_refused(self, capsys, monkeypatch, workers):
+        monkeypatch.delenv("SYMLIE_THREADS", raising=False)
+        code, out, err = run_cli(capsys, "variance", "--qubits", "4", "--samples", "3",
+                                 "--dataset-size", "8", "--workers", workers,
+                                 "--ansatz", "permutation")
+        assert code == 2 and out == ""
+        assert "workers must be >= 1" in err
+        monkeypatch.setenv("SYMLIE_THREADS", "2")
+        assert run_cli(capsys, "variance", "--qubits", "4", "--samples", "3",
+                       "--dataset-size", "8", "--workers", workers,
+                       "--ansatz", "permutation")[0] == 2
+
     def test_one_sample_refused(self, capsys):
         # the unbiased variance of a single sample is nan
         code, out, err = run_cli(capsys, "variance", "--qubits", "4", "--samples", "1",

@@ -51,6 +51,17 @@ class TestRandomGraph:
                                                    for j in range(i + 1, 5)]
         assert random_graph(5, 1e-12, rng) == []
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    def test_matches_one_scalar_draw_per_pair(self, seed):
+        # the vector draw reads the stream exactly as the per-pair scalar draws do
+        fast, slow = _stream(seed, 0, 3), _stream(seed, 0, 3)
+        for n in range(2, 15):
+            for p in (0.3, 0.5):
+                want = [(i, j) for i in range(n) for j in range(i + 1, n)
+                        if slow.random() < p]
+                assert random_graph(n, p, fast) == want
+        assert fast.random() == slow.random()
+
 
 class TestDatasetGeneration:
     def test_balanced_labels(self):

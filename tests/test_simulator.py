@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symlie.variance_lab.circuits import AnsatzKind, build_ansatz
 from symlie.variance_lab.simulator import (
     _N_SLOTS,
     _N_TARGETS,
@@ -15,6 +16,7 @@ from symlie.variance_lab.simulator import (
     Gate,
     GateKind,
     StateVector,
+    _apply_gate_array,
     _run_batch,
     apply_gate,
     circuit_unitary,
@@ -233,8 +235,8 @@ class TestCircuitRunner:
 def fused_circuits(draw):
     """A random circuit over every gate kind on 1..7 qubits (below the block
     size and across block edges), with single-qubit runs that leave some
-    qubits of a block ungated and are broken by CZ, CNOT and ZZ gates; plus
-    parameters and a batch of two random states."""
+    qubits of a block ungated and are broken by CZ, CNOT and ZZ gates, and
+    CNOTs drawn in runs; plus parameters and a batch of two random states."""
     n = draw(st.integers(min_value=1, max_value=7))
     kinds = [k for k in GateKind if _N_TARGETS[k] <= n]
     gates = []
@@ -247,6 +249,10 @@ def fused_circuits(draw):
             gates += [Gate(kind, (q,), tuple(range(len(gates) * 3, len(gates) * 3
                                                     + _N_SLOTS[kind])))
                       for q in qubits]
+        elif kind is GateKind.CNOT:
+            # a run of 1..n CNOTs on random ordered pairs, fused into one gather
+            for _ in range(draw(st.integers(min_value=1, max_value=n))):
+                gates.append(Gate(kind, tuple(draw(st.permutations(range(n)))[:2])))
         else:
             order = draw(st.permutations(range(n)))
             gates.append(Gate(kind, tuple(order[:2]),
@@ -261,6 +267,14 @@ def fused_circuits(draw):
     params = rng.uniform(-2 * math.pi, 2 * math.pi, circuit.n_params)
     states = np.stack([random_state(rng, n).amplitudes for _ in range(2)])
     return circuit, params, states
+
+
+@st.composite
+def cnot_runs(draw):
+    """A circuit of 1..2n CNOTs on random ordered pairs of 2..7 qubits."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    orders = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=2 * n))
+    return Circuit(n, tuple(Gate(GateKind.CNOT, tuple(o[:2])) for o in orders), 0)
 
 
 def gate_by_gate(circuit, params, amps):
@@ -281,11 +295,40 @@ class TestFusedSteps:
         )
         steps = Circuit(3, gates, 5).steps
         assert [s.kind for s in steps] == ["1q", GateKind.ZZ, GateKind.CZ, GateKind.CNOT,
-                                           GateKind.CNOT, "1q"]
+                                           "1q"]
         assert steps[0].wires == {0: (("X", 0), ("H", None)),
                                   2: (("Z", 1), ("Y", 2), ("Z", 3))}
         assert steps[1].phase_groups == ((0, ((0, 1),)), (4, ((1, 2),)))
         assert steps[0].blocks == ((0, 3, (0, 2)),)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_one_cnot_step_per_entangling_ring(self, n):
+        layers = 4
+        circuit = build_ansatz(AnsatzKind.STRONGLY_ENTANGLING, n, layers)
+        rings = [tuple((c, (c + offset) % n) for c in range(n) if (c + offset) % n != c)
+                 for offset in (1, 2) * (layers // 2)]
+        steps = [tuple(g.targets for g in s.gates) for s in circuit.steps
+                 if s.kind is GateKind.CNOT]
+        # at n = 2 the offset-2 ring of every second layer is empty
+        assert steps == [ring for ring in rings if ring]
+        assert len(steps) == (layers if n > 2 else layers // 2)
+
+    @given(cnot_runs())
+    @settings(max_examples=100, deadline=None)
+    def test_cnot_gather_and_its_inverse(self, circuit):
+        (step,) = circuit.steps
+        n = circuit.n_qubits
+        identity = np.arange(1 << n)
+        # gate by gate, the basis labels move as the amplitudes do
+        labels = identity.astype(np.complex128)
+        for gate in circuit.gates:
+            labels = _apply_gate_array(labels, gate, (), n)
+        assert np.array_equal(step.gather, labels.real.astype(np.int64))
+        assert np.array_equal(step.gather[step.inverse_gather], identity)
+        states = np.stack([random_state(np.random.default_rng(n), n).amplitudes,
+                           identity.astype(np.complex128)])
+        out = _run_batch(circuit, [], states)
+        assert np.array_equal(_run_batch(circuit, [], out, adjoint=True), states)
 
     def test_blocks_align_at_the_low_end(self):
         layer = tuple(Gate(GateKind.RX, (q,), (0,)) for q in range(2 * BLOCK_QUBITS + 2))
