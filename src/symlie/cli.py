@@ -8,9 +8,11 @@ partition order, which leaves the dimension unchanged.  With ``--sweep A..B``
 exactly one part must be variable (a bare family letter or FAMILY:*) and is
 swept over the range.
 
-CSV output always uses semicolons.  Errors go to stderr with a nonzero exit
-code; data never mixes with diagnostics.  The environment variable
-SYMLIE_THREADS bounds the worker count of the variance experiment.
+CSV output always uses semicolons.  Errors go to stderr with exit code 2;
+data never mixes with diagnostics.  When the reader of stdout goes away
+early (``symlie ... | head``), the command stops quietly with exit code 1.
+The environment variable SYMLIE_THREADS bounds the worker count of the
+variance experiment.
 """
 
 from __future__ import annotations
@@ -163,11 +165,13 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
         return 0
     basis = enumerate_invariant_basis(spec, space_cap=args.cap_space)
     if args.format == "json":
-        print(json.dumps([orbit_to_json(o) for o in basis]))
+        # encoded an orbit at a time: the whole listing never exists as
+        # dicts of strings, only as its tuples and the output text
+        print("[" + ", ".join([json.dumps(orbit_to_json(o)) for o in basis]) + "]")
     else:
         _emit_rows(args.format, ["representative", "weight", "members"],
                    ((pauli_string_to_str(o.representative), o.weight,
-                     ",".join(pauli_string_to_str(m) for m in o.members)) for o in basis))
+                     ",".join(map(pauli_string_to_str, o.members))) for o in basis))
     return 0
 
 
@@ -342,10 +346,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe then surfaces here, not at exit
+        return code
     except (SymlieError, SpecSyntaxError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader has gone: point stdout at devnull so that the flush of
+        # what is still buffered at interpreter exit is quiet too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -42,9 +42,7 @@ from .indexing import (
     MAX_CONSTRAINT_ENTRIES,
     MAX_ORACLE_QUBITS,
     hamming_weights,
-    index_to_word,
 )
-from .pauli_orbits import pauli_matrix
 from .permutation_rep import group_generators, qubit_permutation_matrix
 
 __all__ = [
@@ -66,6 +64,9 @@ _CHUNK_ENTRIES = 2**18
 # counted one must exceed the largest rejected one by GAP_FACTOR.
 RTOL = 1e-8
 GAP_FACTOR = 10.0
+# Nonzero entries of i*P for a Pauli word P, indexed [Y count mod 4, sign
+# parity]: i * i^(Y count) * (-1)^parity.
+_PHASES = 1j * (np.array([1j**k for k in range(4)])[:, None] * np.array([1.0, -1.0]))
 
 
 @dataclass(frozen=True)
@@ -118,6 +119,31 @@ def _check_qubits(n_qubits: int) -> None:
         raise MatrixSizeCapExceeded(1 << n_qubits, 1 << MAX_ORACLE_QUBITS)
 
 
+def _pauli_basis(words: np.ndarray, n_qubits: int) -> np.ndarray:
+    """i*P_w as a dense 2^N x 2^N matrix for each base-4 word index w in
+    `words`, stacked along the first axis.
+
+    P_w maps column c to row c ^ x with the phase i^(Y count) *
+    (-1)^popcount(c & z), where x has the bit of each X or Y factor set and
+    z the bit of each Y or Z factor (qubit 0 is the most significant bit).
+    """
+    dim = 1 << n_qubits
+    x = np.zeros(words.size, dtype=np.int64)
+    z = np.zeros_like(x)
+    n_y = np.zeros_like(x)
+    for shift in range(n_qubits):  # the digit and the bit of qubit N-1-shift
+        digit = (words >> (2 * shift)) & 3  # 0, 1, 2, 3 = I, X, Y, Z
+        x |= ((digit ^ (digit >> 1)) & 1) << shift
+        z |= (digit >> 1) << shift
+        n_y += digit == 2
+    cols = np.arange(dim)
+    parity = hamming_weights(n_qubits)[cols & z[:, None]] & 1
+    rows = cols ^ x[:, None]
+    out = np.zeros((words.size, dim, dim), dtype=np.complex128)
+    out[np.arange(words.size)[:, None], rows, cols] = _PHASES[n_y[:, None] % 4, parity]
+    return out
+
+
 def _constraint_matrix(generators: Sequence[np.ndarray], n_qubits: int) -> np.ndarray:
     """Real matrix of the map from Pauli coefficients to stacked commutators.
 
@@ -141,8 +167,7 @@ def _constraint_matrix(generators: Sequence[np.ndarray], n_qubits: int) -> np.nd
     chunk = max(1, _CHUNK_ENTRIES // (dim * dim))
     for start in range(0, n_basis if rows else 0, chunk):  # no generators: no basis
         stop = min(start + chunk, n_basis)
-        basis = 1j * np.stack([pauli_matrix(index_to_word(j + 1, n_qubits))
-                               for j in range(start, stop)])
+        basis = _pauli_basis(np.arange(start + 1, stop + 1), n_qubits)
         out = transpose[start:stop].reshape(stop - start, len(generators), 2, dim * dim)
         for g, b in enumerate(generators):
             comm = (b @ basis - basis @ b).reshape(stop - start, dim * dim)
@@ -278,13 +303,18 @@ def commutant_nullspace(generators: Sequence[np.ndarray], n_qubits: int
 
 
 def coefficients_to_operator(coefficients: np.ndarray, n_qubits: int) -> np.ndarray:
-    """Assemble sum_j c_j * i*P_j from a Pauli coefficient vector."""
+    """Assemble sum_j c_j * i*P_j from a Pauli coefficient vector, a chunk of
+    the words with nonzero coefficients at a time."""
     dim = 1 << n_qubits
+    if dim > DEFAULT_MATRIX_CAP:
+        raise MatrixSizeCapExceeded(dim, DEFAULT_MATRIX_CAP)
+    coefficients = np.asarray(coefficients)
+    nonzero = np.flatnonzero(coefficients)
     out = np.zeros((dim, dim), dtype=np.complex128)
-    for j in range(4**n_qubits - 1):
-        c = coefficients[j]
-        if c != 0.0:
-            out += c * 1j * pauli_matrix(index_to_word(j + 1, n_qubits))
+    chunk = max(1, _CHUNK_ENTRIES // (dim * dim))
+    for start in range(0, nonzero.size, chunk):
+        j = nonzero[start:start + chunk]
+        out += np.tensordot(coefficients[j], _pauli_basis(j + 1, n_qubits), axes=1)
     return out
 
 

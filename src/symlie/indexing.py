@@ -16,6 +16,7 @@ import numpy as np
 
 DEFAULT_ORDER_CAP = 10**6  # group elements listed one by one
 DEFAULT_SPACE_CAP = 4**12  # words in an orbit-label scan
+MAX_LISTED_WORDS = 4**10  # words held as tuples by an orbit listing
 DEFAULT_MATRIX_CAP = 2**12  # side of a dense 2^N x 2^N matrix
 MAX_ORACLE_QUBITS = 6  # 64x64 matrices over a 4095-element basis
 # float64 entries of the oracle's constraint matrix: 2 * 4^N rows per
@@ -40,8 +41,7 @@ def digit_action(p: Sequence[int], k: int) -> np.ndarray:
 
 def index_to_word(index: int, n: int) -> Tuple[int, ...]:
     """The length-n base-4 word (a Pauli string) that `index` encodes."""
-    # from a list, not a generator: the tuple is then allocated at its exact
-    # size, which matters for listings that hold all 4^N words
+    # from a list, not a generator: the tuple is then allocated at its exact size
     return tuple([(index >> (2 * j)) & 3 for j in range(n - 1, -1, -1)])
 
 

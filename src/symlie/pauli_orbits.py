@@ -11,14 +11,15 @@ memory; dense matrices are built on demand and capped.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .combinatorics import AnySpec
-from .errors import MatrixSizeCapExceeded
-from .indexing import DEFAULT_MATRIX_CAP, DEFAULT_SPACE_CAP, hamming_weights, index_to_word
+from .errors import MatrixSizeCapExceeded, StateSpaceCapExceeded
+from .indexing import DEFAULT_MATRIX_CAP, DEFAULT_SPACE_CAP, MAX_LISTED_WORDS, hamming_weights
 from .permutation_rep import orbit_canonical_labels
 
 __all__ = [
@@ -56,8 +57,12 @@ def pauli_string_from_str(text: str) -> PauliString:
     return s
 
 
+# digit d -> the character "d": one table lookup per digit, no per-digit str()
+_DIGIT_CHARS = bytes.maketrans(bytes(range(4)), b"0123")
+
+
 def pauli_string_to_str(s: PauliString) -> str:
-    return "".join(str(d) for d in s)
+    return bytes(s).translate(_DIGIT_CHARS).decode()
 
 
 def pauli_action(s: PauliString) -> Tuple[np.ndarray, np.ndarray]:
@@ -116,20 +121,27 @@ def enumerate_invariant_basis(spec: AnySpec,
 
     The orbits partition {0..3}^N minus the all-identity word, so the list
     length is exactly the invariant-subalgebra dimension.  The label scan
-    walks generator edges only, so the state-space cap is the one bound.
+    walks generator edges only, so the state-space cap bounds the scan; a
+    listing holds every word as a tuple, so it is refused above
+    MAX_LISTED_WORDS before the scan starts.
+
+    One stable sort of the labels groups the words by orbit with each
+    orbit's words in index order, which is lexicographic order, so the
+    first member is the representative.  Words come from a table listed
+    once in index order.
     """
     n = spec.degree
+    if 4**n > MAX_LISTED_WORDS:
+        raise StateSpaceCapExceeded(4**n, MAX_LISTED_WORDS)
     labels = orbit_canonical_labels(spec, 4, space_cap)
-    grouped: Dict[int, List[int]] = {}
-    for index, label in enumerate(labels):
-        grouped.setdefault(int(label), []).append(index)
-    basis = []
-    for rep in sorted(grouped):
-        if rep == 0:
-            continue  # the all-identity word is not an algebra element
-        members = tuple(index_to_word(i, n) for i in grouped[rep])
-        basis.append(OrbitBasisElement(index_to_word(rep, n), members))
-    return basis
+    order = np.argsort(labels, kind="stable")
+    bounds = (np.flatnonzero(np.diff(labels[order])) + 1).tolist()
+    words = list(itertools.product(range(4), repeat=n))
+    words = [words[i] for i in order.tolist()]
+    # the all-identity word 0 is alone in the first orbit and not an
+    # algebra element
+    return [OrbitBasisElement(words[start], tuple(words[start:stop]))
+            for start, stop in zip(bounds, bounds[1:] + [len(words)])]
 
 
 def symmetrized_generator(element: OrbitBasisElement) -> np.ndarray:
@@ -148,7 +160,7 @@ def orbit_to_json(element: OrbitBasisElement) -> dict:
     return {
         "representative": pauli_string_to_str(element.representative),
         "weight": element.weight,
-        "members": [pauli_string_to_str(m) for m in element.members],
+        "members": list(map(pauli_string_to_str, element.members)),
     }
 
 

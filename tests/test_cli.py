@@ -1,11 +1,18 @@
 """Command-line surface: spec grammar, outputs, exit codes."""
 
+import hashlib
+import itertools
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 import symlie.combinatorics as comb
+from symlie import pauli_orbits
 from symlie.cli import main, parse_group_spec
 from symlie.combinatorics import (
     Family,
@@ -13,6 +20,8 @@ from symlie.combinatorics import (
     ProductGroupSpec,
     dim_invariant_algebra,
 )
+from symlie.indexing import MAX_LISTED_WORDS
+from symlie.permutation_rep import apply_to_tuple, enumerate_elements
 
 
 def run_cli(capsys, *argv):
@@ -153,6 +162,100 @@ class TestOrbits:
         code, out, err = run_cli(capsys, "orbits", "S:7", "--cap-space", str(4**6), *extra)
         assert code == 2 and out == ""
         assert "state space of size 16384 exceeds cap 4096" in err
+
+    def test_listing_cap_refuses_before_the_scan(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("scanned the labels")
+        monkeypatch.setattr(pauli_orbits, "orbit_canonical_labels", refuse)
+        code, out, err = run_cli(capsys, "orbits", "C:11", "--format", "json")
+        assert code == 2 and out == ""
+        assert f"state space of size {4**11} exceeds cap {MAX_LISTED_WORDS}" in err
+
+    def test_count_only_is_not_held_to_the_listing_cap(self, capsys):
+        code, out, err = run_cli(capsys, "orbits", "E:11", "--count-only")
+        assert code == 0 and err == ""
+        assert out == f"{4**11 - 1}\n"
+
+
+def _word_text(word):
+    return "".join(map(str, word))
+
+
+def _brute_force_orbits(spec):
+    """(representative, weight, members) of every orbit of nonzero words,
+    closing each word under every listed group element."""
+    elements = enumerate_elements(spec).elements
+    seen, rows = set(), []
+    for word in itertools.product(range(4), repeat=spec.degree):
+        if word in seen or not any(word):
+            continue
+        orbit = sorted({apply_to_tuple(p, word) for p in elements})
+        seen.update(orbit)
+        rows.append((_word_text(orbit[0]), len(orbit), [_word_text(w) for w in orbit]))
+    return rows
+
+
+def _parse_listing(fmt, out):
+    if fmt == "json":
+        return [(o["representative"], o["weight"], o["members"]) for o in json.loads(out)]
+    lines = out.rstrip("\n").split("\n")
+    assert lines[0].split(";" if fmt == "csv" else None) == ["representative", "weight",
+                                                             "members"]
+    rows = []
+    for line in lines[1:]:
+        rep, weight, members = line.split(";") if fmt == "csv" else line.split()
+        rows.append((rep, int(weight), members.split(",")))
+    return rows
+
+
+class TestOrbitListingDifferential:
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    @pytest.mark.parametrize("spec", ["C:4", "D:5", "A:4", "S:3xC:2", "E:3", "S:1"])
+    def test_listing_matches_brute_force_orbits(self, capsys, spec, fmt):
+        code, out, err = run_cli(capsys, "orbits", spec, "--format", fmt)
+        assert code == 0 and err == ""
+        assert _parse_listing(fmt, out) == _brute_force_orbits(parse_group_spec(spec))
+
+
+# md5 of each listing's stdout from the per-word implementation that the
+# array build replaced; the output must not change by a byte
+GOLDEN_LISTINGS = [
+    ("C:6", "json", "7d637b19c2f371f929b6e9813777e403"),
+    ("S:3xC:2", "csv", "9746984fac1e290dfbee7472ed7823d0"),
+    ("D:5", "table", "0ef52de37d0884591c101fced0ded411"),
+    ("C:9", "json", "590412f7b96d11b6fff257d265b0bc62"),
+    ("C:9", "csv", "e7a8c434203ef19f985fb59bc6b333e0"),
+]
+
+
+@pytest.mark.parametrize("spec, fmt, md5", GOLDEN_LISTINGS)
+def test_listing_is_byte_identical_to_golden(capsys, spec, fmt, md5):
+    code, out, err = run_cli(capsys, "orbits", spec, "--format", fmt)
+    assert code == 0 and err == ""
+    assert hashlib.md5(out.encode()).hexdigest() == md5
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_closed_pipe_exits_quietly(fmt):
+    # 1.3 MB of output, far more than a pipe buffer holds, so the writer
+    # meets the closed pipe while it still has data to write
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "symlie.cli", "orbits", "C:8", "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert len(head) == 100
+    assert err == b""
+    assert code == 1
 
 
 class TestOracle:

@@ -21,6 +21,7 @@ from symlie.dense_oracle import (
     _blocks,
     _classify_singular_values,
     _constraint_matrix,
+    _pauli_basis,
     _report_from_svals,
     block_profile,
     coefficients_to_operator,
@@ -121,6 +122,27 @@ class TestCommutantDimension:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             commutant_dimension([np.eye(4)], 3)
+
+
+class TestPauliBasis:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_per_word_matrices_bit_for_bit(self, n):
+        # the mask-built chunk must hold exactly the values the per-word
+        # construction gives, signed zeros included
+        per_word = np.stack([1j * pauli_matrix(index_to_word(j, n)) for j in range(1, 4**n)])
+        chunk = _pauli_basis(np.arange(1, 4**n), n)
+        assert chunk.tobytes() == per_word.tobytes()
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 4))
+    def test_operator_is_the_per_word_sum(self, n):
+        rng = np.random.default_rng(n)
+        coeffs = rng.normal(size=4**n - 1) * (rng.random(4**n - 1) < 0.3)
+        expected = sum(c * 1j * pauli_matrix(index_to_word(j + 1, n))
+                       for j, c in enumerate(coeffs) if c != 0.0)
+        assert np.allclose(coefficients_to_operator(coeffs, n), expected, atol=1e-13)
+
+    def test_zero_coefficients_give_zero_operator(self):
+        assert np.array_equal(coefficients_to_operator(np.zeros(63), 3), np.zeros((8, 8)))
 
 
 class TestNullspace:

@@ -68,6 +68,13 @@ class TestPauliMatrix:
         with pytest.raises(ValueError):
             pauli_string_from_str("07")
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_string_codec_round_trips_every_word(self, n):
+        words = list(itertools.product(range(4), repeat=n))
+        texts = [pauli_string_to_str(w) for w in words]
+        assert texts == ["".join(map(str, w)) for w in words]
+        assert [pauli_string_from_str(t) for t in texts] == words
+
 
 class TestInvariantBasis:
     def test_symmetric_2(self):
