@@ -33,7 +33,7 @@ from .dense_oracle import (
 )
 from .errors import SymlieError
 from .indexing import DEFAULT_SPACE_CAP
-from .pauli_orbits import enumerate_invariant_basis, orbit_to_json, pauli_string_to_str
+from .pauli_orbits import enumerate_invariant_basis
 from .permutation_rep import count_orbits_bruteforce
 from .variance_lab import (
     AnsatzKind,
@@ -163,15 +163,15 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
         else:
             print(count)
         return 0
-    basis = enumerate_invariant_basis(spec, space_cap=args.cap_space)
+    orbits = enumerate_invariant_basis(spec, space_cap=args.cap_space).member_strings()
     if args.format == "json":
-        # encoded an orbit at a time: the whole listing never exists as
-        # dicts of strings, only as its tuples and the output text
-        print("[" + ", ".join([json.dumps(orbit_to_json(o)) for o in basis]) + "]")
+        # the words are digit strings, which JSON does not escape, so this is
+        # the text of json.dumps(orbit_to_json(o)) per orbit, joined by ", "
+        print("[" + ", ".join(['{"representative": "%s", "weight": %d, "members": ["%s"]}'
+                               % (m[0], len(m), '", "'.join(m)) for m in orbits]) + "]")
     else:
         _emit_rows(args.format, ["representative", "weight", "members"],
-                   ((pauli_string_to_str(o.representative), o.weight,
-                     ",".join(map(pauli_string_to_str, o.members))) for o in basis))
+                   ((m[0], len(m), ",".join(m)) for m in orbits))
     return 0
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 DEFAULT_ORDER_CAP = 10**6  # group elements listed one by one
 DEFAULT_SPACE_CAP = 4**12  # words in an orbit-label scan
-MAX_LISTED_WORDS = 4**10  # words held as tuples by an orbit listing
+MAX_LISTED_WORDS = 4**10  # words held as strings by an orbit listing
 DEFAULT_MATRIX_CAP = 2**12  # side of a dense 2^N x 2^N matrix
 MAX_ORACLE_QUBITS = 6  # 64x64 matrices over a 4095-element basis
 # float64 entries of the oracle's constraint matrix: 2 * 4^N rows per

@@ -5,15 +5,16 @@ sigma_{d1} (x) ... (x) sigma_{dN} under the Kronecker convention (qubit 0 is
 the leftmost factor / most significant bit).  The invariant subalgebra for a
 permutation group has one basis element per orbit of strings: the sum of the
 orbit's matrices, multiplied by i to make it skew-Hermitian.  Orbits are
-stored as plain digit tuples so that dimension counting never needs 2^N
-memory; dense matrices are built on demand and capped.
+stored as plain digit strings (a listing) or tuples (one basis element), so
+that dimension counting never needs 2^N memory; dense matrices are built on
+demand and capped.
 """
 
 from __future__ import annotations
 
-import itertools
+import operator
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +27,7 @@ __all__ = [
     "SIGMA",
     "PauliString",
     "OrbitBasisElement",
+    "OrbitListing",
     "pauli_string_from_str",
     "pauli_string_to_str",
     "pauli_matrix",
@@ -115,33 +117,68 @@ class OrbitBasisElement:
         return len(self.members)
 
 
-def enumerate_invariant_basis(spec: AnySpec,
-                              space_cap: int = DEFAULT_SPACE_CAP) -> List[OrbitBasisElement]:
+class OrbitListing(Sequence[OrbitBasisElement]):
+    """Read-only sequence of orbits held as digit strings.
+
+    ``words`` lists every word of every orbit as a string such as "0312",
+    orbit by orbit; orbit i is ``words[bounds[i]:bounds[i + 1]]``, with its
+    words in lexicographic order.  An `OrbitBasisElement` is built only when
+    an orbit is indexed or iterated.
+    """
+
+    __slots__ = ("words", "bounds")
+
+    def __init__(self, words: List[str], bounds: List[int]):
+        self.words = words
+        self.bounds = bounds
+
+    def __len__(self) -> int:
+        return len(self.bounds) - 1
+
+    def __getitem__(self, i: int) -> OrbitBasisElement:
+        i = operator.index(i)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("orbit index out of range")
+        members = tuple(map(pauli_string_from_str, self.words[self.bounds[i]:self.bounds[i + 1]]))
+        return OrbitBasisElement(members[0], members)
+
+    def member_strings(self) -> Iterator[List[str]]:
+        """Each orbit's words as strings, representative first."""
+        words, bounds = self.words, self.bounds
+        return (words[start:stop] for start, stop in zip(bounds, bounds[1:]))
+
+
+def enumerate_invariant_basis(spec: AnySpec, space_cap: int = DEFAULT_SPACE_CAP) -> OrbitListing:
     """All orbits of nonzero Pauli strings, sorted by representative.
 
-    The orbits partition {0..3}^N minus the all-identity word, so the list
-    length is exactly the invariant-subalgebra dimension.  The label scan
-    walks generator edges only, so the state-space cap bounds the scan; a
-    listing holds every word as a tuple, so it is refused above
-    MAX_LISTED_WORDS before the scan starts.
+    Returns an `OrbitListing`: the words of every orbit as digit strings and
+    the offsets where each orbit starts.  The orbits partition {0..3}^N minus
+    the all-identity word, so its length is exactly the invariant-subalgebra
+    dimension.  The label scan walks generator edges only, so the state-space
+    cap bounds the scan; a listing holds every word as a string, so it is
+    refused above MAX_LISTED_WORDS before the scan starts.
 
     One stable sort of the labels groups the words by orbit with each
     orbit's words in index order, which is lexicographic order, so the
-    first member is the representative.  Words come from a table listed
-    once in index order.
+    first member is the representative.  The strings are written from the
+    sorted indices as one table of digit characters.
     """
     n = spec.degree
     if 4**n > MAX_LISTED_WORDS:
         raise StateSpaceCapExceeded(4**n, MAX_LISTED_WORDS)
     labels = orbit_canonical_labels(spec, 4, space_cap)
-    order = np.argsort(labels, kind="stable")
-    bounds = (np.flatnonzero(np.diff(labels[order])) + 1).tolist()
-    words = list(itertools.product(range(4), repeat=n))
-    words = [words[i] for i in order.tolist()]
-    # the all-identity word 0 is alone in the first orbit and not an
+    # the all-identity word 0 is alone in the lowest orbit and not an
     # algebra element
-    return [OrbitBasisElement(words[start], tuple(words[start:stop]))
-            for start, stop in zip(bounds, bounds[1:] + [len(words)])]
+    order = np.argsort(labels, kind="stable")[1:]
+    bounds = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), order.size]
+    # one row of digit characters and a space per word, decoded and split
+    # in one pass
+    chars = np.full((order.size, n + 1), ord(" "), dtype=np.uint8)
+    for j in range(n):
+        chars[:, j] = ((order >> (2 * (n - 1 - j))) & 3) + ord("0")
+    return OrbitListing(chars.tobytes().decode("ascii").split(), bounds)
 
 
 def symmetrized_generator(element: OrbitBasisElement) -> np.ndarray:

@@ -184,33 +184,55 @@ def enumerate_elements(spec: AnySpec) -> GroupElements:
     return result
 
 
+def _digit_permuted(values: np.ndarray, q: Permutation, k: int) -> np.ndarray:
+    """``values[digit_action(q, k)]`` as a strided view of shape [k] * N:
+    entry i of the result, read in C order, is the value at the index of
+    ``apply_to_tuple(q, word_i)``.  Digit j of that word is digit q[j] of
+    word_i, so output axis m reads input axis inverse(q)[m]."""
+    return values.reshape([k] * len(q)).transpose(inverse(q))
+
+
 def orbit_canonical_labels(spec: AnySpec, alphabet: int = 4,
                            space_cap: int = DEFAULT_SPACE_CAP) -> np.ndarray:
     """Scan all alphabet^N tuples and label each with its orbit's lexicographic
     minimum.
 
+    Returns one label per tuple, in index order: uint32 while alphabet^N <=
+    2^32, int64 above that.  A tuple is an orbit representative exactly when
+    its label equals its own index.
+
     Labels are propagated along generator edges until a fixed point, which
-    avoids enumerating group elements; a tuple is an orbit representative
-    exactly when its label equals its own index.
+    avoids enumerating group elements.  A generator acts on the label array
+    as an axis transpose copied into one reused buffer, so no index map is
+    built.  After each sweep every label is replaced by its own label until
+    that changes nothing: a label always names a tuple of the same orbit, so
+    these jumps are exact and cut the number of sweeps.
     """
     n = spec.degree
     size = alphabet**n
     if size > space_cap:
         raise StateSpaceCapExceeded(size, space_cap)
-    maps = []
-    seen = set()
+    moves = []
     for g in group_generators(spec):
         for q in (g, inverse(g)):
-            if q not in seen and q != identity(n):
-                seen.add(q)
-                maps.append(digit_action(q, alphabet))
-    labels = np.arange(size, dtype=np.int64)
-    if not maps:
+            if q not in moves and q != identity(n):
+                moves.append(q)
+    labels = np.arange(size, dtype=np.uint32 if size <= 2**32 else np.int64)
+    if not moves:
         return labels
+    image, before = np.empty_like(labels), np.empty_like(labels)
     while True:
-        before = labels.copy()
-        for m in maps:
-            np.minimum(labels, labels[m], out=labels)
+        np.copyto(before, labels)
+        for q in moves:
+            np.copyto(image.reshape([alphabet] * n), _digit_permuted(labels, q, alphabet))
+            np.minimum(labels, image, out=labels)
+        while True:
+            # every label is a valid index; a mode other than "raise" lets
+            # take write straight into `image` instead of a buffered copy
+            np.take(labels, labels, out=image, mode="clip")
+            if np.array_equal(image, labels):
+                break
+            labels, image = image, labels
         if np.array_equal(labels, before):
             return labels
 
@@ -223,7 +245,7 @@ def count_orbits_bruteforce(spec: AnySpec, alphabet: int = 4,
     tuples is used, never Burnside averaging.
     """
     labels = orbit_canonical_labels(spec, alphabet, space_cap)
-    return int(np.count_nonzero(labels == np.arange(labels.size, dtype=np.int64)))
+    return int(np.count_nonzero(labels == np.arange(labels.size, dtype=labels.dtype)))
 
 
 def qubit_index_permutation(p: Permutation) -> np.ndarray:

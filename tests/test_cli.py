@@ -217,6 +217,31 @@ class TestOrbitListingDifferential:
         assert _parse_listing(fmt, out) == _brute_force_orbits(parse_group_spec(spec))
 
 
+def _listing_from_elements(spec, fmt):
+    """The listing's text built from `OrbitBasisElement` fields, one orbit at
+    a time, with the per-orbit JSON codec."""
+    basis = list(pauli_orbits.enumerate_invariant_basis(spec))
+    if fmt == "json":
+        return "[" + ", ".join(json.dumps(pauli_orbits.orbit_to_json(o)) for o in basis) + "]\n"
+    header = ["representative", "weight", "members"]
+    rows = [[pauli_orbits.pauli_string_to_str(o.representative), str(o.weight),
+             ",".join(map(pauli_orbits.pauli_string_to_str, o.members))] for o in basis]
+    if fmt == "csv":
+        return "".join(";".join(r) + "\n" for r in [header, *rows])
+    widths = [max(len(r[i]) for r in [header, *rows]) for i in range(3)]
+    return "".join("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() + "\n"
+                   for r in [header, *rows])
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+@pytest.mark.parametrize("spec", [f"{f.value}:{n}" for f in Family for n in range(1, 7)]
+                         + ["S:3xE:2"])
+def test_listing_matches_per_orbit_codec(capsys, spec, fmt):
+    code, out, err = run_cli(capsys, "orbits", spec, "--format", fmt)
+    assert code == 0 and err == ""
+    assert out == _listing_from_elements(parse_group_spec(spec), fmt)
+
+
 # md5 of each listing's stdout from the per-word implementation that the
 # array build replaced; the output must not change by a byte
 GOLDEN_LISTINGS = [

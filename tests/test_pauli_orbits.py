@@ -105,6 +105,29 @@ class TestInvariantBasis:
             assert b.representative == min(b.members)
             assert sorted(b.members) == list(b.members)
 
+    def test_listing_is_a_sequence_of_elements(self):
+        basis = enumerate_invariant_basis(GroupSpec(Family.CYCLIC, 3))
+        assert len(basis) == 23
+        assert basis[0] == OrbitBasisElement((0, 0, 1), ((0, 0, 1), (0, 1, 0), (1, 0, 0)))
+        assert basis[-1] == OrbitBasisElement((3, 3, 3), ((3, 3, 3),))
+        assert basis[np.int64(2)] == basis[2 - len(basis)]
+        elements = list(basis)
+        assert len(elements) == len(basis)
+        assert [basis[i] for i in range(len(basis))] == elements
+        assert [basis[i] for i in range(-len(basis), 0)] == elements
+        for i in (len(basis), -len(basis) - 1):
+            with pytest.raises(IndexError):
+                basis[i]
+        with pytest.raises(TypeError):
+            basis[1.0]
+
+    def test_listing_words_are_member_strings(self):
+        basis = enumerate_invariant_basis(GroupSpec(Family.DIHEDRAL, 4))
+        strings = list(basis.member_strings())
+        assert len(strings) == len(basis)
+        assert [list(map(pauli_string_from_str, m)) for m in strings] == [
+            list(b.members) for b in basis]
+
     def test_representative_must_be_minimum(self):
         with pytest.raises(ValueError):
             OrbitBasisElement(representative=(1, 0), members=((0, 1), (1, 0)))

@@ -7,10 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symlie.combinatorics import Family, GroupSpec, ProductGroupSpec, evaluate, cycle_index
+from symlie.cli import parse_group_spec
+from symlie.combinatorics import (Family, GroupSpec, ProductGroupSpec, cycle_index, dimension,
+                                  evaluate)
 from symlie.errors import OrderCapExceeded, StateSpaceCapExceeded
+from symlie.indexing import digit_action
 from symlie.pauli_orbits import pauli_matrix
 from symlie.permutation_rep import (
+    _digit_permuted,
     apply_to_tuple,
     compose,
     count_orbits_bruteforce,
@@ -18,6 +22,7 @@ from symlie.permutation_rep import (
     group_generators,
     identity,
     inverse,
+    orbit_canonical_labels,
     qubit_index_permutation,
     qubit_permutation_matrix,
 )
@@ -184,6 +189,52 @@ class TestOrbitCounts:
         spec = ProductGroupSpec((GroupSpec(Family.SYMMETRIC, 2), GroupSpec(Family.SYMMETRIC, 2)))
         # independent blocks multiply: 10 multisets per block
         assert count_orbits_bruteforce(spec, 4) == 100
+
+
+def index_map_labels(spec, k):
+    """Reference scan: one index map per generator and inverse, applied as a
+    gather and swept to a fixed point, with no pointer jumps."""
+    n = spec.degree
+    maps, seen = [], set()
+    for g in group_generators(spec):
+        for q in (g, inverse(g)):
+            if q not in seen and q != identity(n):
+                seen.add(q)
+                maps.append(digit_action(q, k))
+    labels = np.arange(k**n, dtype=np.int64)
+    while maps:
+        before = labels.copy()
+        for m in maps:
+            np.minimum(labels, labels[m], out=labels)
+        if np.array_equal(labels, before):
+            break
+    return labels
+
+
+class TestLabelScan:
+    @given(st.integers(min_value=1, max_value=6).flatmap(lambda n: st.permutations(range(n))),
+           st.sampled_from((2, 3, 4)), st.randoms())
+    @settings(max_examples=60, deadline=None)
+    def test_axis_transpose_matches_index_map(self, p, k, rnd):
+        q = tuple(p)
+        values = np.array(rnd.sample(range(k ** len(q)), k ** len(q)), dtype=np.uint32)
+        permuted = _digit_permuted(values, q, k)
+        assert permuted.shape == (k,) * len(q)
+        assert np.array_equal(permuted.ravel(), values[digit_action(q, k)])
+
+    @pytest.mark.parametrize("spec, k", [
+        ("C:6", 4), ("S:7", 4), ("A:8", 4), ("D:9", 4), ("S:3xC:4", 4), ("E:5", 4),
+        ("S:9", 2), ("D:9", 2), ("C:4xA:4", 2), ("A:7", 3), ("C:7", 3), ("S:3xD:3", 3),
+        pytest.param("A:10", 4, marks=pytest.mark.slow),
+        pytest.param("S:10", 4, marks=pytest.mark.slow),
+    ])
+    def test_matches_index_map_fixed_point(self, spec, k):
+        spec = parse_group_spec(spec)
+        labels = orbit_canonical_labels(spec, k)
+        assert labels.dtype == np.uint32
+        assert np.array_equal(labels, index_map_labels(spec, k))
+        representatives = np.count_nonzero(labels == np.arange(labels.size))
+        assert representatives == dimension(spec, k) + 1
 
 
 class TestQubitMatrices:
