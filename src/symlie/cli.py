@@ -215,8 +215,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 def _scaling_rows(max_qubits: int) -> Tuple[List[str], List[List[str]]]:
     headers = ["N", "C", "D", "A", "S", "unrestricted", "energy",
                "ratio_C", "ratio_D", "ratio_A", "ratio_S", "ratio_energy"]
-    if max_qubits >= 1:  # refuse an oversized table before building any row
-        comb.check_term_cap(GroupSpec(Family.SYMMETRIC, max_qubits))
+    if max_qubits < 1:
+        raise ValueError(f"--max-qubits must be >= 1, got {max_qubits}")
+    # refuse an oversized table before building any row
+    comb.check_term_cap(GroupSpec(Family.SYMMETRIC, max_qubits))
     rows = []
     for n in range(1, max_qubits + 1):
         dims = {f: comb.dim_invariant_algebra(GroupSpec(f, n)) for f in Family}

@@ -5,11 +5,11 @@ group G equals the number of G-orbits of length-N words over a 4-letter
 alphabet, minus one (the all-identity word is dropped).  The orbit count is
 Z[G](k, ..., k) with k = 4, where Z[G] is the cycle index of G.
 
-Z[S_n] sums a^lambda / z_lambda over the cycle types lambda of n, from integer
-tables of centralizer orders z_lambda = prod_l l^{m_l} m_l! (Harary and
-Palmer, *Graphical Enumeration*, 1973, ch. 2); Z[A_n] keeps the even types,
-doubled.  Coefficients are exact `Fraction`s; an evaluation scales them to
-the lcm of their denominators and sums Python integers, so no float appears.
+Z[G] is stored as integers: |G| and the number of elements of each cycle
+type lambda.  S_n has n!/z_lambda elements of type lambda, from cached tables
+of centralizer orders z_lambda = prod_l l^{m_l} m_l! (Harary and Palmer,
+*Graphical Enumeration*, 1973, ch. 2), and A_n its even types.  An evaluation
+is one integer sum divided exactly by |G|, so no float or fraction appears.
 """
 
 from __future__ import annotations
@@ -120,24 +120,20 @@ def euler_totient(d: int) -> int:
 
 @dataclass(frozen=True)
 class CycleIndex:
-    """Exact cycle index Z[G]: map from cycle type to rational coefficient.
-
-    The coefficients of a genuine cycle index are positive and sum to 1
-    (it is an average over the group), so evaluating at a_i = 1 gives 1.
-    """
+    """Exact cycle index Z[G]: `counts` maps a cycle type to the number of
+    elements of G of that type; the counts are positive and sum to `order`."""
 
     degree: int
-    terms: Dict[Partition, Fraction]
+    order: int
+    counts: Dict[Partition, int]
 
-    def _scaled_value(self, k: int) -> Tuple[int, int]:
-        """(D * Z[G](k, ..., k), D), D the lcm of the denominators: each
-        coefficient c becomes the integer c * D, so this is one integer sum."""
-        d = math.lcm(*(c.denominator for c in self.terms.values()))
-        return sum(c.numerator * (d // c.denominator) * k ** len(part)
-                   for part, c in self.terms.items()), d
+    @property
+    def terms(self) -> Dict[Partition, Fraction]:
+        """The polynomial's rational coefficients, count / order."""
+        return {part: Fraction(c, self.order) for part, c in self.counts.items()}
 
     def coefficient_sum(self) -> Fraction:
-        return Fraction(*self._scaled_value(1))
+        return Fraction(sum(self.counts.values()), self.order)
 
 
 @lru_cache(maxsize=None)
@@ -159,36 +155,33 @@ def _symmetric_z(n: int) -> Dict[Partition, int]:
     return table
 
 
-def _symmetric_terms(n: int) -> Dict[Partition, Fraction]:
-    # Z[S_n] = sum over cycle types of a^lambda / z_lambda.
-    return {part: Fraction(1, z) for part, z in _symmetric_z(n).items()}
+def _symmetric_counts(n: int) -> Dict[Partition, int]:
+    # the conjugacy class of type lambda in S_n has n! / z_lambda elements
+    order = math.factorial(n)
+    return {part: order // z for part, z in _symmetric_z(n).items()}
 
 
-def _alternating_terms(n: int) -> Dict[Partition, Fraction]:
-    # Z[A_n] = Z[S_n]({a_i}) + Z[S_n]({(-1)^(i-1) a_i}): odd types (n - len
-    # odd) cancel and even ones double.  This would give 2*a_1 for n = 1, so
-    # the trivial A_1 is special-cased.
-    if n == 1:
-        return {(1,): Fraction(1)}
-    return {part: Fraction(2, z) for part, z in _symmetric_z(n).items()
-            if (n - len(part)) % 2 == 0}
+def _alternating_counts(n: int) -> Dict[Partition, int]:
+    # the even classes of S_n (n - len even); for n = 1 the identity alone
+    return {part: c for part, c in _symmetric_counts(n).items() if (n - len(part)) % 2 == 0}
 
 
-def _cyclic_terms(n: int) -> Dict[Partition, Fraction]:
-    # Z[C_n] = (1/n) sum_{d|n} phi(d) a_d^(n/d); distinct d give distinct types.
-    return {(d,) * (n // d): Fraction(euler_totient(d), n)
-            for d in range(1, n + 1) if n % d == 0}
+def _cyclic_counts(n: int) -> Dict[Partition, int]:
+    # phi(d) rotations have order d and type d^(n/d); distinct d give distinct types.
+    return {(d,) * (n // d): euler_totient(d) for d in range(1, n + 1) if n % d == 0}
 
 
-def _dihedral_terms(n: int) -> Dict[Partition, Fraction]:
-    # Rotation half plus reflection half, the n reflections split evenly over
-    # one cycle type (n odd) or two (n even).  n = 1 gives a_1 (= Z[S_1]) and
-    # n = 2 gives (a_1^2 + a_2)/2 (= Z[S_2], the faithful {id, (01)} action).
-    acc = {part: coeff / 2 for part, coeff in _cyclic_terms(n).items()}
+def _dihedral_counts(n: int) -> Dict[Partition, int]:
+    # The n rotations plus the n reflections, which fall on one cycle type
+    # (n odd) or split evenly over two (n even).  For n <= 2 the reflections
+    # repeat rotations, so the faithful group is C_1 = {id} resp. C_2 = S_2.
+    counts = _cyclic_counts(n)
+    if n <= 2:
+        return counts
     flips = [(2,) * (n // 2) + (1,)] if n % 2 else [(2,) * (n // 2 - 1) + (1, 1), (2,) * (n // 2)]
     for part in flips:
-        acc[part] = acc.get(part, 0) + Fraction(1, 2 * len(flips))
-    return acc
+        counts[part] = counts.get(part, 0) + n // len(flips)
+    return counts
 
 
 def check_term_cap(spec: AnySpec) -> None:
@@ -204,14 +197,16 @@ def cycle_index(spec: GroupSpec) -> CycleIndex:
     """Build the exact cycle index polynomial for a named group family."""
     check_term_cap(spec)
     builders = {
-        Family.SYMMETRIC: _symmetric_terms,
-        Family.ALTERNATING: _alternating_terms,
-        Family.DIHEDRAL: _dihedral_terms,
-        Family.CYCLIC: _cyclic_terms,
-        Family.TRIVIAL: lambda m: {(1,) * m: Fraction(1)},
+        Family.SYMMETRIC: _symmetric_counts,
+        Family.ALTERNATING: _alternating_counts,
+        Family.DIHEDRAL: _dihedral_counts,
+        Family.CYCLIC: _cyclic_counts,
+        Family.TRIVIAL: lambda m: {(1,) * m: 1},
     }
-    ci = CycleIndex(degree=spec.size, terms=builders[spec.family](spec.size))
-    if ci.coefficient_sum() != 1:
+    ci = CycleIndex(degree=spec.size, order=group_order(spec),
+                    counts=builders[spec.family](spec.size))
+    # the counts and the order formula share no code, so this checks both
+    if sum(ci.counts.values()) != ci.order:
         raise NonIntegerCount(f"cycle index coefficients of {spec} do not sum to 1")
     return ci
 
@@ -222,10 +217,11 @@ def evaluate(ci: CycleIndex, k: int) -> int:
     and raises NonIntegerCount."""
     if k < 1:
         raise ValueError(f"alphabet size must be >= 1, got {k}")
-    total, d = ci._scaled_value(k)
-    if total % d or total < 0:
-        raise NonIntegerCount(f"evaluation at k={k} gave non-integer {Fraction(total, d)}")
-    return total // d
+    powers = [k ** m for m in range(ci.degree + 1)]
+    total = sum(c * powers[len(part)] for part, c in ci.counts.items())
+    if total % ci.order or total < 0:
+        raise NonIntegerCount(f"evaluation at k={k} gave non-integer {Fraction(total, ci.order)}")
+    return total // ci.order
 
 
 def group_order(spec: AnySpec) -> int:

@@ -348,6 +348,14 @@ class TestScalingTable:
         assert code == 0
         assert out.startswith("N ")
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize("max_qubits", ["0", "-3"])
+    def test_empty_table_refused(self, capsys, fmt, max_qubits):
+        code, out, err = run_cli(capsys, "scaling-table", "--max-qubits", max_qubits,
+                                 "--format", fmt)
+        assert code == 2 and out == ""
+        assert "--max-qubits must be >= 1" in err
+
 
 class TestVariance:
     ARGS = ("variance", "--qubits", "4", "--samples", "4", "--dataset-size", "8",

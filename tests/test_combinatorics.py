@@ -68,11 +68,16 @@ def cycle_type(p):
     return tuple(sorted(lengths, reverse=True))
 
 
+def burnside_counts(spec):
+    """Number of enumerated elements of each cycle type."""
+    return Counter(cycle_type(p) for p in enumerate_elements(spec).elements)
+
+
 def burnside_terms(spec):
     """Z[G] averaged over the enumerated elements: class counts / order."""
-    elements = enumerate_elements(spec).elements
-    counts = Counter(cycle_type(p) for p in elements)
-    return {t: Fraction(c, len(elements)) for t, c in counts.items()}
+    counts = burnside_counts(spec)
+    order = sum(counts.values())
+    return {t: Fraction(c, order) for t, c in counts.items()}
 
 
 DIHEDRAL_3 = [
@@ -131,15 +136,28 @@ class TestCycleIndex:
         assert sum(counts) == order
 
 
-@pytest.mark.parametrize("family,n", [
+ENUMERABLE_SPECS = [
     *((f, n) for f in (Family.SYMMETRIC, Family.ALTERNATING) for n in range(1, 8)),
     *((f, n) for f in (Family.CYCLIC, Family.DIHEDRAL, Family.TRIVIAL) for n in range(1, 11)),
-])
+]
+
+
+@pytest.mark.parametrize("family,n", ENUMERABLE_SPECS)
 def test_cycle_index_equals_burnside_average(family, n):
     # a second witness: the element-by-element average shares no code with
     # the z_lambda tables or the totient sums
     spec = GroupSpec(family, n)
     assert cycle_index(spec).terms == burnside_terms(spec)
+
+
+@pytest.mark.parametrize("family,n", ENUMERABLE_SPECS)
+def test_cycle_index_counts_equal_burnside_counter(family, n):
+    # the stored integers are the element counts themselves, not merely
+    # proportional to them, and they add up to the order formula
+    spec = GroupSpec(family, n)
+    ci = cycle_index(spec)
+    assert ci.counts == burnside_counts(spec)
+    assert sum(ci.counts.values()) == ci.order == group_order(spec)
 
 
 class TestEvaluate:
@@ -156,14 +174,15 @@ class TestEvaluate:
         assert evaluate(cycle_index(GroupSpec(Family.DIHEDRAL, 3)), 4) == expected
 
     def test_corrupted_cycle_index_rejected(self):
-        bad = CycleIndex(degree=2, terms={(1, 1): Fraction(1, 3), (2,): Fraction(2, 3)})
+        # (a_1^2 + 2 a_2) / 3 at k = 2 is 8/3
+        bad = CycleIndex(degree=2, order=3, counts={(1, 1): 1, (2,): 2})
         with pytest.raises(NonIntegerCount):
             evaluate(bad, 2)
 
     def test_builder_not_summing_to_one_rejected(self, monkeypatch):
-        # each term alone evaluates to an integer at k = 4, but the sum is 3/4
-        monkeypatch.setattr(comb, "_cyclic_terms",
-                            lambda n: {(1, 1): Fraction(1, 2), (2,): Fraction(1, 4)})
+        # three elements for the order-2 group C_2; evaluation alone would
+        # not notice, since (2 * 4^2 + 4) / 2 = 18 is an integer
+        monkeypatch.setattr(comb, "_cyclic_counts", lambda n: {(1, 1): 2, (2,): 1})
         with pytest.raises(NonIntegerCount, match="do not sum to 1"):
             cycle_index(GroupSpec(Family.CYCLIC, 2))
 
@@ -189,12 +208,12 @@ class TestDimensions:
         assert dim_symmetric_closed_form(2) == 9
         assert dim_symmetric_closed_form(4) == 34
 
-    @pytest.mark.parametrize("n", range(1, 41))
+    @pytest.mark.parametrize("n", range(1, 46))
     def test_closed_form_equals_cycle_index_route(self, n):
         assert dim_symmetric_closed_form(n) == \
             dim_invariant_algebra(GroupSpec(Family.SYMMETRIC, n))
 
-    @pytest.mark.parametrize("n", range(2, 41))
+    @pytest.mark.parametrize("n", range(2, 46))
     def test_alternating_closed_form(self, n):
         # S_n orbits plus the C(4, n) words of n distinct letters, whose S_n
         # orbit splits in two under A_n.  A_1 is trivial and gives 3, not 7.
