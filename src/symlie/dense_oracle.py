@@ -37,12 +37,8 @@ import numpy as np
 
 from .combinatorics import AnySpec
 from .errors import ConstraintCapExceeded, IndeterminateRank, MatrixSizeCapExceeded
-from .indexing import (
-    DEFAULT_MATRIX_CAP,
-    MAX_CONSTRAINT_ENTRIES,
-    MAX_ORACLE_QUBITS,
-    hamming_weights,
-)
+from .indexing import (CHUNK_ENTRIES, MAX_CONSTRAINT_ENTRIES, MAX_ORACLE_QUBITS, hamming_weights,
+                       matrix_side, pauli_columns, pauli_sum, word_digits)
 from .permutation_rep import group_generators, qubit_permutation_matrix
 
 __all__ = [
@@ -57,16 +53,10 @@ __all__ = [
     "exp_membership_check",
 ]
 
-# Entries per chunk of the constraint build and of the block split: bounds
-# their temporaries to a few MB whatever the matrix size.
-_CHUNK_ENTRIES = 2**18
 # Rank policy: singular values above RTOL * sigma_max count, and the smallest
 # counted one must exceed the largest rejected one by GAP_FACTOR.
 RTOL = 1e-8
 GAP_FACTOR = 10.0
-# Nonzero entries of i*P for a Pauli word P, indexed [Y count mod 4, sign
-# parity]: i * i^(Y count) * (-1)^parity.
-_PHASES = 1j * (np.array([1j**k for k in range(4)])[:, None] * np.array([1.0, -1.0]))
 
 
 @dataclass(frozen=True)
@@ -121,26 +111,11 @@ def _check_qubits(n_qubits: int) -> None:
 
 def _pauli_basis(words: np.ndarray, n_qubits: int) -> np.ndarray:
     """i*P_w as a dense 2^N x 2^N matrix for each base-4 word index w in
-    `words`, stacked along the first axis.
-
-    P_w maps column c to row c ^ x with the phase i^(Y count) *
-    (-1)^popcount(c & z), where x has the bit of each X or Y factor set and
-    z the bit of each Y or Z factor (qubit 0 is the most significant bit).
-    """
+    `words`, stacked along the first axis."""
     dim = 1 << n_qubits
-    x = np.zeros(words.size, dtype=np.int64)
-    z = np.zeros_like(x)
-    n_y = np.zeros_like(x)
-    for shift in range(n_qubits):  # the digit and the bit of qubit N-1-shift
-        digit = (words >> (2 * shift)) & 3  # 0, 1, 2, 3 = I, X, Y, Z
-        x |= ((digit ^ (digit >> 1)) & 1) << shift
-        z |= (digit >> 1) << shift
-        n_y += digit == 2
-    cols = np.arange(dim)
-    parity = hamming_weights(n_qubits)[cols & z[:, None]] & 1
-    rows = cols ^ x[:, None]
+    rows, values = pauli_columns(word_digits(words, n_qubits))
     out = np.zeros((words.size, dim, dim), dtype=np.complex128)
-    out[np.arange(words.size)[:, None], rows, cols] = _PHASES[n_y[:, None] % 4, parity]
+    out[np.arange(words.size)[:, None], rows, np.arange(dim)] = 1j * values
     return out
 
 
@@ -151,7 +126,7 @@ def _constraint_matrix(generators: Sequence[np.ndarray], n_qubits: int) -> np.nd
     for each generator B in turn; no generators give 0 rows.  The matrix is
     filled as its transpose, a chunk of basis words at a time, so every
     write is a contiguous row and each temporary holds about
-    `_CHUNK_ENTRIES` complex entries; the result is that transpose's
+    `CHUNK_ENTRIES` complex entries; the result is that transpose's
     column-major view.
     """
     _check_qubits(n_qubits)
@@ -164,7 +139,7 @@ def _constraint_matrix(generators: Sequence[np.ndarray], n_qubits: int) -> np.nd
     if rows * n_basis > MAX_CONSTRAINT_ENTRIES:
         raise ConstraintCapExceeded(rows, n_basis, MAX_CONSTRAINT_ENTRIES)
     transpose = np.empty((n_basis, rows))
-    chunk = max(1, _CHUNK_ENTRIES // (dim * dim))
+    chunk = max(1, CHUNK_ENTRIES // (dim * dim))
     for start in range(0, n_basis if rows else 0, chunk):  # no generators: no basis
         stop = min(start + chunk, n_basis)
         basis = _pauli_basis(np.arange(start + 1, stop + 1), n_qubits)
@@ -208,7 +183,7 @@ def _blocks(matrix: np.ndarray) -> Tuple[List[Tuple[np.ndarray, np.ndarray]], np
     n_rows, n_cols = matrix.shape
     first = np.full(n_rows, n_cols)  # first nonzero column of each row
     parent = np.arange(n_cols)
-    chunk = max(1, _CHUNK_ENTRIES // max(1, n_rows))
+    chunk = max(1, CHUNK_ENTRIES // max(1, n_rows))
     for start in range(0, n_cols, chunk):
         # column by column, so a row's first column is final once set
         cols, rows = np.nonzero(matrix[:, start:start + chunk].T)
@@ -303,19 +278,15 @@ def commutant_nullspace(generators: Sequence[np.ndarray], n_qubits: int
 
 
 def coefficients_to_operator(coefficients: np.ndarray, n_qubits: int) -> np.ndarray:
-    """Assemble sum_j c_j * i*P_j from a Pauli coefficient vector, a chunk of
-    the words with nonzero coefficients at a time."""
-    dim = 1 << n_qubits
-    if dim > DEFAULT_MATRIX_CAP:
-        raise MatrixSizeCapExceeded(dim, DEFAULT_MATRIX_CAP)
+    """Assemble sum_j c_j * i*P_j from a Pauli coefficient vector of length
+    4^N - 1, from the columns of the words with nonzero coefficients."""
+    matrix_side(n_qubits)
     coefficients = np.asarray(coefficients)
+    if coefficients.shape != (4**n_qubits - 1,):
+        raise ValueError(f"expected {4**n_qubits - 1} Pauli coefficients at "
+                         f"{n_qubits} qubits, got shape {coefficients.shape}")
     nonzero = np.flatnonzero(coefficients)
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    chunk = max(1, _CHUNK_ENTRIES // (dim * dim))
-    for start in range(0, nonzero.size, chunk):
-        j = nonzero[start:start + chunk]
-        out += np.tensordot(coefficients[j], _pauli_basis(j + 1, n_qubits), axes=1)
-    return out
+    return pauli_sum(word_digits(nonzero + 1, n_qubits), 1j * coefficients[nonzero])
 
 
 def group_constraint_matrices(spec: AnySpec) -> List[np.ndarray]:
@@ -348,9 +319,7 @@ def block_profile(n: int) -> List[int]:
 def weight_sort_permutation(n: int) -> np.ndarray:
     """Index order sorting basis states by Hamming weight (stable), i.e. the
     basis change that brings weight-commuting operators to block form."""
-    dim = 1 << n
-    if dim > DEFAULT_MATRIX_CAP:
-        raise MatrixSizeCapExceeded(dim, DEFAULT_MATRIX_CAP)
+    matrix_side(n)
     return np.argsort(hamming_weights(n), kind="stable")
 
 

@@ -3,8 +3,11 @@ cycle index and the simulator.
 
 A word of n base-k digits is encoded most-significant-digit first, so index
 order is lexicographic order (for k = 2, qubit 0 is the most significant
-bit).  Nothing here computes a dimension, so the routes stay independent.
-Each cap is checked where the allocation it bounds is made.
+bit).  A Pauli word has digits 0, 1, 2, 3 = I, X, Y, Z; only this module
+derives how it acts on basis states (`pauli_columns`), and every dense Pauli
+operator is built from those columns.  Nothing here computes a dimension, so
+the routes stay independent.  Each cap is checked where the allocation it
+bounds is made.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from functools import lru_cache
 from typing import Sequence, Tuple
 
 import numpy as np
+
+from .errors import MatrixSizeCapExceeded
 
 DEFAULT_ORDER_CAP = 10**6  # group elements listed one by one
 DEFAULT_SPACE_CAP = 4**12  # words in an orbit-label scan
@@ -25,6 +30,10 @@ MAX_ORACLE_QUBITS = 6  # 64x64 matrices over a 4095-element basis
 # (32768 x 4095); it refuses longer generator lists passed in directly.
 MAX_CONSTRAINT_ENTRIES = 2**27
 MAX_CYCLE_INDEX_TERMS = 10**5  # cycle types of S_n or A_n: p(45) = 89,134 < cap < p(46)
+# Entries per chunk of a chunked array build (Pauli columns, the oracle's
+# constraint build and block split): bounds their temporaries to a few MB
+# whatever the matrix size.
+CHUNK_ENTRIES = 2**18
 
 
 def digit_action(p: Sequence[int], k: int) -> np.ndarray:
@@ -39,10 +48,52 @@ def digit_action(p: Sequence[int], k: int) -> np.ndarray:
     return out
 
 
-def index_to_word(index: int, n: int) -> Tuple[int, ...]:
-    """The length-n base-4 word (a Pauli string) that `index` encodes."""
-    # from a list, not a generator: the tuple is then allocated at its exact size
-    return tuple([(index >> (2 * j)) & 3 for j in range(n - 1, -1, -1)])
+def matrix_side(n_qubits: int) -> int:
+    """2^N, the side of a dense N-qubit matrix; refused above DEFAULT_MATRIX_CAP."""
+    dim = 1 << n_qubits
+    if dim > DEFAULT_MATRIX_CAP:
+        raise MatrixSizeCapExceeded(dim, DEFAULT_MATRIX_CAP)
+    return dim
+
+
+def word_digits(words: np.ndarray, n: int) -> np.ndarray:
+    """The base-4 digits of each word index as one uint8 row, qubit 0 first."""
+    out = np.empty((words.size, n), dtype=np.uint8)
+    for j in range(n):  # a column at a time keeps the temporaries one word wide
+        out[:, j] = (words >> (2 * (n - 1 - j))) & 3
+    return out
+
+
+# [Y count mod 4, sign parity] -> i^(Y count) * (-1)^parity, from exact powers of i
+_COLUMN_VALUES = np.array([1j**k for k in range(4)])[:, None] * np.array([1.0, -1.0])
+
+
+def pauli_columns(digits: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Column form of P_w for each row w of base-4 digits (qubit 0 first):
+    column c has its one nonzero entry at row ``rows[w, c]`` = c ^ x, with
+    value ``values[w, c]`` = i^(Y count) * (-1)^popcount(c & z), where x has
+    the bit of each X or Y factor set and z the bit of each Y or Z factor."""
+    n = digits.shape[1]
+    bits = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
+    x = ((digits ^ (digits >> 1)) & 1) @ bits
+    z = (digits >> 1) @ bits
+    n_y = np.count_nonzero(digits == 2, axis=1)
+    cols = np.arange(1 << n)
+    parity = hamming_weights(n)[cols & z[:, None]] & 1
+    return cols ^ x[:, None], _COLUMN_VALUES[n_y[:, None] % 4, parity]
+
+
+def pauli_sum(digits: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_w weights[w] * P_w as a dense 2^N x 2^N matrix, for rows w of
+    base-4 digits; the words' columns are added a chunk of words at a time,
+    so each temporary holds about CHUNK_ENTRIES entries."""
+    dim = matrix_side(digits.shape[1])
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    chunk = max(1, CHUNK_ENTRIES // dim)
+    for start in range(0, len(digits), chunk):
+        rows, values = pauli_columns(digits[start:start + chunk])
+        np.add.at(out, (rows, np.arange(dim)), weights[start:start + chunk, None] * values)
+    return out
 
 
 @lru_cache(maxsize=None)

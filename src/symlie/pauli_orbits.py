@@ -19,8 +19,9 @@ from typing import Iterator, List, Sequence, Tuple
 import numpy as np
 
 from .combinatorics import AnySpec
-from .errors import MatrixSizeCapExceeded, StateSpaceCapExceeded
-from .indexing import DEFAULT_MATRIX_CAP, DEFAULT_SPACE_CAP, MAX_LISTED_WORDS, hamming_weights
+from .errors import StateSpaceCapExceeded
+from .indexing import (DEFAULT_SPACE_CAP, MAX_LISTED_WORDS, matrix_side, pauli_columns,
+                       pauli_sum, word_digits)
 from .permutation_rep import orbit_canonical_labels
 
 __all__ = [
@@ -64,37 +65,17 @@ _DIGIT_CHARS = bytes.maketrans(bytes(range(4)), b"0123")
 
 
 def pauli_string_to_str(s: PauliString) -> str:
-    return bytes(s).translate(_DIGIT_CHARS).decode()
-
-
-def pauli_action(s: PauliString) -> Tuple[np.ndarray, np.ndarray]:
-    """Column form of the string's matrix: column c has its single nonzero
-    entry at row ``rows[c]`` with value ``vals[c]``.
-
-    sigma_1/sigma_2 flip their bit; sigma_2 contributes a phase i*(-1)^bit
-    and sigma_3 a phase (-1)^bit.
-    """
     _validate(s)
-    n = len(s)
-    xmask = sum(1 << (n - 1 - j) for j, d in enumerate(s) if d in (1, 2))
-    phasemask = sum(1 << (n - 1 - j) for j, d in enumerate(s) if d in (2, 3))
-    n_y = sum(1 for d in s if d == 2)
-    cols = np.arange(1 << n, dtype=np.int64)
-    rows = cols ^ xmask
-    parity = hamming_weights(n)[cols & phasemask] & 1
-    vals = (1j**n_y) * np.where(parity, -1.0, 1.0)
-    return rows, vals.astype(np.complex128)
+    return bytes(s).translate(_DIGIT_CHARS).decode()
 
 
 def pauli_matrix(s: PauliString) -> np.ndarray:
     """Dense 2^N x 2^N matrix of the string (without the i prefactor)."""
     _validate(s)
-    dim = 1 << len(s)
-    if dim > DEFAULT_MATRIX_CAP:
-        raise MatrixSizeCapExceeded(dim, DEFAULT_MATRIX_CAP)
-    rows, vals = pauli_action(s)
+    dim = matrix_side(len(s))
+    rows, values = pauli_columns(np.array([s], dtype=np.uint8))
     m = np.zeros((dim, dim), dtype=np.complex128)
-    m[rows, np.arange(dim)] = vals
+    m[rows[0], np.arange(dim)] = values[0]
     return m
 
 
@@ -176,8 +157,7 @@ def enumerate_invariant_basis(spec: AnySpec, space_cap: int = DEFAULT_SPACE_CAP)
     # one row of digit characters and a space per word, decoded and split
     # in one pass
     chars = np.full((order.size, n + 1), ord(" "), dtype=np.uint8)
-    for j in range(n):
-        chars[:, j] = ((order >> (2 * (n - 1 - j))) & 3) + ord("0")
+    np.add(word_digits(order, n), ord("0"), out=chars[:, :n])
     return OrbitListing(chars.tobytes().decode("ascii").split(), bounds)
 
 
@@ -187,10 +167,9 @@ def symmetrized_generator(element: OrbitBasisElement) -> np.ndarray:
 
     Coefficients are 1 per member; rescaling would not change the span.
     """
-    total = pauli_matrix(element.members[0])
-    for s in element.members[1:]:
-        total += pauli_matrix(s)
-    return 1j * total
+    for s in element.members:
+        _validate(s)
+    return pauli_sum(np.array(element.members, dtype=np.uint8), np.full(element.weight, 1j))
 
 
 def orbit_to_json(element: OrbitBasisElement) -> dict:

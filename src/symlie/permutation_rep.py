@@ -23,8 +23,8 @@ from typing import Callable, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from .combinatorics import AnySpec, Family, GroupSpec, ProductGroupSpec, group_order
-from .errors import MatrixSizeCapExceeded, OrderCapExceeded, StateSpaceCapExceeded
-from .indexing import DEFAULT_MATRIX_CAP, DEFAULT_ORDER_CAP, DEFAULT_SPACE_CAP, digit_action
+from .errors import OrderCapExceeded, StateSpaceCapExceeded
+from .indexing import DEFAULT_ORDER_CAP, DEFAULT_SPACE_CAP, digit_action, matrix_side
 
 __all__ = [
     "Permutation",
@@ -259,9 +259,7 @@ def qubit_index_permutation(p: Permutation) -> np.ndarray:
 def qubit_permutation_matrix(p: Permutation) -> np.ndarray:
     """The unique 0/1 unitary permuting qubits: built as a bit permutation on
     row indices, never by assembling Kronecker factors."""
-    dim = 1 << len(p)
-    if dim > DEFAULT_MATRIX_CAP:
-        raise MatrixSizeCapExceeded(dim, DEFAULT_MATRIX_CAP)
+    dim = matrix_side(len(p))
     rows = qubit_index_permutation(p)
     u = np.zeros((dim, dim), dtype=np.complex128)
     u[rows, np.arange(dim)] = 1.0

@@ -25,6 +25,8 @@ from .simulator import Circuit, Gate, GateKind
 __all__ = ["AnsatzKind", "build_ansatz", "default_layer_count", "probe_slot",
            "ring_pairs", "all_pairs"]
 
+TARGET_SLOTS_PER_QUBIT = 6  # the common slot budget that default layer counts aim at
+
 
 class AnsatzKind(str, Enum):
     PERMUTATION = "permutation"
@@ -63,11 +65,10 @@ def _slots_per_layer(kind: AnsatzKind, n: int, cyclic_distance2: bool) -> int:
     return 3 * n
 
 
-def default_layer_count(kind: AnsatzKind, n: int, target_slots_per_qubit: int = 6,
-                        cyclic_distance2: bool = True) -> int:
-    """Layer count bringing the slot total closest to target_slots_per_qubit*n."""
+def default_layer_count(kind: AnsatzKind, n: int, cyclic_distance2: bool = True) -> int:
+    """Layer count bringing the slot total closest to TARGET_SLOTS_PER_QUBIT*n."""
     per = _slots_per_layer(kind, n, cyclic_distance2)
-    return max(1, round(target_slots_per_qubit * n / per))
+    return max(1, round(TARGET_SLOTS_PER_QUBIT * n / per))
 
 
 def build_ansatz(kind: AnsatzKind, n: int, layers: int, *,

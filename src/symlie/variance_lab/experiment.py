@@ -56,7 +56,6 @@ class ExperimentConfig:
     probe_all_slots: bool = False
     cyclic_distance2: bool = True
     layers: Optional[int] = None
-    target_slots_per_qubit: int = 6
     workers: int = 1
     dataset_retry_cap: int = 10_000
 
@@ -151,7 +150,7 @@ def generate_dataset(n: int, cfg: ExperimentConfig) -> Tuple[np.ndarray, np.ndar
 
 def _build_circuit(kind: AnsatzKind, n: int, cfg: ExperimentConfig):
     layers = cfg.layers if cfg.layers is not None else default_layer_count(
-        kind, n, cfg.target_slots_per_qubit, cfg.cyclic_distance2)
+        kind, n, cfg.cyclic_distance2)
     return build_ansatz(kind, n, layers, cyclic_distance2=cfg.cyclic_distance2)
 
 

@@ -1,5 +1,6 @@
 """Commutant dimensions, energy Hamiltonian structure, exponential map."""
 
+import functools
 import math
 import tracemalloc
 
@@ -34,13 +35,23 @@ from symlie.dense_oracle import (
     weight_sort_permutation,
 )
 from symlie.errors import ConstraintCapExceeded, IndeterminateRank, MatrixSizeCapExceeded
-from symlie.indexing import MAX_CONSTRAINT_ENTRIES, index_to_word
-from symlie.pauli_orbits import enumerate_invariant_basis, pauli_matrix, symmetrized_generator
+from symlie.indexing import MAX_CONSTRAINT_ENTRIES, word_digits
+from symlie.pauli_orbits import (
+    SIGMA,
+    enumerate_invariant_basis,
+    pauli_matrix,
+    symmetrized_generator,
+)
 from symlie.permutation_rep import enumerate_elements, qubit_permutation_matrix
 
 ALL_FAMILIES = list(Family)
 
 SWAP = qubit_permutation_matrix((1, 0))
+
+
+def _words(n):
+    """The nonzero Pauli words at n qubits as digit tuples, in index order."""
+    return list(map(tuple, word_digits(np.arange(1, 4**n), n).tolist()))
 
 
 def _element_matrices(spec):
@@ -129,20 +140,43 @@ class TestPauliBasis:
     def test_matches_per_word_matrices_bit_for_bit(self, n):
         # the mask-built chunk must hold exactly the values the per-word
         # construction gives, signed zeros included
-        per_word = np.stack([1j * pauli_matrix(index_to_word(j, n)) for j in range(1, 4**n)])
+        per_word = np.stack([1j * pauli_matrix(w) for w in _words(n)])
         chunk = _pauli_basis(np.arange(1, 4**n), n)
         assert chunk.tobytes() == per_word.tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_matches_kronecker_fold(self, n):
+        fold = np.stack([1j * functools.reduce(np.kron, (SIGMA[d] for d in w))
+                         for w in _words(n)])
+        assert np.array_equal(_pauli_basis(np.arange(1, 4**n), n), fold)
 
     @pytest.mark.parametrize("n", (1, 2, 3, 4))
     def test_operator_is_the_per_word_sum(self, n):
         rng = np.random.default_rng(n)
         coeffs = rng.normal(size=4**n - 1) * (rng.random(4**n - 1) < 0.3)
-        expected = sum(c * 1j * pauli_matrix(index_to_word(j + 1, n))
-                       for j, c in enumerate(coeffs) if c != 0.0)
+        expected = sum(c * 1j * pauli_matrix(w)
+                       for w, c in zip(_words(n), coeffs) if c != 0.0)
         assert np.allclose(coefficients_to_operator(coeffs, n), expected, atol=1e-13)
 
     def test_zero_coefficients_give_zero_operator(self):
         assert np.array_equal(coefficients_to_operator(np.zeros(63), 3), np.zeros((8, 8)))
+
+    def test_dense_coefficients_match_the_basis_contraction(self):
+        rng = np.random.default_rng(7)
+        coeffs = rng.normal(size=255)
+        expected = np.tensordot(coeffs, _pauli_basis(np.arange(1, 256), 4), axes=1)
+        assert np.allclose(coefficients_to_operator(coeffs, 4), expected, atol=1e-12)
+
+    @pytest.mark.parametrize("coeffs, n", [
+        # word index 4 would alias the identity at N = 1: i*I is not in su(2)
+        ([0.0, 0.0, 0.0, 1.0], 1),
+        ([1.0], 2),
+        (np.zeros(14), 2),
+        (np.zeros((3, 5)), 2),
+    ])
+    def test_refuses_wrong_length(self, coeffs, n):
+        with pytest.raises(ValueError):
+            coefficients_to_operator(np.array(coeffs), n)
 
 
 class TestNullspace:
@@ -295,7 +329,7 @@ class TestBlockSplit:
         assert basis.shape == (expected, 4**n - 1)
         assert np.abs(basis @ basis.T - np.eye(expected)).max() < 1e-12
         assert np.abs(_constraint_matrix(generators, n) @ basis.T).max() < 1e-12
-        paulis = np.stack([1j * pauli_matrix(index_to_word(j, n)) for j in range(1, 4**n)])
+        paulis = np.stack([1j * pauli_matrix(w) for w in _words(n)])
         ops = np.tensordot(basis, paulis, axes=1)
         assert np.abs(ops + ops.conj().transpose(0, 2, 1)).max() < 1e-12
         for b in generators:

@@ -1,5 +1,6 @@
 """Index encodings shared by the orbit scan, the oracle and the simulator."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -7,12 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symlie.errors import MatrixSizeCapExceeded
 from symlie.indexing import (
+    DEFAULT_MATRIX_CAP,
     digit_action,
     hamming_weights,
-    index_to_word,
+    matrix_side,
     max_partition_degree,
+    pauli_columns,
+    word_digits,
 )
+from symlie.pauli_orbits import SIGMA
 from symlie.permutation_rep import apply_to_tuple
 
 
@@ -35,8 +41,50 @@ class TestDigitAction:
 class TestDecoder:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_order_is_product_order(self, n):
-        assert ([index_to_word(i, n) for i in range(4**n)]
-                == list(itertools.product(range(4), repeat=n)))
+        digits = word_digits(np.arange(4**n), n)
+        assert digits.dtype == np.uint8
+        assert list(map(tuple, digits.tolist())) == list(itertools.product(range(4), repeat=n))
+
+    def test_any_index_subset(self):
+        assert word_digits(np.array([27, 0, 255]), 4).tolist() == [
+            [0, 1, 2, 3], [0, 0, 0, 0], [3, 3, 3, 3]]
+
+
+@st.composite
+def word_batches(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    words = draw(st.lists(st.integers(0, 4**n - 1), min_size=1, max_size=8))
+    return n, np.array(words)
+
+
+class TestPauliColumns:
+    @given(word_batches())
+    @settings(max_examples=80, deadline=None)
+    def test_columns_are_the_kronecker_fold(self, batch):
+        n, words = batch
+        digits = word_digits(words, n)
+        rows, values = pauli_columns(digits)
+        assert rows.shape == values.shape == (words.size, 1 << n)
+        cols = np.arange(1 << n)
+        for w, word in enumerate(digits.tolist()):
+            expected = functools.reduce(np.kron, (SIGMA[d] for d in word))
+            # one nonzero per column, at the row and with the value given
+            assert np.array_equal(expected[rows[w], cols], values[w])
+            assert np.count_nonzero(expected) == 1 << n
+
+    def test_values_come_from_the_exact_powers_of_i(self):
+        # Y Y Y: i^3 = -i on every column with an even number of set bits
+        _, values = pauli_columns(np.array([[2, 2, 2]], dtype=np.uint8))
+        assert values[0, 0] == -1j
+        assert set(values[0].tolist()) == {-1j, 1j}
+
+
+class TestMatrixSide:
+    def test_side_at_and_above_the_cap(self):
+        n = DEFAULT_MATRIX_CAP.bit_length() - 1
+        assert matrix_side(n) == DEFAULT_MATRIX_CAP
+        with pytest.raises(MatrixSizeCapExceeded):
+            matrix_side(n + 1)
 
 
 class TestHammingWeights:

@@ -68,6 +68,16 @@ class TestPauliMatrix:
         with pytest.raises(ValueError):
             pauli_string_from_str("07")
 
+    @pytest.mark.parametrize("s", [(0, 7), (4, 1), (), (0, -1)])
+    def test_string_encoder_rejects_bad_digits(self, s):
+        with pytest.raises(ValueError):
+            pauli_string_to_str(s)
+
+    @given(pauli_strings)
+    @settings(max_examples=50, deadline=None)
+    def test_string_codec_round_trip(self, s):
+        assert pauli_string_from_str(pauli_string_to_str(s)) == s
+
     @pytest.mark.parametrize("n", range(1, 6))
     def test_string_codec_round_trips_every_word(self, n):
         words = list(itertools.product(range(4), repeat=n))
@@ -151,6 +161,23 @@ class TestSymmetrizedGenerators:
         element = OrbitBasisElement((3, 3), ((3, 3),))
         assert np.array_equal(symmetrized_generator(element),
                               1j * np.diag([1.0, -1.0, -1.0, 1.0]))
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize("n", (2, 3, 4))
+    def test_is_the_per_member_dense_sum(self, family, n):
+        for element in enumerate_invariant_basis(GroupSpec(family, n)):
+            expected = 1j * sum(pauli_matrix(s) for s in element.members)
+            assert np.array_equal(symmetrized_generator(element), expected)
+
+    def test_rejects_bad_digits(self):
+        with pytest.raises(ValueError):
+            symmetrized_generator(OrbitBasisElement((0, 4), ((0, 4),)))
+
+    def test_matrix_cap(self):
+        from symlie.errors import MatrixSizeCapExceeded
+        element = OrbitBasisElement((0,) * 13, ((0,) * 13,))
+        with pytest.raises(MatrixSizeCapExceeded):
+            symmetrized_generator(element)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     @pytest.mark.parametrize("n", (2, 3))
