@@ -92,6 +92,10 @@ class OrbitBasisElement:
             raise ValueError("representative must be the lexicographic minimum")
         if len(set(self.members)) != len(self.members):
             raise ValueError("orbit members must be distinct")
+        for s in self.members:
+            _validate(s)
+            if len(s) != len(self.representative):
+                raise ValueError(f"orbit members must have the representative's length: {s!r}")
 
     @property
     def weight(self) -> int:
@@ -122,7 +126,8 @@ class OrbitListing(Sequence[OrbitBasisElement]):
             i += len(self)
         if not 0 <= i < len(self):
             raise IndexError("orbit index out of range")
-        members = tuple(map(pauli_string_from_str, self.words[self.bounds[i]:self.bounds[i + 1]]))
+        # the element validates its members
+        members = tuple(tuple(map(int, w)) for w in self.words[self.bounds[i]:self.bounds[i + 1]])
         return OrbitBasisElement(members[0], members)
 
     def member_strings(self) -> Iterator[List[str]]:
@@ -167,8 +172,6 @@ def symmetrized_generator(element: OrbitBasisElement) -> np.ndarray:
 
     Coefficients are 1 per member; rescaling would not change the span.
     """
-    for s in element.members:
-        _validate(s)
     return pauli_sum(np.array(element.members, dtype=np.uint8), np.full(element.weight, 1j))
 
 

@@ -27,6 +27,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..pauli_orbits import SIGMA
 from .simulator import (Circuit, GateKind, StateVector, Step, _factor, _parity_batch,
                         _parity_signs, _run_batch, _summed_pair_signs)
 
@@ -64,9 +65,7 @@ def mse_loss(circuit: Circuit, params: Sequence[float], dataset: Dataset) -> flo
     return float(np.mean((preds - labels) ** 2))
 
 
-_PAULI = {"X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-          "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-          "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128)}
+_PAULI = dict(zip("XYZ", SIGMA[1:]))
 
 
 def _conjugated_generators(rotations: Sequence[Tuple[str, Optional[int]]],

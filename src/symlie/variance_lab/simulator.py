@@ -13,11 +13,12 @@ matrix per qubit, and the qubits, grouped in blocks of `BLOCK_QUBITS`
 counted from the least significant end, are applied one block at a time as
 the block's Kronecker product (a block with a single gated qubit keeps the
 2x2 kernel).  A maximal run of ZZ gates is one diagonal, a maximal run of
-CNOT gates is one gather by the composed index permutation, and every CZ is
-a step of its own.  Each step returns a new array, and its adjoint is the
-per-qubit dagger, the conjugate phases or the inverse gather, so
-`_run_batch` runs any stretch of steps forward or backward without touching
-its input.
+CZ gates is one sign flip, and a maximal run of CNOT gates is one gather by
+the composed index permutation.  Each step returns a new array, and its
+adjoint is the per-qubit dagger, the conjugate phases, the same signs or
+the inverse gather, so `_run_batch` runs any stretch of steps forward or
+backward without touching its input.  `apply_gate` runs a one-gate circuit,
+so every gate is applied by the same step kernels.
 """
 
 from __future__ import annotations
@@ -77,6 +78,8 @@ class Gate:
     slots: Tuple[int, ...] = ()
 
     def __post_init__(self):
+        # an unknown kind raises ValueError here, not when the gate is run
+        object.__setattr__(self, "kind", GateKind(self.kind))
         if len(set(self.targets)) != len(self.targets):
             raise ValueError(f"gate targets must be distinct: {self.targets}")
         if len(self.targets) != _N_TARGETS[self.kind]:
@@ -107,22 +110,14 @@ class Circuit:
         if referenced != set(range(self.n_params)):
             raise ValueError("parameter slots must be densely numbered and all referenced")
 
-    def slot_occurrences(self, slot: int) -> Tuple[Tuple[int, int], ...]:
-        """All (gate_index, position) pairs where the slot appears."""
-        if slot < 0 or slot >= self.n_params:
-            raise ValueError(f"slot {slot} out of range")
-        return tuple((gi, k) for gi, g in enumerate(self.gates)
-                     for k, s in enumerate(g.slots) if s == slot)
-
     @cached_property
     def steps(self) -> Tuple["Step", ...]:
-        """The gate list cut into fused steps: maximal runs of single-qubit
-        gates, maximal runs of ZZ gates, maximal runs of CNOT gates, and
-        each CZ alone."""
+        """The gate list cut into fused steps: each maximal run of one kind,
+        all single-qubit gates counting as one kind."""
         runs: list = []
         for gate in self.gates:
             kind = _LOCAL if len(gate.targets) == 1 else gate.kind
-            if runs and kind == runs[-1][0] and kind is not GateKind.CZ:
+            if runs and kind == runs[-1][0]:
                 runs[-1][1].append(gate)
             else:
                 runs.append((kind, [gate]))
@@ -210,6 +205,11 @@ class Step:
         inverse[self.gather] = np.arange(self.gather.size)
         return inverse
 
+    @cached_property
+    def signs(self) -> np.ndarray:
+        """Diagonal of a CZ step; the step is its own adjoint."""
+        return _cz_signs(self.n_qubits, (gate.targets for gate in self.gates))
+
 
 @dataclass
 class StateVector:
@@ -242,15 +242,21 @@ def _bit(n: int, q: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _pair_parity(n: int, i: int, j: int) -> np.ndarray:
-    return _bit(n, i) ^ _bit(n, j)
-
-
-@lru_cache(maxsize=None)
 def _cnot_permutation(n: int, control: int, target: int) -> np.ndarray:
     idx = np.arange(1 << n)
     flip = _bit(n, control).astype(np.int64) << (n - 1 - target)
     return idx ^ flip
+
+
+def _cz_signs(n: int, pairs: Iterable[Tuple[int, int]]) -> np.ndarray:
+    """+1 or -1 per basis state: the CZ gates on `pairs` each flip the sign
+    where both their bits are set, and the flips compose to one parity.
+
+    Not cached: every dataset graph has its own pairs."""
+    odd = np.zeros(1 << n, dtype=np.int8)
+    for a, b in pairs:
+        odd ^= _bit(n, a) & _bit(n, b)
+    return np.where(odd, -1.0, 1.0)
 
 
 @lru_cache(maxsize=None)
@@ -319,47 +325,11 @@ def _apply_1q(amps: np.ndarray, u: np.ndarray, q: int, n: int) -> np.ndarray:
     return out.reshape(amps.shape)
 
 
-def _apply_gate_array(amps: np.ndarray, gate: Gate, angles: Sequence[float],
-                      n: int) -> np.ndarray:
-    kind = gate.kind
-    if kind is GateKind.RX:
-        return _apply_1q(amps, _rx(angles[0]), gate.targets[0], n)
-    if kind is GateKind.RY:
-        return _apply_1q(amps, _ry(angles[0]), gate.targets[0], n)
-    if kind is GateKind.RZ:
-        return _apply_1q(amps, _rz(angles[0]), gate.targets[0], n)
-    if kind is GateKind.H:
-        return _apply_1q(amps, _HADAMARD, gate.targets[0], n)
-    if kind is GateKind.ROT3:
-        # RZ-RY-RZ Euler rotation; slots are in application order
-        u = _rz(angles[2]) @ _ry(angles[1]) @ _rz(angles[0])
-        return _apply_1q(amps, u, gate.targets[0], n)
-    if kind is GateKind.ZZ:
-        i, j = gate.targets
-        parity = _pair_parity(n, i, j)
-        half = 0.5j * angles[0]
-        phases = np.where(parity, np.exp(half), np.exp(-half))
-        return amps * phases
-    if kind is GateKind.CZ:
-        i, j = gate.targets
-        both = (_bit(n, i) & _bit(n, j)).astype(bool)
-        out = amps.copy()
-        out[..., both] *= -1.0
-        return out
-    if kind is GateKind.CNOT:
-        control, target = gate.targets
-        perm = _cnot_permutation(n, control, target)
-        # out[x] = in[x with target bit flipped when control set]; the map is
-        # an involution so gathering by it applies the gate.
-        return np.take(amps, perm, axis=-1)
-    raise ValueError(f"unhandled gate kind {kind}")
-
-
 @lru_cache(maxsize=None)
 def _summed_pair_signs(n: int, pairs: Tuple[Tuple[int, int], ...]) -> np.ndarray:
     total = np.zeros(1 << n, dtype=np.int16)
     for i, j in pairs:
-        total += 1 - 2 * _pair_parity(n, i, j).astype(np.int16)
+        total += 1 - 2 * (_bit(n, i) ^ _bit(n, j)).astype(np.int16)
     return total
 
 
@@ -397,8 +367,9 @@ def _apply_step(amps: np.ndarray, step: Step, params: Sequence[float], n: int,
         return amps * (phases.conj() if adjoint else phases)
     if step.kind is GateKind.CNOT:
         return np.take(amps, step.inverse_gather if adjoint else step.gather, axis=-1)
-    # a CZ is its own inverse
-    return _apply_gate_array(amps, step.gates[0], (), n)
+    if step.kind is GateKind.CZ:
+        return amps * step.signs
+    raise ValueError(f"unhandled step kind {step.kind}")
 
 
 def _run_batch(circuit: Circuit, params: Sequence[float], amps: np.ndarray,
@@ -417,6 +388,14 @@ def _run_batch(circuit: Circuit, params: Sequence[float], amps: np.ndarray,
     for step in (reversed(steps) if adjoint else steps):
         work = _apply_step(work, step, params, n, adjoint)
     return work.copy() if work is amps else work
+
+
+def _apply_gate_array(amps: np.ndarray, gate: Gate, angles: Sequence[float],
+                      n: int) -> np.ndarray:
+    """Apply one gate, its angles in slot order, as a one-gate circuit."""
+    k = len(gate.slots)
+    circuit = Circuit(n, (Gate(gate.kind, gate.targets, tuple(range(k))),), k)
+    return _run_batch(circuit, angles, amps)
 
 
 def apply_gate(state: StateVector, gate: Gate, params: Sequence[float] = ()) -> StateVector:
@@ -454,12 +433,7 @@ def graph_state(edges: Iterable[Tuple[int, int]], n: int) -> StateVector:
     for a, b in edge_list:
         if a == b or a < 0 or b >= n:
             raise ValueError(f"bad edge ({a}, {b}) for {n} vertices")
-    odd = np.zeros(1 << n, dtype=np.int8)
-    for a, b in edge_list:
-        odd ^= _bit(n, a) & _bit(n, b)
-    # each CZ flips the sign where both its bits are set; the flips compose
-    # to one sign per basis state
-    return StateVector(n, plus_state(n).amplitudes * np.where(odd, -1.0, 1.0))
+    return StateVector(n, plus_state(n).amplitudes * _cz_signs(n, edge_list))
 
 
 def _parity_batch(amps: np.ndarray, n: int) -> np.ndarray:

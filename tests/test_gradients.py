@@ -1,6 +1,6 @@
 """Loss values and the three-way gradient agreement: adjoint (the
-package's method), a parameter-shift reference kept here, and central finite
-differences."""
+package's method), a parameter-shift reference kept here and run gate by
+gate, and central finite differences."""
 
 import math
 import tracemalloc
@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gate_reference import reference_predictions
 from symlie.variance_lab.circuits import (
     AnsatzKind,
     build_ansatz,
@@ -141,17 +142,25 @@ class TestGradient:
             gradient(c, np.zeros(c.n_params), [(zero_state(4), 1.0)], 99)
 
 
+def slot_occurrences(circuit, slot):
+    """All (gate_index, position) pairs where the slot appears."""
+    return tuple((gi, k) for gi, g in enumerate(circuit.gates)
+                 for k, s in enumerate(g.slots) if s == slot)
+
+
 def parameter_shift(circuit, params, dataset, slot):
-    """Reference gradient by the parameter-shift rule.
+    """Reference gradient by the parameter-shift rule, with every prediction
+    run gate by gate.
 
     Every parametrized gate is exp(-i*theta/2 * G) with G^2 = 1, so each
     occurrence of the slot contributes (p(+pi/2) - p(-pi/2)) / 2 to the
     prediction's derivative.  The occurrence being shifted is moved to a
     fresh slot, so the other occurrences keep the base angle.
     """
-    occurrences = circuit.slot_occurrences(slot)
+    occurrences = slot_occurrences(circuit, slot)
+    amps = np.stack([sv.amplitudes for sv, _ in dataset])
     labels = np.array([label for _, label in dataset])
-    base = predictions(circuit, params, dataset)
+    base = reference_predictions(circuit, params, amps)
     pred_grad = np.zeros(len(dataset))
     for gi, k in occurrences:
         shifted_circuit, values, index = circuit, list(params), slot
@@ -167,7 +176,7 @@ def parameter_shift(circuit, params, dataset, slot):
         for sign in (1.0, -1.0):
             shifted = list(values)
             shifted[index] += sign * math.pi / 2
-            pred_grad += 0.5 * sign * predictions(shifted_circuit, shifted, dataset)
+            pred_grad += 0.5 * sign * reference_predictions(shifted_circuit, shifted, amps)
     return float(np.mean(2.0 * (base - labels) * pred_grad))
 
 

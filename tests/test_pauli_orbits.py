@@ -142,6 +142,15 @@ class TestInvariantBasis:
         with pytest.raises(ValueError):
             OrbitBasisElement(representative=(1, 0), members=((0, 1), (1, 0)))
 
+    @pytest.mark.parametrize("members", [((0,), (0, 1)), ((0,), (5,))])
+    def test_members_must_be_pauli_strings_of_one_length(self, members):
+        with pytest.raises(ValueError):
+            OrbitBasisElement((0,), members)
+
+    def test_json_reader_refuses_mixed_lengths(self):
+        with pytest.raises(ValueError, match="length"):
+            orbit_from_json({"representative": "0", "weight": 2, "members": ["0", "01"]})
+
     def test_json_round_trip(self):
         basis = enumerate_invariant_basis(GroupSpec(Family.CYCLIC, 3))
         for orbit in basis:

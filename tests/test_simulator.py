@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gate_reference import apply_gate_reference, gate_by_gate
 from symlie.variance_lab.circuits import AnsatzKind, build_ansatz
 from symlie.variance_lab.simulator import (
     _N_SLOTS,
@@ -16,7 +17,6 @@ from symlie.variance_lab.simulator import (
     Gate,
     GateKind,
     StateVector,
-    _apply_gate_array,
     _run_batch,
     apply_gate,
     circuit_unitary,
@@ -68,6 +68,22 @@ class TestGateValidation:
         gates = (Gate(GateKind.RX, (3,), (0,)),)
         with pytest.raises(ValueError):
             Circuit(n_qubits=2, gates=gates, n_params=1)
+
+    def test_apply_gate_target_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            apply_gate(zero_state(2), Gate(GateKind.RX, (3,), (0,)), [0.1])
+
+    def test_string_kinds(self):
+        rx = Gate("RX", (0,), (0,))
+        cnot = Gate("CNOT", (0, 1))
+        assert rx.kind is GateKind.RX and cnot.kind is GateKind.CNOT
+        circuit = Circuit(2, (rx, cnot), 1)
+        out = run_circuit(circuit, [math.pi])
+        assert np.allclose(out.amplitudes, [0, 0, 0, -1j], atol=1e-12)
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="GateKind"):
+            Gate("RW", (0,), (0,))
 
 
 class TestSingleGates:
@@ -124,6 +140,21 @@ class TestSingleGates:
         assert abs(out.norm() - 1.0) < 1e-10
         assert -1.0 - 1e-12 <= expectation_parity(out) <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("kind", list(GateKind))
+    def test_one_gate_circuit_matches_the_reference(self, kind):
+        # apply_gate reads the angles by slot id and runs the gate as a
+        # one-gate circuit; slots need not be dense, and a ROT3 may repeat one
+        rng = np.random.default_rng(list(GateKind).index(kind))
+        for n in range(_N_TARGETS[kind], 8):
+            for _ in range(5):
+                targets = tuple(int(q) for q in rng.permutation(n)[:_N_TARGETS[kind]])
+                slots = tuple(int(s) for s in rng.integers(0, 4, _N_SLOTS[kind]))
+                params = rng.uniform(-2 * math.pi, 2 * math.pi, 4)
+                gate, state = Gate(kind, targets, slots), random_state(rng, n)
+                out = apply_gate(state, gate, params)
+                want = apply_gate_reference(state.amplitudes, gate, [params[s] for s in slots], n)
+                assert np.max(np.abs(out.amplitudes - want)) <= 1e-14
+
 
 class TestGraphStates:
     def test_empty_graph_is_plus(self):
@@ -158,10 +189,10 @@ class TestGraphStates:
             for _ in range(10):
                 edges = [(i, j) for i in range(n) for j in range(i + 1, n)
                          if rng.random() < rng.uniform(0.1, 0.9)]
-                chain = plus_state(n)
+                chain = plus_state(n).amplitudes
                 for edge in edges:
-                    chain = apply_gate(chain, Gate(GateKind.CZ, edge))
-                assert np.array_equal(graph_state(edges, n).amplitudes, chain.amplitudes)
+                    chain = apply_gate_reference(chain, Gate(GateKind.CZ, edge), (), n)
+                assert np.array_equal(graph_state(edges, n).amplitudes, chain)
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
@@ -202,11 +233,8 @@ class TestCircuitRunner:
         circuit = Circuit(n_qubits=3, gates=gates, n_params=5)
         params = rng.uniform(-3, 3, 5)
         state = random_state(rng, 3)
-        stepped = state
-        for gate in gates:
-            stepped = apply_gate(stepped, gate, params)
         assert np.allclose(run_circuit(circuit, params, state).amplitudes,
-                           stepped.amplitudes, atol=1e-13)
+                           gate_by_gate(circuit, params, state.amplitudes), atol=1e-13)
 
     def test_circuit_unitary_is_unitary(self):
         rng = np.random.default_rng(5)
@@ -236,7 +264,8 @@ def fused_circuits(draw):
     """A random circuit over every gate kind on 1..7 qubits (below the block
     size and across block edges), with single-qubit runs that leave some
     qubits of a block ungated and are broken by CZ, CNOT and ZZ gates, and
-    CNOTs drawn in runs; plus parameters and a batch of two random states."""
+    CZs and CNOTs drawn in runs; plus parameters and a batch of two random
+    states."""
     n = draw(st.integers(min_value=1, max_value=7))
     kinds = [k for k in GateKind if _N_TARGETS[k] <= n]
     gates = []
@@ -249,8 +278,9 @@ def fused_circuits(draw):
             gates += [Gate(kind, (q,), tuple(range(len(gates) * 3, len(gates) * 3
                                                     + _N_SLOTS[kind])))
                       for q in qubits]
-        elif kind is GateKind.CNOT:
-            # a run of 1..n CNOTs on random ordered pairs, fused into one gather
+        elif kind in (GateKind.CZ, GateKind.CNOT):
+            # a run of 1..n gates on random ordered pairs, fused into one sign
+            # flip or one gather
             for _ in range(draw(st.integers(min_value=1, max_value=n))):
                 gates.append(Gate(kind, tuple(draw(st.permutations(range(n)))[:2])))
         else:
@@ -277,25 +307,21 @@ def cnot_runs(draw):
     return Circuit(n, tuple(Gate(GateKind.CNOT, tuple(o[:2])) for o in orders), 0)
 
 
-def gate_by_gate(circuit, params, amps):
-    state = StateVector(circuit.n_qubits, amps)
-    for gate in circuit.gates:
-        state = apply_gate(state, gate, params)
-    return state.amplitudes
-
-
 class TestFusedSteps:
     def test_step_boundaries(self):
         gates = (
             Gate(GateKind.RX, (0,), (0,)), Gate(GateKind.ROT3, (2,), (1, 2, 3)),
             Gate(GateKind.H, (0,)), Gate(GateKind.ZZ, (0, 1), (0,)),
             Gate(GateKind.ZZ, (1, 2), (4,)), Gate(GateKind.CZ, (0, 2)),
-            Gate(GateKind.CNOT, (1, 0)), Gate(GateKind.CNOT, (0, 1)),
-            Gate(GateKind.RY, (1,), (4,)),
+            Gate(GateKind.CZ, (1, 2)), Gate(GateKind.CNOT, (1, 0)),
+            Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.RY, (1,), (4,)),
         )
         steps = Circuit(3, gates, 5).steps
         assert [s.kind for s in steps] == ["1q", GateKind.ZZ, GateKind.CZ, GateKind.CNOT,
                                            "1q"]
+        assert [g.targets for g in steps[2].gates] == [(0, 2), (1, 2)]
+        # CZ(0,2) CZ(1,2) flips |011> and |101>, and |111> twice
+        assert steps[2].signs.tolist() == [1, 1, 1, -1, 1, -1, 1, 1]
         assert steps[0].wires == {0: (("X", 0), ("H", None)),
                                   2: (("Z", 1), ("Y", 2), ("Z", 3))}
         assert steps[1].phase_groups == ((0, ((0, 1),)), (4, ((1, 2),)))
@@ -320,9 +346,7 @@ class TestFusedSteps:
         n = circuit.n_qubits
         identity = np.arange(1 << n)
         # gate by gate, the basis labels move as the amplitudes do
-        labels = identity.astype(np.complex128)
-        for gate in circuit.gates:
-            labels = _apply_gate_array(labels, gate, (), n)
+        labels = gate_by_gate(circuit, [], identity.astype(np.complex128))
         assert np.array_equal(step.gather, labels.real.astype(np.int64))
         assert np.array_equal(step.gather[step.inverse_gather], identity)
         states = np.stack([random_state(np.random.default_rng(n), n).amplitudes,
