@@ -12,19 +12,17 @@ Ranks come from singular values with a relative threshold plus a mandatory
 gap check, so a borderline spectrum raises instead of silently producing a
 wrong dimension.  Both are module constants.
 
-The constraint matrix is mostly exact zeros (1-3% of its entries are
-nonzero at N = 5 for permutation generators), and under a permutation of
-its rows and columns it is block diagonal: a block is a connected component
-of the bipartite graph joining each row to the columns where it is nonzero.
-Permuting rows and columns is an orthogonal change of basis on both sides,
-so the singular values of the whole matrix are exactly the union of the
-blocks' singular values, padded with zeros: one per column beyond its
-block's row count, and one per all-zero column.  Each block therefore gets
-its own small SVD; the merged values are classified as one spectrum, so the
-tolerance stays relative to the largest singular value overall.  The split
-reads only the nonzero pattern of the matrix built from the generators, and
-a dense generator (a random unitary, say) gives a single block, which is
-one SVD of the whole matrix.
+The constraint matrix is mostly exact zeros (1-3% nonzero at N = 5 for
+permutation generators), so only its nonzero entries are built.  Permuted,
+it is block diagonal: a block is a connected component of the bipartite
+graph joining each row to the columns where it is nonzero.  Permuting rows
+and columns is an orthogonal change of basis on both sides, so the matrix's
+singular values are exactly the union of the blocks', padded with zeros:
+one per column beyond its block's row count, and one per all-zero column.
+Each block is filled densely for its own SVD, and the merged values are
+classified as one spectrum, so the tolerance stays relative to the largest
+singular value overall.  A dense generator (a random unitary, say) gives a
+single block, which is one SVD of the whole matrix.
 """
 
 from __future__ import annotations
@@ -109,25 +107,19 @@ def _check_qubits(n_qubits: int) -> None:
         raise MatrixSizeCapExceeded(1 << n_qubits, 1 << MAX_ORACLE_QUBITS)
 
 
-def _pauli_basis(words: np.ndarray, n_qubits: int) -> np.ndarray:
-    """i*P_w as a dense 2^N x 2^N matrix for each base-4 word index w in
-    `words`, stacked along the first axis."""
-    dim = 1 << n_qubits
-    rows, values = pauli_columns(word_digits(words, n_qubits))
-    out = np.zeros((words.size, dim, dim), dtype=np.complex128)
-    out[np.arange(words.size)[:, None], rows, np.arange(dim)] = 1j * values
-    return out
+ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
 
 
 def _constraint_matrix(generators: Sequence[np.ndarray], n_qubits: int) -> np.ndarray:
-    """Real matrix of the map from Pauli coefficients to stacked commutators.
+    """Nonzero entries of the real matrix of the map from Pauli coefficients
+    to stacked commutators, as `ENTRY` records in column-then-row order.
 
     Column j holds the real and then the imaginary parts of [B, i*P_(j+1)]
-    for each generator B in turn; no generators give 0 rows.  The matrix is
-    filled as its transpose, a chunk of basis words at a time, so every
-    write is a contiguous row and each temporary holds about
-    `CHUNK_ENTRIES` complex entries; the result is that transpose's
-    column-major view.
+    for each generator B in turn.  As i*P_w sends column c to row c ^ x_w
+    with value i*v_w[c] (`pauli_columns`), a nonzero B[a, c] gives
+    i*v_w[c ^ x_w]*B[a, c] at (a, c ^ x_w) and -i*v_w[a]*B[a, c] at
+    (a ^ x_w, c).  Only entries of one word coincide, so each chunk of
+    words sums its own duplicates and drops exact zeros.
     """
     _check_qubits(n_qubits)
     dim = 1 << n_qubits
@@ -135,20 +127,35 @@ def _constraint_matrix(generators: Sequence[np.ndarray], n_qubits: int) -> np.nd
     for b in generators:
         if b.shape != (dim, dim):
             raise ValueError(f"generator shape {b.shape} does not match {dim}x{dim}")
-    rows = 2 * dim * dim * len(generators)
-    if rows * n_basis > MAX_CONSTRAINT_ENTRIES:
-        raise ConstraintCapExceeded(rows, n_basis, MAX_CONSTRAINT_ENTRIES)
-    transpose = np.empty((n_basis, rows))
-    chunk = max(1, CHUNK_ENTRIES // (dim * dim))
-    for start in range(0, n_basis if rows else 0, chunk):  # no generators: no basis
-        stop = min(start + chunk, n_basis)
-        basis = _pauli_basis(np.arange(start + 1, stop + 1), n_qubits)
-        out = transpose[start:stop].reshape(stop - start, len(generators), 2, dim * dim)
-        for g, b in enumerate(generators):
-            comm = (b @ basis - basis @ b).reshape(stop - start, dim * dim)
-            out[:, g, 0] = comm.real
-            out[:, g, 1] = comm.imag
-    return transpose.T
+    per_word = 4 * sum(int(np.count_nonzero(b)) for b in generators)
+    if per_word * n_basis > MAX_CONSTRAINT_ENTRIES:
+        raise ConstraintCapExceeded(per_word * n_basis, MAX_CONSTRAINT_ENTRIES)
+    if not per_word:  # no generators, or only zero ones
+        return np.empty(0, ENTRY)
+    n_rows = 2 * dim * dim * len(generators)
+    stacked = np.stack(generators)
+    g, a, c = np.nonzero(stacked)
+    b = stacked[g, a, c]
+    parts = []
+    chunk = max(1, CHUNK_ENTRIES // per_word)
+    for start in range(0, n_basis, chunk):
+        words = np.arange(start, min(start + chunk, n_basis))
+        targets, values = pauli_columns(word_digits(words + 1, n_qubits))
+        bp_col, pb_row = targets[:, c], targets[:, a]  # c ^ x_w and a ^ x_w
+        # key = column * n_rows + row; imaginary parts sit dim^2 rows below
+        at = words[:, None] * n_rows + 2 * dim * dim * g
+        keys = np.concatenate([at + a * dim + bp_col, at + pb_row * dim + c]).ravel()
+        terms = np.concatenate([b * np.take_along_axis(1j * values, bp_col, 1),
+                                -1j * values[:, a] * b]).ravel()
+        vals = np.concatenate([terms.real, terms.imag])
+        keys, inverse = np.unique(np.concatenate([keys, keys + dim * dim])[vals != 0],
+                                  return_inverse=True)
+        vals = np.bincount(inverse, weights=vals[vals != 0])
+        part = np.empty(keys.size, ENTRY)
+        part["col"], part["row"] = np.divmod(keys, n_rows)
+        part["value"] = vals
+        parts.append(part[vals != 0])
+    return np.concatenate(parts)
 
 
 def _union(parent: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
@@ -171,44 +178,32 @@ def _union(parent: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
             parent[:] = grand
 
 
-def _blocks(matrix: np.ndarray) -> Tuple[List[Tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """Row and column indices of the matrix's independent blocks, plus its
-    all-zero columns.
+def _blocks(entries: np.ndarray, shape: Tuple[int, int]) -> Tuple[List[tuple], np.ndarray]:
+    """The independent blocks of a matrix given by shape and `ENTRY` records,
+    each as (rows, cols, records), plus its all-zero columns.
 
     Two columns share a block when a row has a nonzero entry in both,
     directly or through a chain of rows: the connected components of the
-    bipartite row/column graph of exact nonzeros.  All-zero rows belong to
-    no block.  Indices are ascending within each block.
+    bipartite row/column graph.  All-zero rows belong to no block.  Indices
+    are ascending within each block.
     """
-    n_rows, n_cols = matrix.shape
+    n_rows, n_cols = shape
+    rows, cols = entries["row"], entries["col"]
     first = np.full(n_rows, n_cols)  # first nonzero column of each row
+    np.minimum.at(first, rows, cols)
     parent = np.arange(n_cols)
-    chunk = max(1, CHUNK_ENTRIES // max(1, n_rows))
-    for start in range(0, n_cols, chunk):
-        # column by column, so a row's first column is final once set
-        cols, rows = np.nonzero(matrix[:, start:start + chunk].T)
-        cols += start
-        np.minimum.at(first, rows, cols)
-        _union(parent, first[rows], cols)
-    live_rows = np.flatnonzero(first < n_cols)
-    if live_rows.size == 0:
-        return [], np.arange(n_cols)
-    row_roots = parent[first[live_rows]]
-    live_cols = np.isin(parent, row_roots)
-
-    def grouped(roots: np.ndarray, members: np.ndarray) -> List[np.ndarray]:
-        order = np.argsort(roots, kind="stable")
-        return np.split(members[order], np.flatnonzero(np.diff(roots[order])) + 1)
-
-    # both lists are in ascending root order, so they pair up block by block
-    blocks = zip(grouped(row_roots, live_rows),
-                 grouped(parent[live_cols], np.flatnonzero(live_cols)))
-    return list(blocks), np.flatnonzero(~live_cols)
+    for start in range(0, entries.size, CHUNK_ENTRIES):
+        _union(parent, first[rows[start:start + CHUNK_ENTRIES]], cols[start:start + CHUNK_ENTRIES])
+    block = np.unique(parent, return_inverse=True)[1][cols]  # numbered by ascending root
+    order = np.argsort(block, kind="stable")
+    parts = np.split(entries[order], np.cumsum(np.bincount(block, minlength=n_cols))[:-1])
+    blocks = [(np.unique(p["row"]), np.unique(p["col"]), p) for p in parts if p.size]
+    return blocks, np.flatnonzero(np.bincount(cols, minlength=n_cols) == 0)
 
 
-def _block_svds(matrix: np.ndarray, compute_uv: bool):
-    """The matrix's singular values from one SVD per block, plus the factors
-    a nullspace needs.
+def _block_svds(entries: np.ndarray, shape: Tuple[int, int], compute_uv: bool):
+    """Singular values of a matrix given by shape and `ENTRY` records, from
+    one SVD per block, plus the factors a nullspace needs.
 
     Returns (svals, factors, empty).  svals are what one `np.linalg.svd` of
     the whole matrix gives: min(shape) values, descending.  With
@@ -216,10 +211,11 @@ def _block_svds(matrix: np.ndarray, compute_uv: bool):
     square so that its rows span all of the block's columns; otherwise it
     is empty.  `empty` lists the all-zero columns.
     """
-    blocks, empty = _blocks(matrix)
+    blocks, empty = _blocks(entries, shape)
     parts, factors = [], []
-    for rows, cols in blocks:
-        block = matrix[np.ix_(rows, cols)]
+    for rows, cols, rec in blocks:
+        block = np.zeros((rows.size, cols.size))
+        block[np.searchsorted(rows, rec["row"]), np.searchsorted(cols, rec["col"])] = rec["value"]
         if compute_uv:
             # vh must span the whole column space, null directions included
             _, s, vh = np.linalg.svd(block, full_matrices=rows.size < cols.size)
@@ -227,7 +223,7 @@ def _block_svds(matrix: np.ndarray, compute_uv: bool):
         else:
             s = np.linalg.svd(block, compute_uv=False)
         parts.append(s)
-    zeros = np.zeros(min(matrix.shape) - sum(s.size for s in parts))
+    zeros = np.zeros(min(shape) - sum(s.size for s in parts))
     return np.sort(np.concatenate(parts + [zeros]))[::-1], factors, empty
 
 
@@ -250,9 +246,9 @@ def _report_from_svals(svals: np.ndarray, n_qubits: int,
 
 def commutant_dimension(generators: Sequence[np.ndarray], n_qubits: int) -> CommutantReport:
     """Dimension of {a in su(2^N) : [B, a] = 0 for every generator B}."""
-    matrix = _constraint_matrix(generators, n_qubits)
-    svals, _, _ = _block_svds(matrix, compute_uv=False)
-    return _report_from_svals(svals, n_qubits, matrix.shape[0])
+    shape = (2 * 4**n_qubits * len(generators), 4**n_qubits - 1)
+    svals, _, _ = _block_svds(_constraint_matrix(generators, n_qubits), shape, compute_uv=False)
+    return _report_from_svals(svals, n_qubits, shape[0])
 
 
 def commutant_nullspace(generators: Sequence[np.ndarray], n_qubits: int
@@ -264,10 +260,11 @@ def commutant_nullspace(generators: Sequence[np.ndarray], n_qubits: int
     the columns of one block of the constraint matrix; without generators
     every column is empty and the basis is the identity.
     """
-    matrix = _constraint_matrix(generators, n_qubits)
-    svals, factors, empty = _block_svds(matrix, compute_uv=True)
-    report = _report_from_svals(svals, n_qubits, matrix.shape[0])
-    basis = np.zeros((report.dimension, matrix.shape[1]))
+    shape = (2 * 4**n_qubits * len(generators), 4**n_qubits - 1)
+    svals, factors, empty = _block_svds(_constraint_matrix(generators, n_qubits), shape,
+                                        compute_uv=True)
+    report = _report_from_svals(svals, n_qubits, shape[0])
+    basis = np.zeros((report.dimension, shape[1]))
     k = 0
     for cols, s, vh in factors:
         null = vh[np.count_nonzero(s > report.tolerance):]

@@ -33,14 +33,12 @@ class MatrixSizeCapExceeded(SymlieError):
 
 
 class ConstraintCapExceeded(SymlieError):
-    """The oracle's constraint matrix would have more entries than the cap."""
+    """The oracle's constraint matrix could store more entries than the cap."""
 
-    def __init__(self, rows: int, cols: int, cap: int):
-        self.rows = rows
-        self.cols = cols
+    def __init__(self, entries: int, cap: int):
+        self.entries = entries
         self.cap = cap
-        super().__init__(f"constraint matrix of {rows} x {cols} = {rows * cols} entries "
-                         f"exceeds cap {cap}")
+        super().__init__(f"constraint matrix of up to {entries} entries exceeds cap {cap}")
 
 
 class TermCapExceeded(SymlieError):

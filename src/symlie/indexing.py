@@ -24,15 +24,14 @@ DEFAULT_SPACE_CAP = 4**12  # words in an orbit-label scan
 MAX_LISTED_WORDS = 4**10  # words held as strings by an orbit listing
 DEFAULT_MATRIX_CAP = 2**12  # side of a dense 2^N x 2^N matrix
 MAX_ORACLE_QUBITS = 6  # 64x64 matrices over a 4095-element basis
-# float64 entries of the oracle's constraint matrix: 2 * 4^N rows per
-# generator times 4^N - 1 columns.  2^27 (1 GiB) admits every generator set
-# up to 6 qubits, the largest being S:3xS:3 and D:3xD:3 with 4 generators
-# (32768 x 4095); it refuses longer generator lists passed in directly.
-MAX_CONSTRAINT_ENTRIES = 2**27
+# Stored (row, col, value) entries of the oracle's constraint matrix, 24 bytes
+# each, bounded by 4 * (4^N - 1) * sum(nnz(B)); 2^25 (768 MiB) admits every set
+# up to 6 qubits (S:3xS:3 and D:3xD:3: 4,193,280) and refuses a dense 64x64 one.
+MAX_CONSTRAINT_ENTRIES = 2**25
 MAX_CYCLE_INDEX_TERMS = 10**5  # cycle types of S_n or A_n: p(45) = 89,134 < cap < p(46)
 # Entries per chunk of a chunked array build (Pauli columns, the oracle's
-# constraint build and block split): bounds their temporaries to a few MB
-# whatever the matrix size.
+# candidate entries per chunk of words and its union-find passes): bounds
+# their temporaries to a few MB whatever the matrix size.
 CHUNK_ENTRIES = 2**18
 
 

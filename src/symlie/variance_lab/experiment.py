@@ -62,6 +62,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.qubit_counts or any(n < 2 for n in self.qubit_counts):
             raise ValueError("qubit counts must all be >= 2")
+        if len(set(self.qubit_counts)) < len(self.qubit_counts):
+            raise ValueError(f"qubit counts must be distinct, got {list(self.qubit_counts)}")
         if self.samples_per_point < 2:
             # the variance is the unbiased (ddof=1) estimate
             raise ValueError("samples_per_point must be >= 2")
@@ -72,6 +74,8 @@ class ExperimentConfig:
         lo, hi = self.parameter_range
         if not lo < hi:
             raise ValueError("parameter_range must be a nonempty interval")
+        if self.layers is not None and self.layers < 1:
+            raise ValueError(f"layers must be >= 1, got {self.layers}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 

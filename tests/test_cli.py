@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import symlie.combinatorics as comb
-from symlie import pauli_orbits
+from symlie import cli, pauli_orbits
 from symlie.cli import main, parse_group_spec
 from symlie.combinatorics import (
     Family,
@@ -409,6 +409,21 @@ class TestVariance:
                                  "--dataset-size", "8", "--ansatz", "permutation")
         assert code == 2 and out == ""
         assert "samples_per_point must be >= 2" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--qubits", "4", "--layers", "0", "--workers", "2"), "layers must be >= 1"),
+        (("--qubits", "4,4"), "qubit counts must be distinct"),
+    ])
+    def test_bad_grid_refused_before_the_pool(self, capsys, monkeypatch, argv, message):
+        # refused by ExperimentConfig, before any worker starts or any row is
+        # computed twice
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the experiment started")
+
+        monkeypatch.setattr(cli, "run_variance_experiment", no_pool)
+        code, out, err = run_cli(capsys, "variance", "--samples", "2", *argv)
+        assert code == 2 and out == ""
+        assert message in err
 
     def test_qubit_list_syntax(self, capsys):
         code, out, _ = run_cli(capsys, "variance", "--qubits", "4,5",

@@ -1,10 +1,10 @@
 """Commutant dimensions, energy Hamiltonian structure, exponential map."""
 
-import functools
 import math
 import tracemalloc
 
 import numpy as np
+import oracle_reference as reference
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,13 +16,13 @@ from symlie.combinatorics import (
     GroupSpec,
     dim_energy_preserving,
     dim_invariant_algebra,
+    dimension,
 )
 from symlie.dense_oracle import (
     _block_svds,
     _blocks,
     _classify_singular_values,
     _constraint_matrix,
-    _pauli_basis,
     _report_from_svals,
     block_profile,
     coefficients_to_operator,
@@ -35,9 +35,8 @@ from symlie.dense_oracle import (
     weight_sort_permutation,
 )
 from symlie.errors import ConstraintCapExceeded, IndeterminateRank, MatrixSizeCapExceeded
-from symlie.indexing import MAX_CONSTRAINT_ENTRIES, word_digits
+from symlie.indexing import MAX_CONSTRAINT_ENTRIES, pauli_columns, word_digits
 from symlie.pauli_orbits import (
-    SIGMA,
     enumerate_invariant_basis,
     pauli_matrix,
     symmetrized_generator,
@@ -58,6 +57,12 @@ def _element_matrices(spec):
     """Every group element's U_p: a valid but much longer constraint list
     than the generators' matrices."""
     return [qubit_permutation_matrix(p) for p in enumerate_elements(spec).elements]
+
+
+def _shape(generators, n):
+    """The constraint matrix's shape: 2 * 4^n rows per generator, one column
+    per nonzero Pauli word."""
+    return 2 * 4**n * len(generators), 4**n - 1
 
 
 class TestCommutantDimension:
@@ -138,17 +143,21 @@ class TestCommutantDimension:
 class TestPauliBasis:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_matches_per_word_matrices_bit_for_bit(self, n):
-        # the mask-built chunk must hold exactly the values the per-word
-        # construction gives, signed zeros included
-        per_word = np.stack([1j * pauli_matrix(w) for w in _words(n)])
-        chunk = _pauli_basis(np.arange(1, 4**n), n)
-        assert chunk.tobytes() == per_word.tobytes()
+        # the constraint build reads i*P_w from the column form; every
+        # nonzero real and imaginary part must be the Kronecker reference's,
+        # bit for bit
+        rows, values = pauli_columns(word_digits(np.arange(1, 4**n), n))
+        columns = np.zeros((4**n - 1, 2**n, 2**n), dtype=np.complex128)
+        columns[np.arange(4**n - 1)[:, None], rows, np.arange(2**n)] = 1j * values
+        parts, expected = columns.view(np.float64), reference.pauli_basis(n).view(np.float64)
+        assert np.array_equal(parts != 0, expected != 0)
+        assert parts[parts != 0].tobytes() == expected[expected != 0].tobytes()
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_matches_kronecker_fold(self, n):
-        fold = np.stack([1j * functools.reduce(np.kron, (SIGMA[d] for d in w))
-                         for w in _words(n)])
-        assert np.array_equal(_pauli_basis(np.arange(1, 4**n), n), fold)
+        fold = reference.pauli_basis(n)
+        for j, unit in enumerate(np.eye(4**n - 1)):
+            assert np.array_equal(coefficients_to_operator(unit, n), fold[j])
 
     @pytest.mark.parametrize("n", (1, 2, 3, 4))
     def test_operator_is_the_per_word_sum(self, n):
@@ -164,7 +173,7 @@ class TestPauliBasis:
     def test_dense_coefficients_match_the_basis_contraction(self):
         rng = np.random.default_rng(7)
         coeffs = rng.normal(size=255)
-        expected = np.tensordot(coeffs, _pauli_basis(np.arange(1, 256), 4), axes=1)
+        expected = np.tensordot(coeffs, reference.pauli_basis(4), axes=1)
         assert np.allclose(coefficients_to_operator(coeffs, 4), expected, atol=1e-12)
 
     @pytest.mark.parametrize("coeffs, n", [
@@ -201,11 +210,11 @@ class TestNullspace:
 
 
 def _oracle_generators(label):
-    family, n = label.split(":")
-    if family == "energy":
-        return [energy_hamiltonian(int(n))], int(n), dim_energy_preserving(int(n))
-    spec = GroupSpec(Family(family), int(n))
-    return group_constraint_matrices(spec), int(n), dim_invariant_algebra(spec)
+    if label.startswith("energy:"):
+        n = int(label.split(":")[1])
+        return [energy_hamiltonian(n)], n, dim_energy_preserving(n)
+    spec = parse_group_spec(label)
+    return group_constraint_matrices(spec), spec.degree, dimension(spec)
 
 
 def _random_unitary(dim, rng):
@@ -244,7 +253,7 @@ class TestBlockSplit:
     @settings(max_examples=150, deadline=None)
     def test_split_matches_one_full_svd(self, case):
         matrix, planted = case
-        svals, _, _ = _block_svds(matrix, compute_uv=False)
+        svals, _, _ = _block_svds(reference.entries_of(matrix), matrix.shape, compute_uv=False)
         full = np.linalg.svd(matrix, compute_uv=False)
         assert svals.shape == full.shape
         assert np.all(svals[:-1] >= svals[1:])
@@ -259,13 +268,16 @@ class TestBlockSplit:
     @settings(max_examples=50, deadline=None)
     def test_blocks_partition_the_nonzero_pattern(self, case):
         matrix, _ = case
-        blocks, empty = _blocks(matrix)
+        blocks, empty = _blocks(reference.entries_of(matrix), matrix.shape)
         row_of = np.full(matrix.shape[0], -1)
         col_of = np.full(matrix.shape[1], -1)
-        for k, (rows, cols) in enumerate(blocks):
+        for k, (rows, cols, part) in enumerate(blocks):
             assert np.all(np.diff(rows) > 0) and np.all(np.diff(cols) > 0)
             row_of[rows], col_of[cols] = k, k
-        assert sorted(np.concatenate([c for _, c in blocks] + [empty])) == list(
+            # a block's records are exactly the nonzeros of its submatrix
+            assert part.size == np.count_nonzero(matrix[np.ix_(rows, cols)])
+            assert np.array_equal(matrix[part["row"], part["col"]], part["value"])
+        assert sorted(np.concatenate([c for _, c, _ in blocks] + [empty])) == list(
             range(matrix.shape[1]))
         r, c = np.nonzero(matrix)
         assert np.array_equal(row_of[r], col_of[c])
@@ -281,12 +293,13 @@ class TestBlockSplit:
         # vector; a full-column-rank draw (the example) has an empty basis
         matrix, planted = case
         n = 1
-        while 4**n - 1 < matrix.shape[1]:
+        while 2 * 4**n < matrix.shape[0] or 4**n - 1 < matrix.shape[1]:
             n += 1
-        padded = np.zeros((matrix.shape[0], 4**n - 1))
-        padded[:, :matrix.shape[1]] = matrix
+        padded = np.zeros(_shape([np.eye(2**n)], n))
+        padded[:matrix.shape[0], :matrix.shape[1]] = matrix
+        entries = reference.entries_of(padded)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dense_oracle, "_constraint_matrix", lambda gens, n_qubits: padded)
+            patch.setattr(dense_oracle, "_constraint_matrix", lambda gens, n_qubits: entries)
             report, basis = commutant_nullspace([np.eye(2**n)], n)
         assert basis.shape == (4**n - 1 - planted.size, 4**n - 1) == (report.dimension, 4**n - 1)
         assert np.abs(basis @ basis.T - np.eye(report.dimension)).max(initial=0.0) < 1e-12
@@ -294,12 +307,13 @@ class TestBlockSplit:
 
     def test_dense_generator_is_one_block_and_one_svd(self):
         u = _random_unitary(8, np.random.default_rng(5))
-        matrix = _constraint_matrix([u], 3)
-        blocks, empty = _blocks(matrix)
+        entries, shape = _constraint_matrix([u], 3), _shape([u], 3)
+        blocks, empty = _blocks(entries, shape)
         assert len(blocks) == 1 and empty.size == 0
-        assert blocks[0][0].size == matrix.shape[0]
-        full = _report_from_svals(np.linalg.svd(matrix, compute_uv=False), 3,
-                                  matrix.shape[0])
+        assert blocks[0][0].size == shape[0] and blocks[0][2].size == entries.size
+        matrix = reference.scatter(entries, shape)
+        assert np.allclose(matrix, reference.constraint_matrix([u], 3), rtol=0, atol=1e-12)
+        full = _report_from_svals(np.linalg.svd(matrix, compute_uv=False), 3, shape[0])
         report = commutant_dimension([u], 3)
         assert report == full
         # operators diagonal in U's eigenbasis, less the identity
@@ -328,30 +342,92 @@ class TestBlockSplit:
         assert report.dimension == expected
         assert basis.shape == (expected, 4**n - 1)
         assert np.abs(basis @ basis.T - np.eye(expected)).max() < 1e-12
-        assert np.abs(_constraint_matrix(generators, n) @ basis.T).max() < 1e-12
-        paulis = np.stack([1j * pauli_matrix(w) for w in _words(n)])
-        ops = np.tensordot(basis, paulis, axes=1)
+        assert np.abs(reference.constraint_matrix(generators, n) @ basis.T).max() < 1e-12
+        ops = np.tensordot(basis, reference.pauli_basis(n), axes=1)
         assert np.abs(ops + ops.conj().transpose(0, 2, 1)).max() < 1e-12
         for b in generators:
             assert np.abs(b @ ops - ops @ b).max() < 1e-12
 
 
-class TestConstraintCap:
-    def test_refused_before_allocating(self):
-        # five generators at N = 6: 40960 x 4095 entries, 1.3 GB of float64
+# every named generator set up to 4 qubits, products included
+SMALL_SETS = [f"{f}:{n}" for n in range(1, 5) for f in "SACDE"] + [
+    "S:2xS:2", "S:2xE:2", "S:3xE:1", "C:2xD:2", "A:3xC:1",
+    "energy:1", "energy:2", "energy:3", "energy:4"]
+
+
+def _assert_stored_form(entries, shape):
+    """Column-then-row order, no repeated position, no stored zero."""
+    keys = entries["col"] * shape[0] + entries["row"]
+    assert np.all(np.diff(keys) > 0)
+    assert np.all(entries["value"] != 0.0)
+    assert np.all((0 <= entries["row"]) & (entries["row"] < shape[0]))
+    assert np.all((0 <= entries["col"]) & (entries["col"] < shape[1]))
+
+
+class TestConstraintEntries:
+    @pytest.mark.parametrize("label", SMALL_SETS)
+    def test_equal_the_dense_reference(self, label):
+        generators, n, _ = _oracle_generators(label)
+        entries, shape = _constraint_matrix(generators, n), _shape(generators, n)
+        expected = reference.constraint_matrix(generators, n)
+        _assert_stored_form(entries, shape)
+        assert np.array_equal(reference.scatter(entries, shape), expected)
+        assert entries.size == np.count_nonzero(expected)
+
+    @pytest.mark.parametrize("n, count", [(1, 1), (1, 3), (2, 1), (2, 2), (3, 2)])
+    def test_random_dense_generators(self, n, count):
+        rng = np.random.default_rng(10 * n + count)
+        generators = [rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+                      for _ in range(count)]
+        entries, shape = _constraint_matrix(generators, n), _shape(generators, n)
+        _assert_stored_form(entries, shape)
+        assert np.allclose(reference.scatter(entries, shape),
+                           reference.constraint_matrix(generators, n), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("label", ["S:4", "D:4", "S:2xE:2", "energy:4"])
+    def test_chunks_of_one_word(self, monkeypatch, label):
+        # the chunks' duplicate sums and the chunked union-find must not
+        # depend on where the chunks split
+        generators, n, _ = _oracle_generators(label)
+        whole, report = _constraint_matrix(generators, n), commutant_dimension(generators, n)
+        monkeypatch.setattr(dense_oracle, "CHUNK_ENTRIES", 7)
+        assert _constraint_matrix(generators, n).tobytes() == whole.tobytes()
+        assert commutant_dimension(generators, n) == report
+
+    @pytest.mark.parametrize("label", ["S:6", "S:3xS:3"])
+    def test_six_qubit_oracle_stays_small(self, label):
+        # the dense build held 535 and 1040 MiB here
+        generators, n, expected = _oracle_generators(label)
         tracemalloc.start()
         try:
-            with pytest.raises(ConstraintCapExceeded, match="exceeds cap 134217728"):
-                commutant_dimension([np.eye(64)] * 5, 6)
+            report = commutant_dimension(generators, n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert report.dimension == expected
+        assert peak < 160 * 2**20
+
+
+class TestConstraintCap:
+    def test_refused_before_allocating(self):
+        # two dense generators at N = 6: up to 4 * 4095 * 8192 entries
+        generators = [np.ones((64, 64))] * 2
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConstraintCapExceeded, match="exceeds cap 33554432") as exc:
+                commutant_dimension(generators, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.entries == 4 * 4095 * 8192
         assert peak < 2**20
 
     @pytest.mark.parametrize("spec,elements", [
         ("S:6", False), ("A:6", False), ("D:6", False), ("C:6", False),
         ("S:3xS:3", False), ("D:3xD:3", False), ("S:2xS:2xS:2", False),
         ("A:5", True), ("S:2xS:2xE:2", True),
+        # refused by the dense build's cap on rows times columns
+        ("S:5", True), ("C:6", True), ("S:2xS:2xS:2", True),
     ])
     def test_admitted(self, monkeypatch, spec, elements):
         class Admitted(Exception):
@@ -362,21 +438,34 @@ class TestConstraintCap:
 
         spec = parse_group_spec(spec)
         generators = (_element_matrices if elements else group_constraint_matrices)(spec)
-        monkeypatch.setattr(np, "empty", refuse)
+        # past the cap check, the build's first chunk of words
+        monkeypatch.setattr(dense_oracle, "pauli_columns", refuse)
         with pytest.raises(Admitted):
             _constraint_matrix(generators, spec.degree)
 
-    @pytest.mark.parametrize("spec", ["S:5", "C:6", "S:2xS:2xS:2"])
+    @pytest.mark.parametrize("spec", ["S:6", "A:6"])
     def test_full_group_refused(self, spec):
         spec = parse_group_spec(spec)
         with pytest.raises(ConstraintCapExceeded):
             _constraint_matrix(_element_matrices(spec), spec.degree)
 
     def test_cap_sits_between_largest_admitted_and_smallest_refused(self):
-        # four generators at N = 6 fit; a fifth, or 65 group elements at N = 5, do not
-        assert 4 * 2 * 4**6 * (4**6 - 1) <= MAX_CONSTRAINT_ENTRIES
-        assert 5 * 2 * 4**6 * (4**6 - 1) > MAX_CONSTRAINT_ENTRIES
-        assert 64 * 2 * 4**5 * (4**5 - 1) <= MAX_CONSTRAINT_ENTRIES < 65 * 2 * 4**5 * (4**5 - 1)
+        # the bound is 4 * (4^N - 1) * sum(nnz(B)); a qubit permutation has
+        # 2^N nonzeros
+        assert 4 * 4095 * 4 * 64 == 4_193_280 <= MAX_CONSTRAINT_ENTRIES  # S:3xS:3
+        # 32 permutations at N = 6 fit and a 33rd does not; at N = 5, 256 and 257
+        assert 4 * 4095 * 32 * 64 <= MAX_CONSTRAINT_ENTRIES < 4 * 4095 * 33 * 64
+        assert 4 * 1023 * 256 * 32 <= MAX_CONSTRAINT_ENTRIES < 4 * 1023 * 257 * 32
+        # one dense 64x64 generator is refused
+        assert 4 * 4095 * 4096 > MAX_CONSTRAINT_ENTRIES
+        with pytest.raises(ConstraintCapExceeded):
+            _constraint_matrix([np.ones((64, 64))], 6)
+        # the stored records stay within the dense cap's 1 GiB
+        assert MAX_CONSTRAINT_ENTRIES * dense_oracle.ENTRY.itemsize <= 2**30
+        permutation = qubit_permutation_matrix((1, 0, 2, 3, 4, 5))
+        with pytest.raises(ConstraintCapExceeded) as exc:
+            _constraint_matrix([permutation] * 33, 6)
+        assert exc.value.entries == 4 * 4095 * 33 * 64
 
 
 class TestRankClassification:

@@ -101,6 +101,11 @@ class TestDatasetGeneration:
             ExperimentConfig(parameter_range=(1.0, 1.0))
         with pytest.raises(ValueError):
             ExperimentConfig(workers=0)
+        with pytest.raises(ValueError, match="layers must be >= 1"):
+            ExperimentConfig(layers=0)
+        with pytest.raises(ValueError, match="qubit counts must be distinct"):
+            ExperimentConfig(qubit_counts=(4, 6, 4))
+        assert ExperimentConfig(layers=1).layers == 1
 
 
 SMALL = dict(qubit_counts=(4,), samples_per_point=6, dataset_size=10, seed=12)
