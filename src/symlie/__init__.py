@@ -29,6 +29,7 @@ from .errors import (
     MatrixSizeCapExceeded,
     NonIntegerCount,
     OrderCapExceeded,
+    StateBatchCapExceeded,
     StateSpaceCapExceeded,
     SymlieError,
     TermCapExceeded,

@@ -41,6 +41,18 @@ class ConstraintCapExceeded(SymlieError):
         super().__init__(f"constraint matrix of up to {entries} entries exceeds cap {cap}")
 
 
+class StateBatchCapExceeded(SymlieError):
+    """A variance experiment's batch of dataset states would exceed the cap."""
+
+    def __init__(self, qubits: int, size: int, nbytes: int, cap: int):
+        self.qubits = qubits
+        self.size = size
+        self.nbytes = nbytes
+        self.cap = cap
+        super().__init__(f"{size} states of {qubits} qubits take {nbytes} bytes, "
+                         f"above the state batch cap of {cap} bytes")
+
+
 class TermCapExceeded(SymlieError):
     """An S or A cycle index would have more terms (cycle types) than the cap."""
 

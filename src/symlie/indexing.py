@@ -28,6 +28,12 @@ MAX_ORACLE_QUBITS = 6  # 64x64 matrices over a 4095-element basis
 # each, bounded by 4 * (4^N - 1) * sum(nnz(B)); 2^25 (768 MiB) admits every set
 # up to 6 qubits (S:3xS:3 and D:3xD:3: 4,193,280) and refuses a dense 64x64 one.
 MAX_CONSTRAINT_ENTRIES = 2**25
+# complex128 amplitudes of one variance experiment's dataset batch, dataset
+# size x 2^n x 16 bytes; 2^30 admits 50 states at n = 20 and refuses n = 21.
+MAX_STATE_BATCH_BYTES = 2**30
+# Forward states an adjoint gradient keeps at its probed steps, so that only
+# the costate is swept back; 2^27 holds one 50-state batch up to n = 17.
+MAX_STORED_STATE_BYTES = 2**27
 MAX_CYCLE_INDEX_TERMS = 10**5  # cycle types of S_n or A_n: p(45) = 89,134 < cap < p(46)
 # Entries per chunk of a chunked array build (Pauli columns, the oracle's
 # candidate entries per chunk of words and its union-find passes): bounds

@@ -25,7 +25,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import DatasetGenerationFailed
+from ..errors import DatasetGenerationFailed, StateBatchCapExceeded
+from ..indexing import MAX_STATE_BATCH_BYTES
 from .circuits import AnsatzKind, build_ansatz, default_layer_count, probe_slot
 from .gradients import _loss_gradient_from_arrays
 from .simulator import Circuit, graph_state
@@ -78,6 +79,11 @@ class ExperimentConfig:
             raise ValueError(f"layers must be >= 1, got {self.layers}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        # complex128 amplitudes of the largest dataset, refused before any is drawn
+        n = max(self.qubit_counts)
+        nbytes = self.dataset_size * (16 << n)
+        if nbytes > MAX_STATE_BATCH_BYTES:
+            raise StateBatchCapExceeded(n, self.dataset_size, nbytes, MAX_STATE_BATCH_BYTES)
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,17 @@ the mean squared error against labels.  Gradients come from adjoint
 differentiation (Jones and Gacon, arXiv:2009.02823): every parametrized
 gate here is exp(-i*theta/2 * G), so an occurrence of a slot contributes
 dp/dtheta = Im<mu|G|psi>, where psi is the state just after the gate and
-mu the costate P U_after psi with the suffix U_after of the circuit.  One
-forward pass gives the output state psi_out and mu_out = P psi_out; one
-reverse sweep undoes the circuit's fused steps on both and collects every
-occurrence of every probed slot.
+mu the costate P U_after psi with the suffix U_after of the circuit.  The
+forward pass keeps psi at the output of each probed step, up to
+`MAX_STORED_STATE_BYTES`, and ends in psi_out and mu_out = P psi_out; the
+reverse sweep then undoes the circuit's fused steps on mu alone and collects
+every occurrence of every probed slot (Griewank and Walther's stored
+checkpoints, one per probed step).  Only a probed step whose state did not
+fit is reached by sweeping psi back from psi_out as well, and that second
+batch is dropped once no such step is left.
 
-The sweep measures only at step boundaries, so psi and mu are the same
-arrays whichever slots are probed.  A ZZ generator is diagonal and commutes
+The sweep measures only at step boundaries, so one pass serves any set of
+probed slots.  A ZZ generator is diagonal and commutes
 with its whole step.  Inside a single-qubit step, the generator G of a
 rotation on qubit q is conjugated by the factors V that follow it on q:
 at the step's output the occurrence contributes Im<mu|V G V^dagger|psi>,
@@ -27,6 +31,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..indexing import MAX_STORED_STATE_BYTES
 from ..pauli_orbits import SIGMA
 from .simulator import (Circuit, GateKind, StateVector, Step, _factor, _parity_batch,
                         _parity_signs, _run_batch, _summed_pair_signs)
@@ -133,31 +138,46 @@ def _loss_gradient_from_arrays(circuit: Circuit, params: Sequence[float],
                                amps: np.ndarray, labels: np.ndarray,
                                slots: Sequence[int]) -> np.ndarray:
     """d(loss)/d(theta_s) for every s in `slots` from one forward pass and
-    one reverse sweep of state and costate.
+    one reverse sweep of the costate.
 
-    The sweep undoes the circuit's steps and stops at the earliest step
-    holding a probed slot; psi and mu are swept as two separate batches,
-    which keeps the peak allocation at that of one forward pass plus one
-    batch.
+    The forward pass stores the state at the earliest probed steps, as many
+    batches as `MAX_STORED_STATE_BYTES` holds.  The sweep undoes the
+    circuit's steps on mu and stops at the earliest probed step.  psi is
+    swept back beside it, as a second batch, only down to the earliest
+    probed step left unstored, so with nothing stored this is the sweep of
+    both.  In default mode the one stored batch takes the swept psi's
+    place, and the peak stays one forward pass plus one batch.
     """
     for slot in slots:
         if slot < 0 or slot >= circuit.n_params:
             raise ValueError(f"slot {slot} out of range")
     n = circuit.n_qubits
-    psi = _run_batch(circuit, params, amps)
-    preds = _parity_batch(psi, n)
-    mu = psi * _parity_signs(n)
     steps = circuit.steps
     pred_grad: Dict[int, np.ndarray] = {slot: np.zeros(amps.shape[0]) for slot in slots}
+    probed = [k for k, step in enumerate(steps) if not step.slots.isdisjoint(pred_grad)]
+    kept = probed[:MAX_STORED_STATE_BYTES // max(1, 16 * amps.size)]
+    stored: Dict[int, np.ndarray] = {}
+    psi, cursor = amps, 0
+    for k in kept:
+        psi = stored[k] = _run_batch(circuit, params, psi, start=cursor, stop=k + 1)
+        cursor = k + 1
+    if cursor < len(steps):
+        psi = _run_batch(circuit, params, psi, start=cursor)
+    preds = _parity_batch(psi, n)
+    mu = psi * _parity_signs(n)
+    swept = probed[len(kept):]  # steps reached by sweeping psi back
+    if not swept:
+        psi = None
     cursor = len(steps)
-    for k in reversed(range(len(steps))):
-        if steps[k].slots.isdisjoint(pred_grad):
-            continue
+    for k in reversed(probed):
         if cursor > k + 1:
-            psi = _run_batch(circuit, params, psi, start=k + 1, stop=cursor, adjoint=True)
+            if psi is not None:
+                psi = _run_batch(circuit, params, psi, start=k + 1, stop=cursor, adjoint=True)
             mu = _run_batch(circuit, params, mu, start=k + 1, stop=cursor, adjoint=True)
             cursor = k + 1
-        _step_overlaps(steps[k], params, mu, psi, n, pred_grad)
+        _step_overlaps(steps[k], params, mu, stored.pop(k, psi), n, pred_grad)
+        if swept and k == swept[0]:
+            psi = None
     return np.array([np.mean(2.0 * (preds - labels) * pred_grad[slot]) for slot in slots])
 
 

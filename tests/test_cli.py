@@ -413,6 +413,9 @@ class TestVariance:
     @pytest.mark.parametrize("argv, message", [
         (("--qubits", "4", "--layers", "0", "--workers", "2"), "layers must be >= 1"),
         (("--qubits", "4,4"), "qubit counts must be distinct"),
+        # 50 states of 2^40 amplitudes are never drawn
+        (("--qubits", "40"), "above the state batch cap"),
+        (("--qubits", "20", "--dataset-size", "66"), "above the state batch cap"),
     ])
     def test_bad_grid_refused_before_the_pool(self, capsys, monkeypatch, argv, message):
         # refused by ExperimentConfig, before any worker starts or any row is

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from symlie.errors import DatasetGenerationFailed
+from symlie.errors import DatasetGenerationFailed, StateBatchCapExceeded, SymlieError
+from symlie.indexing import MAX_STATE_BATCH_BYTES
 from symlie.variance_lab import (
     AnsatzKind,
     ExperimentConfig,
@@ -106,6 +107,23 @@ class TestDatasetGeneration:
         with pytest.raises(ValueError, match="qubit counts must be distinct"):
             ExperimentConfig(qubit_counts=(4, 6, 4))
         assert ExperimentConfig(layers=1).layers == 1
+
+    def test_state_batch_cap(self):
+        # the dataset's complex128 batch is bounded where the config is made,
+        # so no graph state is drawn: 50 states fit at n = 20, not at n = 21
+        assert 50 * (16 << 20) <= MAX_STATE_BATCH_BYTES < 50 * (16 << 21)
+        ExperimentConfig(qubit_counts=(4, 20))
+        with pytest.raises(StateBatchCapExceeded) as info:
+            ExperimentConfig(qubit_counts=(21, 4))
+        assert isinstance(info.value, SymlieError)
+        assert (info.value.qubits, info.value.size) == (21, 50)
+        assert info.value.nbytes == 50 * (16 << 21)
+        assert info.value.cap == MAX_STATE_BATCH_BYTES
+        # the dataset size counts too
+        with pytest.raises(StateBatchCapExceeded):
+            ExperimentConfig(qubit_counts=(20,), dataset_size=66)
+        with pytest.raises(StateBatchCapExceeded):
+            ExperimentConfig(qubit_counts=(40,), samples_per_point=2)
 
 
 SMALL = dict(qubit_counts=(4,), samples_per_point=6, dataset_size=10, seed=12)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gate_reference import reference_predictions
+from symlie.variance_lab import gradients
 from symlie.variance_lab.circuits import (
     AnsatzKind,
     build_ansatz,
@@ -283,9 +284,75 @@ class TestAllSlotSweep:
         assert swept.tolist() == single
 
 
+def all_slot_problem(kind, n=5):
+    c = build_ansatz(kind, n, default_layer_count(kind, n))
+    rng = np.random.default_rng(11 + list(AnsatzKind).index(kind))
+    dataset = random_graph_dataset(rng, n, 4)
+    amps = np.stack([sv.amplitudes for sv, _ in dataset])
+    labels = np.array([label for _, label in dataset])
+    params = rng.uniform(-2 * math.pi, 2 * math.pi, c.n_params)
+    return c, dataset, amps, labels, params
+
+
+def counting_run_batch(monkeypatch):
+    """Wrap `gradients._run_batch`; returns the list of its `adjoint` flags."""
+    calls = []
+    original = gradients._run_batch
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("adjoint", False))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gradients, "_run_batch", counted)
+    return calls
+
+
+class TestStoredStates:
+    @pytest.mark.parametrize("kind", list(AnsatzKind))
+    @pytest.mark.parametrize("batches", [0, 1])
+    def test_capped_store_matches_uncapped(self, monkeypatch, kind, batches):
+        # with room for no stored state psi is swept back from psi_out for
+        # every probed step; with room for one, only the first probed step's
+        # state is kept and psi is swept down to the second
+        c, dataset, amps, labels, params = all_slot_problem(kind)
+        slots = range(c.n_params)
+        uncapped = _loss_gradient_from_arrays(c, params, amps, labels, slots)
+        monkeypatch.setattr(gradients, "MAX_STORED_STATE_BYTES", batches * amps.nbytes)
+        capped = _loss_gradient_from_arrays(c, params, amps, labels, slots)
+        scale = np.abs(uncapped).max()
+        assert np.abs(capped - uncapped).max() <= 1e-12 * scale
+        for slot in slots:
+            fd = gradient_finite_difference(c, params, dataset, slot)
+            assert abs(capped[slot] - fd) <= 1e-6
+
+    @pytest.mark.parametrize("batches, sweeps", [(0, 2), (1, 1)])
+    def test_stored_probe_sweeps_only_the_costate(self, monkeypatch, batches, sweeps):
+        # default mode: forward to the probed step and on to the end, then
+        # one adjoint sweep of mu; with nothing stored psi is swept as well
+        c, _, amps, labels, params = all_slot_problem(AnsatzKind.PERMUTATION)
+        monkeypatch.setattr(gradients, "MAX_STORED_STATE_BYTES", batches * amps.nbytes)
+        calls = counting_run_batch(monkeypatch)
+        _loss_gradient_from_arrays(c, params, amps, labels, [probe_slot(c)])
+        assert calls.count(True) == sweeps
+        assert len(calls) == 3
+
+    def test_uncapped_all_slots_never_sweep_psi(self, monkeypatch):
+        # every probed step's state fits: the forward pass makes one call per
+        # probed step (and one on to the end), the sweep one adjoint call
+        # per stretch between them, for mu alone
+        c, _, amps, labels, params = all_slot_problem(AnsatzKind.CYCLIC)
+        probed = [k for k, step in enumerate(c.steps) if step.slots]
+        calls = counting_run_batch(monkeypatch)
+        _loss_gradient_from_arrays(c, params, amps, labels, range(c.n_params))
+        tail = 1 if probed[-1] < len(c.steps) - 1 else 0
+        assert calls.count(False) == len(probed) + tail
+        assert calls.count(True) == len(probed) - 1 + tail
+
+
 def test_probe_gradient_memory():
-    # one probe gradient holds state and costate as two batches: the peak
-    # stays near one forward pass plus one batch, not a stacked 2B-row sweep
+    # one probe gradient stores the state at the probed step and sweeps only
+    # the costate back: the peak stays near one forward pass plus one batch,
+    # not a stacked 2B-row sweep
     n = 10
     c = build_ansatz(AnsatzKind.PERMUTATION, n, default_layer_count(AnsatzKind.PERMUTATION, n))
     amps, labels = generate_dataset(n, ExperimentConfig(qubit_counts=(n,)))
