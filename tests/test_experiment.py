@@ -175,6 +175,26 @@ class TestExperiment:
         rows = run_variance_experiment(cfg)
         assert [r.slot for r in rows] == list(range(8))  # 4 slots x 2 layers
 
+    def test_each_circuit_built_once_per_point(self, monkeypatch):
+        # the rows' slots come from the gradient columns, not a second build
+        from symlie.variance_lab import experiment
+        built = []
+        original = experiment.build_ansatz
+
+        def counting(*args, **kwargs):
+            built.append(args[:2])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "build_ansatz", counting)
+        for all_slots in (False, True):
+            built.clear()
+            cfg = ExperimentConfig(qubit_counts=(4, 5), samples_per_point=2, dataset_size=4,
+                                   probe_all_slots=all_slots, layers=2)
+            rows = run_variance_experiment(cfg)
+            assert len(built) == len(set(built)) == 6  # 3 ansatzes x 2 qubit counts
+            if all_slots:
+                assert [r.slot for r in rows if r.ansatz == "permutation"] == list(range(6)) * 2
+
     def test_cyclic_variant_changes_results(self):
         base = ExperimentConfig(**SMALL, ansatz_kinds=(AnsatzKind.CYCLIC,))
         with_t4 = run_variance_experiment(base)

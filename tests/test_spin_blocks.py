@@ -1,0 +1,202 @@
+"""The Schur–Weyl reduction of the permutation experiment: spin-block
+densities, and gradients on the blocks against the statevector's."""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from symlie.combinatorics import Family, GroupSpec, dim_invariant_algebra
+from symlie.variance_lab import experiment, spin_blocks
+from symlie.variance_lab.circuits import (AnsatzKind, build_ansatz, default_layer_count,
+                                          probe_slot)
+from symlie.variance_lab.experiment import ExperimentConfig, generate_dataset
+from symlie.variance_lab.gradients import _loss_gradient_from_arrays
+from symlie.variance_lab.simulator import Circuit, Gate, GateKind
+from symlie.variance_lab.spin_blocks import (loss_gradient_from_blocks, spin_densities,
+                                             spin_states)
+
+
+def random_states(n, rows, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(rows, 1 << n)) + 1j * rng.normal(size=(rows, 1 << n))
+
+
+def statevector_samples(cfg, n, stop):
+    """`_gradient_samples` for the permutation ansatz, on the statevector."""
+    circuit = experiment._build_circuit(AnsatzKind.PERMUTATION, n, cfg)
+    amps, labels = generate_dataset(n, cfg)
+    slots = experiment._probed_slots(circuit, cfg)
+    index = list(AnsatzKind).index(AnsatzKind.PERMUTATION)
+    return np.array([
+        _loss_gradient_from_arrays(
+            circuit, experiment._stream(cfg.seed, 1 + index, n, sample).uniform(
+                *cfg.parameter_range, circuit.n_params), amps, labels, slots)
+        for sample in range(stop)])
+
+
+class TestDensities:
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_traces_hermitian_psd(self, n):
+        amps = random_states(n, 4, n)
+        densities = spin_densities(amps, n)
+        traces = sum(np.trace(rho, axis1=1, axis2=2) for rho in densities)
+        norms = np.sum(np.abs(amps) ** 2, axis=1)
+        assert np.allclose(traces, norms, rtol=1e-12, atol=0)
+        for rho in densities:
+            assert np.allclose(rho, rho.conj().swapaxes(1, 2), rtol=0, atol=1e-12 * norms.max())
+            assert np.linalg.eigvalsh(rho).min() >= -1e-12 * norms.max()
+
+    @pytest.mark.parametrize("n", range(1, 16))
+    def test_block_sizes_count_the_invariant_algebra(self, n):
+        # sum_j (2j+1)^2 = C(n+3, 3) = dim(S:n) + 1
+        sizes = [rho.shape[-1] for rho in spin_densities(random_states(n, 1, 0), n)]
+        assert sizes == [n + 1 - 2 * w for w in range(n // 2 + 1)]
+        total = sum(d * d for d in sizes)
+        assert total == math.comb(n + 3, 3)
+        assert total == dim_invariant_algebra(GroupSpec(Family.SYMMETRIC, n)) + 1
+
+    @pytest.mark.parametrize("n", [2, 5, 6])
+    def test_product_state_is_a_coherent_spin_state(self, n):
+        # |+>^n lies in j = n/2 with amplitude sqrt(C(n, k)) / 2^(n/2) on
+        # |j, j-k>, so this pins the basis and its phase convention
+        plus = np.full((1, 1 << n), 2.0 ** (-n / 2), dtype=np.complex128)
+        densities = spin_densities(plus, n)
+        coherent = np.sqrt([math.comb(n, k) for k in range(n + 1)]) / 2 ** (n / 2)
+        assert np.allclose(densities[0][0], np.outer(coherent, coherent), atol=1e-14)
+        assert all(np.abs(rho).max() < 1e-14 for rho in densities[1:])
+
+    def test_singlet_is_spin_zero(self):
+        singlet = np.array([[0, 1, -1, 0]], dtype=np.complex128) / math.sqrt(2)
+        top, bottom = spin_densities(singlet, 2)
+        assert np.abs(top).max() < 1e-15
+        assert np.allclose(bottom, [[[1.0]]], rtol=0, atol=1e-15)
+
+    def test_chunked_reduction_is_bit_identical(self, monkeypatch):
+        # rows are reduced about CHUNK_ENTRIES amplitudes at a time; each
+        # row's arithmetic does not depend on its chunk
+        n = 6
+        amps = random_states(n, 7, 3)
+        whole = spin_states(amps, n)
+        monkeypatch.setattr(spin_blocks, "CHUNK_ENTRIES", 3 << n)
+        assert np.array_equal(spin_states(amps, n), whole)
+
+    @pytest.mark.parametrize("n", [3, 6, 9])
+    @pytest.mark.parametrize("source", ["random", "graph states"])
+    def test_states_factor_the_densities(self, n, source):
+        # graph states leave most blocks rank-deficient; the pivoted
+        # Cholesky factor must still rebuild them
+        if source == "random":
+            amps = random_states(n, 3, n)
+        else:
+            amps = generate_dataset(n, ExperimentConfig(qubit_counts=(n,), dataset_size=6))[0]
+        states = spin_states(amps, n)
+        assert states.shape[0] == n // 2 + 1 and states.shape[-1] == n + 1
+        for w, rho in enumerate(spin_densities(amps, n)):
+            block = states[w][..., w:n + 1 - w]
+            rebuilt = np.einsum("bck,bcl->bkl", block, block.conj())
+            assert np.allclose(rebuilt, rho, rtol=0, atol=1e-12 * np.abs(rho).max())
+            outside = np.delete(states[w], np.s_[w:n + 1 - w], axis=-1)
+            assert not outside.any()
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_spin_axes_diagonalize_the_generators(n):
+    # exp(-i theta J_axis) is built from these eigenvectors and eigenvalues
+    for axis, (gen, vals, vecs) in spin_blocks._spin_axes(n).items():
+        assert np.allclose(vecs @ (vals[:, :, None] * vecs.conj().swapaxes(1, 2)), gen / 2,
+                           rtol=0, atol=1e-13 * n), axis
+        assert np.allclose(vecs @ vecs.conj().swapaxes(1, 2), np.eye(n + 1), rtol=0, atol=1e-13)
+
+
+class TestReducedGradients:
+    @pytest.mark.parametrize("n", range(2, 11))
+    @pytest.mark.parametrize("mode", ["probe", "all-slots", "layers"])
+    def test_matches_statevector(self, n, mode):
+        cfg = ExperimentConfig(qubit_counts=(n,), samples_per_point=2,
+                               probe_all_slots=mode != "probe",
+                               layers=3 if mode == "layers" else None)
+        reduced = experiment._gradient_samples(cfg, AnsatzKind.PERMUTATION, n, 0, 2)
+        reference = statevector_samples(cfg, n, 2)
+        assert reduced.shape == reference.shape
+        assert np.abs(reduced - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    def test_permutation_points_skip_the_statevector_gradient(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("statevector gradient called")
+
+        monkeypatch.setattr(experiment, "_loss_gradient_from_arrays", refuse)
+        cfg = ExperimentConfig(qubit_counts=(4,), samples_per_point=2)
+        assert experiment._gradient_samples(cfg, AnsatzKind.PERMUTATION, 4, 0, 2).shape == (2, 1)
+        with pytest.raises(AssertionError, match="statevector gradient called"):
+            experiment._gradient_samples(cfg, AnsatzKind.CYCLIC, 4, 0, 2)
+
+    @pytest.mark.parametrize("kind", [AnsatzKind.CYCLIC, AnsatzKind.STRONGLY_ENTANGLING])
+    def test_other_ansatzes_refused(self, kind):
+        n = 5
+        c = build_ansatz(kind, n, 2)
+        amps, labels = generate_dataset(n, ExperimentConfig(qubit_counts=(n,), dataset_size=4))
+        with pytest.raises(ValueError, match="not S_n-symmetric"):
+            loss_gradient_from_blocks(c, np.zeros(c.n_params), spin_states(amps, n), labels, [0])
+
+    @pytest.mark.parametrize("gates", [
+        # a rotation missing on one qubit, a rotation that differs on one
+        # qubit, ZZ on all but one pair, and a CZ step
+        [Gate(GateKind.RX, (q,), (0,)) for q in range(2)],
+        [Gate(GateKind.RX, (0,), (0,)), Gate(GateKind.RY, (1,), (0,)),
+         Gate(GateKind.RX, (2,), (0,))],
+        [Gate(GateKind.ZZ, (0, 1), (0,)), Gate(GateKind.ZZ, (1, 2), (0,))],
+        [Gate(GateKind.RX, (q,), (0,)) for q in range(3)] + [Gate(GateKind.CZ, (0, 2))],
+    ])
+    def test_asymmetric_steps_refused(self, gates):
+        c = Circuit(3, tuple(gates), 1)
+        states = spin_states(random_states(3, 2, 0), 3)
+        with pytest.raises(ValueError, match="not S_n-symmetric"):
+            loss_gradient_from_blocks(c, [0.3], states, np.ones(2), [0])
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_any_symmetric_circuit(self, n):
+        # RZ, a slot used twice on each wire, ZZ pairs in either order and
+        # two ZZ slots fused into one step
+        gates = []
+        for q in range(n):
+            gates += [Gate(GateKind.RZ, (q,), (0,)), Gate(GateKind.RX, (q,), (1,)),
+                      Gate(GateKind.RY, (q,), (0,))]
+        gates += [Gate(GateKind.ZZ, (j, i), (2,)) for i in range(n) for j in range(i + 1, n)]
+        gates += [Gate(GateKind.ZZ, (i, j), (3,)) for i in range(n) for j in range(i + 1, n)]
+        gates += [Gate(GateKind.RX, (q,), (4,)) for q in range(n)]
+        c = Circuit(n, tuple(gates), 5)
+        assert [step.kind for step in c.steps] == ["1q", GateKind.ZZ, "1q"]
+        amps = random_states(n, 3, n)
+        amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+        labels = np.array([1.0, -1.0, 1.0])
+        params = [0.7, -1.1, 2.3, 0.4, -0.9]
+        reduced = loss_gradient_from_blocks(c, params, spin_states(amps, n), labels, range(5))
+        reference = _loss_gradient_from_arrays(c, params, amps, labels, range(5))
+        assert np.abs(reduced - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+def test_reduction_memory():
+    # the weights are swept downward and J+ is gathered one fan-in index
+    # and one chain at a time: the reduction peaks below one statevector
+    # gradient (about 5 batches), and a reduced gradient holds a few copies
+    # of the block columns
+    n = 10
+    c = build_ansatz(AnsatzKind.PERMUTATION, n, default_layer_count(AnsatzKind.PERMUTATION, n))
+    amps, labels = generate_dataset(n, ExperimentConfig(qubit_counts=(n,)))
+    params = np.random.default_rng(0).uniform(-2 * math.pi, 2 * math.pi, c.n_params)
+    states = spin_states(amps, n)  # caches the index tables
+    loss_gradient_from_blocks(c, params, states, labels, [probe_slot(c)])
+    peaks = []
+    for run in (lambda: spin_states(amps, n),
+                lambda: loss_gradient_from_blocks(c, params, states, labels, [probe_slot(c)])):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert amps.shape == (50, 1 << n)
+    assert peaks[0] <= 4.2 * amps.nbytes
+    assert peaks[1] <= 5 * states.nbytes
