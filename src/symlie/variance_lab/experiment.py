@@ -139,11 +139,12 @@ def generate_dataset(n: int, cfg: ExperimentConfig) -> Tuple[np.ndarray, np.ndar
 
     Graphs are drawn and kept only while their class still has room
     (per-class rejection sampling); exceeding the retry cap raises
-    DatasetGenerationFailed.
+    DatasetGenerationFailed.  Each state is written into one preallocated
+    batch, so the peak stays one batch.
     """
     rng = _stream(cfg.seed, 0, n)
     quota = {1.0: cfg.dataset_size // 2, -1.0: cfg.dataset_size // 2}
-    states: List[np.ndarray] = []
+    states = np.empty((cfg.dataset_size, 1 << n), dtype=np.complex128)
     labels: List[float] = []
     attempts = 0
     while quota[1.0] or quota[-1.0]:
@@ -157,9 +158,9 @@ def generate_dataset(n: int, cfg: ExperimentConfig) -> Tuple[np.ndarray, np.ndar
         label = 1.0 if is_connected(n, edges) else -1.0
         if quota[label]:
             quota[label] -= 1
-            states.append(graph_state(edges, n).amplitudes)
+            states[len(labels)] = graph_state(edges, n).amplitudes
             labels.append(label)
-    return np.stack(states), np.array(labels)
+    return states, np.array(labels)
 
 
 def _build_circuit(kind: AnsatzKind, n: int, cfg: ExperimentConfig):

@@ -22,25 +22,20 @@ at the step's output the occurrence contributes Im<mu|V G V^dagger|psi>,
 which is assembled from the four overlaps <mu_a|psi_b> of the sub-blocks
 with qubit q set to a and b, read off one overlap matrix per Kronecker
 block.  A central finite difference of the loss serves as the independent
-cross-check.
-
-`_adjoint_gradient` is this pass and sweep for any carrier of the batch,
-given its step, measurement and overlap functions.  The statevector
-(`_loss_gradient_from_arrays`) is one carrier and serves every circuit;
-the spin blocks of an S_n-symmetric circuit (`spin_blocks`) are the other,
-on which the experiment computes the permutation ansatz's gradients.
+cross-check.  The experiment differentiates the permutation ansatz on its
+spin blocks instead (`spin_blocks`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..indexing import MAX_STORED_STATE_BYTES
 from ..pauli_orbits import SIGMA
-from .simulator import (Circuit, GateKind, StateVector, Step, _factor, _parity_batch,
-                        _parity_signs, _run_batch, _summed_pair_signs)
+from .simulator import (Circuit, GateKind, StateVector, Step, _check_arguments, _factor,
+                        _parity_batch, _parity_signs, _run_batch, _summed_pair_signs)
 
 __all__ = ["mse_loss", "predictions", "gradient", "gradient_finite_difference",
            "stack_dataset"]
@@ -80,21 +75,17 @@ _PAULI = dict(zip("XYZ", SIGMA[1:]))
 
 
 def _conjugated_generators(rotations: Sequence[Tuple[str, Optional[int]]],
-                           params: Sequence[float], probed: Dict[int, np.ndarray],
-                           generators: Dict[str, np.ndarray] = _PAULI,
-                           factor: Callable = _factor) -> Dict[int, np.ndarray]:
-    """Per probed slot among `rotations`, which act in order on one qubit:
-    the sum of V G V^dagger over its rotations, G the rotation's generator
-    and V the product of the rotations that follow.  Other `generators` and
-    a `factor(axis, slot, params)` of the same shape conjugate on another
-    carrier, such as a stack of spin blocks."""
-    v = np.eye(generators["X"].shape[-1], dtype=np.complex128)
+                           params: Sequence[float],
+                           probed: Dict[int, np.ndarray]) -> Dict[int, np.ndarray]:
+    """Per probed slot on one qubit of a step: the sum of V G V^dagger over
+    its rotations, V the product of the rotations that follow on the qubit."""
+    v = np.eye(2, dtype=np.complex128)
     out: Dict[int, np.ndarray] = {}
     for axis, slot in reversed(rotations):
         if slot in probed:
-            g = v @ generators[axis] @ v.conj().swapaxes(-1, -2)
+            g = v @ _PAULI[axis] @ v.conj().T
             out[slot] = out[slot] + g if slot in out else g
-        v = v @ factor(axis, slot, params)
+        v = v @ _factor(axis, slot, params)
     return out
 
 
@@ -144,17 +135,11 @@ def _step_overlaps(step: Step, params: Sequence[float], mu: np.ndarray,
                 pred_grad[slot] += (d @ g.reshape(4)).imag
 
 
-def _adjoint_gradient(circuit: Circuit, params: Sequence[float], amps: np.ndarray,
-                      labels: np.ndarray, slots: Sequence[int], run: Callable,
-                      measure: Callable, overlaps: Callable) -> np.ndarray:
+def _loss_gradient_from_arrays(circuit: Circuit, params: Sequence[float],
+                               amps: np.ndarray, labels: np.ndarray,
+                               slots: Sequence[int]) -> np.ndarray:
     """d(loss)/d(theta_s) for every s in `slots` from one forward pass and
-    one reverse sweep of the costate, on any carrier of the batch.
-
-    `run(circuit, params, batch, start=, stop=, adjoint=)` applies a stretch
-    of `circuit.steps` as `_run_batch` does, `measure(batch)` returns the
-    predictions and the costate P psi of the output batch, and
-    `overlaps(step, params, mu, psi, n, pred_grad)` adds a probed step's
-    occurrences as `_step_overlaps` does.
+    one reverse sweep of the costate.
 
     The forward pass stores the state at the earliest probed steps, as many
     batches as `MAX_STORED_STATE_BYTES` holds.  The sweep undoes the
@@ -164,22 +149,21 @@ def _adjoint_gradient(circuit: Circuit, params: Sequence[float], amps: np.ndarra
     both.  In default mode the one stored batch takes the swept psi's
     place, and the peak stays one forward pass plus one batch.
     """
-    for slot in slots:
-        if slot < 0 or slot >= circuit.n_params:
-            raise ValueError(f"slot {slot} out of range")
+    _check_arguments(circuit, params, slots)
     n = circuit.n_qubits
     steps = circuit.steps
-    pred_grad: Dict[int, np.ndarray] = {slot: np.zeros(len(labels)) for slot in slots}
+    pred_grad: Dict[int, np.ndarray] = {slot: np.zeros(amps.shape[0]) for slot in slots}
     probed = [k for k, step in enumerate(steps) if not step.slots.isdisjoint(pred_grad)]
     kept = probed[:MAX_STORED_STATE_BYTES // max(1, 16 * amps.size)]
     stored: Dict[int, np.ndarray] = {}
     psi, cursor = amps, 0
     for k in kept:
-        psi = stored[k] = run(circuit, params, psi, start=cursor, stop=k + 1)
+        psi = stored[k] = _run_batch(circuit, params, psi, start=cursor, stop=k + 1)
         cursor = k + 1
     if cursor < len(steps):
-        psi = run(circuit, params, psi, start=cursor)
-    preds, mu = measure(psi)
+        psi = _run_batch(circuit, params, psi, start=cursor)
+    preds = _parity_batch(psi, n)
+    mu = psi * _parity_signs(n)
     swept = probed[len(kept):]  # steps reached by sweeping psi back
     if not swept:
         psi = None
@@ -187,23 +171,13 @@ def _adjoint_gradient(circuit: Circuit, params: Sequence[float], amps: np.ndarra
     for k in reversed(probed):
         if cursor > k + 1:
             if psi is not None:
-                psi = run(circuit, params, psi, start=k + 1, stop=cursor, adjoint=True)
-            mu = run(circuit, params, mu, start=k + 1, stop=cursor, adjoint=True)
+                psi = _run_batch(circuit, params, psi, start=k + 1, stop=cursor, adjoint=True)
+            mu = _run_batch(circuit, params, mu, start=k + 1, stop=cursor, adjoint=True)
             cursor = k + 1
-        overlaps(steps[k], params, mu, stored.pop(k, psi), n, pred_grad)
+        _step_overlaps(steps[k], params, mu, stored.pop(k, psi), n, pred_grad)
         if swept and k == swept[0]:
             psi = None
     return np.array([np.mean(2.0 * (preds - labels) * pred_grad[slot]) for slot in slots])
-
-
-def _loss_gradient_from_arrays(circuit: Circuit, params: Sequence[float],
-                               amps: np.ndarray, labels: np.ndarray,
-                               slots: Sequence[int]) -> np.ndarray:
-    """`_adjoint_gradient` on the statevector batch `amps`."""
-    n = circuit.n_qubits
-    return _adjoint_gradient(circuit, params, amps, labels, slots, _run_batch,
-                             lambda psi: (_parity_batch(psi, n), psi * _parity_signs(n)),
-                             _step_overlaps)
 
 
 def gradient(circuit: Circuit, params: Sequence[float], dataset: Dataset,

@@ -372,6 +372,17 @@ def _apply_step(amps: np.ndarray, step: Step, params: Sequence[float], n: int,
     raise ValueError(f"unhandled step kind {step.kind}")
 
 
+def _check_arguments(circuit: Circuit, params: Sequence[float],
+                     slots: Sequence[int] = ()) -> None:
+    """Raise ValueError for a parameter vector of the wrong length or a slot
+    out of range."""
+    if len(params) != circuit.n_params:
+        raise ValueError(f"expected {circuit.n_params} parameters, got {len(params)}")
+    for slot in slots:
+        if slot < 0 or slot >= circuit.n_params:
+            raise ValueError(f"slot {slot} out of range")
+
+
 def _run_batch(circuit: Circuit, params: Sequence[float], amps: np.ndarray,
                start: int = 0, stop: Optional[int] = None,
                adjoint: bool = False) -> np.ndarray:
@@ -380,8 +391,7 @@ def _run_batch(circuit: Circuit, params: Sequence[float], amps: np.ndarray,
 
     Returns a new array; `amps` is never written.
     """
-    if len(params) != circuit.n_params:
-        raise ValueError(f"expected {circuit.n_params} parameters, got {len(params)}")
+    _check_arguments(circuit, params)
     n = circuit.n_qubits
     work = np.asarray(amps, dtype=np.complex128)
     steps = circuit.steps[start:stop]

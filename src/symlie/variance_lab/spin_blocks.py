@@ -18,22 +18,27 @@ N_k^2 = k! (2j)! / (2j - k)!, and Pi_j the Löwdin product over j' > j of
 highest-weight vectors of spin j.  J+ and J- act by gathers over the
 weight-restricted index arrays (`_ladder_table`); the weights are swept
 downward, so each psi_w is raised once and no dense 2^n x 2^n operator,
-SVD or eigensolver is used.  Each rho_j = V V^dagger is factored by a
-pivoted Cholesky into at most min(2j+1, dim M_j) columns, and a column acts
-as a state of the block.
+SVD or eigensolver is used.
 
 Blocks share one padded layout: block j sits at positions w = n/2 - j ..
-n/2 + j of n + 1 positions indexed by the Hamming weight, so that a batch
-of columns is one array of shape (n//2 + 1, rows, columns, n + 1), zero
-outside its block, and every block's step is one stacked matmul.  There a
-fused step of identical RX, RY or RZ rotations on all n qubits is the
-product of exp(-i theta J_axis) over its rotations, each built from the
-exact eigenvectors of J_axis (Wigner's d-matrix at pi/2); a ZZ step whose
-every slot covers all n(n-1)/2 pairs is the diagonal
-exp(-i theta (4m^2 - n)/4); parity is (-1)^w; and a rotation's generator
-is 2 J_axis.  Any other step
+n/2 + j of n + 1 positions indexed by the Hamming weight, so a state's
+densities are one (n//2 + 1, n + 1, n + 1) array, zero outside its blocks,
+and an operator on every block is one stacked matrix.
+
+Gradient.  The loss is linear in the densities, so its gradient is that of
+the one expectation tr(P U sigma U^dagger), sigma = sum_r 2 (p_r - y_r)/R
+rho_r, taken by adjoint differentiation (Jones and Gacon, arXiv:2009.02823)
+in the Heisenberg picture.  Each rotation is its own factor
+exp(-i theta/2 G): a rotation of a 1q step, identical on all n qubits, is
+exp(-i theta J_axis), G = 2 J_axis, built from the exact eigenvectors of
+J_axis (Wigner's d-matrix at pi/2); a ZZ slot on all n(n-1)/2 pairs is the
+diagonal exp(-i theta (4m^2 - n)/4).  The parity P = (-1)^w is swept back
+through the factors and kept after each probed one as O = U_after^dagger P
+U_after; the predictions p_r = tr(O rho_r) at the input give sigma, which
+is swept forward, and each probed factor adds
+Re(-i/2 tr(O [G, sigma])) = Im tr([O, G] sigma) / 2 to its slot.
+So two operators are swept, whatever the number of rows.  Any other step
 raises ValueError, so a circuit that is not S_n-symmetric is never reduced.
-The forward pass and costate sweep are `gradients._adjoint_gradient`'s.
 """
 
 from __future__ import annotations
@@ -46,8 +51,7 @@ import numpy as np
 
 from ..indexing import CHUNK_ENTRIES, hamming_weights
 from .circuits import all_pairs
-from .gradients import _adjoint_gradient, _conjugated_generators
-from .simulator import _LOCAL, Circuit, GateKind, Step
+from .simulator import _LOCAL, Circuit, GateKind, _check_arguments
 
 __all__ = ["spin_densities", "spin_states", "loss_gradient_from_blocks"]
 
@@ -131,41 +135,21 @@ def spin_densities(amps: np.ndarray, n: int) -> List[np.ndarray]:
     return out
 
 
-def _pivoted_cholesky(rho: np.ndarray, rank: int) -> np.ndarray:
-    """V, (rows, d, rank), with V V^dagger = rho for a stack of positive
-    semidefinite rho: each step takes the residual's column at its largest
-    diagonal entry, scaled by that entry's square root.  The residual's
-    other entries in that column are at most the pivot, so a pivot that
-    vanishes with rounding gives a vanishing column."""
-    residual, rows = rho.copy(), np.arange(rho.shape[0])
-    out = np.zeros(rho.shape[:2] + (rank,), dtype=np.complex128)
-    for c in range(rank):
-        pivot = residual.diagonal(axis1=1, axis2=2).real.argmax(axis=1)
-        scale = residual[rows, pivot, pivot].real
-        column = residual[rows, :, pivot] / np.sqrt(np.where(scale > 0, scale, np.inf))[:, None]
-        out[:, :, c] = column
-        residual -= column[:, :, None] * column[:, None, :].conj()
-    return out
-
-
 def spin_states(amps: np.ndarray, n: int) -> np.ndarray:
-    """The rows of `amps` as columns of their spin blocks: shape
-    (n//2 + 1, rows, columns, n + 1), where sum_c |c><c| over the columns
-    of block w is rho_j, j = n/2 - w, placed at positions w .. n - w.
+    """The rho_j of each row of `amps` in the padded layout: shape
+    (rows, n//2 + 1, n + 1, n + 1), block w = n/2 - j at
+    [w:n+1-w, w:n+1-w] and zero elsewhere.
 
     The reduction's temporaries are a few times the amplitudes it reduces,
     so rows are reduced about CHUNK_ENTRIES amplitudes at a time."""
-    # a block's rank is at most its multiplicity
-    ranks = [min(n + 1 - 2 * w, math.comb(n, w) - (math.comb(n, w - 1) if w else 0))
-             for w in range(n // 2 + 1)]
     rows, step = amps.shape[0], max(1, CHUNK_ENTRIES >> n)
     out = None
     for lo in range(0, rows, step):
         densities = spin_densities(amps[lo:lo + step], n)
         if out is None:  # after the first chunk's temporaries are freed
-            out = np.zeros((len(ranks), rows, max(ranks), n + 1), dtype=np.complex128)
-        for w, (rho, rank) in enumerate(zip(densities, ranks)):
-            out[w, lo:lo + step, :rank, w:n + 1 - w] = _pivoted_cholesky(rho, rank).swapaxes(1, 2)
+            out = np.zeros((rows, n // 2 + 1, n + 1, n + 1), dtype=np.complex128)
+        for w, rho in enumerate(densities):
+            out[lo:lo + step, w, w:n + 1 - w, w:n + 1 - w] = rho
     return out
 
 
@@ -205,10 +189,10 @@ def _spin_axes(n: int) -> Dict[str, Tuple[np.ndarray, np.ndarray, np.ndarray]]:
             "Y": (gens[1], vals, quarter_z * turn), "Z": (gens[2], vals, identity)}
 
 
-def _spin_rotation(axis: str, slot: int, params: Sequence[float], n: int) -> np.ndarray:
-    """exp(-i theta J_axis) on every block, theta = params[slot]."""
+def _spin_rotation(axis: str, theta: float, n: int) -> np.ndarray:
+    """exp(-i theta J_axis) on every block."""
     _, vals, vecs = _spin_axes(n)[axis]
-    return (vecs * np.exp(-1j * params[slot] * vals)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
+    return (vecs * np.exp(-1j * theta * vals)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
 
 
 @lru_cache(maxsize=None)
@@ -243,56 +227,32 @@ def _check_symmetric(circuit: Circuit) -> None:
                              "take identical rotations on every qubit or ZZ on all pairs")
 
 
-def _apply_block_step(states: np.ndarray, step: Step, params: Sequence[float], n: int,
-                      adjoint: bool) -> np.ndarray:
-    if step.kind is GateKind.ZZ:
-        exponent = sum((-0.5j * params[slot]) * _weight_diagonals(n)[1]
-                       for slot, _ in step.phase_groups)
-        phases = np.exp(exponent)
-        return states * (phases.conj() if adjoint else phases)
-    u = np.eye(n + 1, dtype=np.complex128)
-    for axis, slot in step.wires[0]:
-        u = _spin_rotation(axis, slot, params, n) @ u
-    # rows are states, so a block's step multiplies by U^T (its adjoint by conj(U))
-    flat = states.reshape(states.shape[0], -1, n + 1)
-    return np.matmul(flat, u.conj() if adjoint else u.swapaxes(1, 2)).reshape(states.shape)
-
-
-def _run_blocks(circuit: Circuit, params: Sequence[float], states: np.ndarray,
-                start: int = 0, stop: Optional[int] = None,
-                adjoint: bool = False) -> np.ndarray:
-    """`simulator._run_batch` on spin-block columns."""
+def _factors(circuit: Circuit,
+             params: Sequence[float]) -> List[Tuple[int, np.ndarray, np.ndarray]]:
+    """(slot, factor, generator) of every rotation in the order applied: a
+    ZZ slot's factor and generator are diagonals of shape (n + 1,), a 1q
+    rotation's are stacks of blocks (n//2 + 1, n + 1, n + 1)."""
     n = circuit.n_qubits
-    steps = circuit.steps[start:stop]
-    for step in (reversed(steps) if adjoint else steps):
-        states = _apply_block_step(states, step, params, n, adjoint)
-    return states
+    zz = _weight_diagonals(n)[1]
+    out = []
+    for step in circuit.steps:
+        if step.kind is GateKind.ZZ:
+            out += [(slot, np.exp(-0.5j * params[slot] * zz), zz)
+                    for slot, _ in step.phase_groups]
+        else:
+            out += [(slot, _spin_rotation(axis, params[slot], n), _spin_axes(n)[axis][0])
+                    for axis, slot in step.wires[0]]
+    return out
 
 
-def _measure(states: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
-    parity = _weight_diagonals(n)[0]
-    preds = np.einsum("jbcx,x->b", np.abs(states) ** 2, parity)
-    return preds, states * parity
-
-
-def _block_overlaps(step: Step, params: Sequence[float], mu: np.ndarray, psi: np.ndarray,
-                    n: int, pred_grad: Dict[int, np.ndarray]) -> None:
-    """`gradients._step_overlaps` on spin-block columns: Im<mu|G|psi>
-    summed over blocks and columns."""
-    if step.kind is GateKind.ZZ:
-        for slot, _ in step.phase_groups:
-            if slot in pred_grad:
-                pred_grad[slot] += np.einsum("jbcx,jbcx,x->b", mu.conj(), psi,
-                                             _weight_diagonals(n)[1]).imag
-        return
-    generators = {axis: gen for axis, (gen, _, _) in _spin_axes(n).items()}
-    conjugated = _conjugated_generators(
-        step.wires[0], params, pred_grad, generators,
-        lambda axis, slot, p: _spin_rotation(axis, slot, p, n))
-    flat = psi.reshape(psi.shape[0], -1, n + 1)
-    for slot, g in conjugated.items():
-        g_psi = np.matmul(flat, g.swapaxes(1, 2)).reshape(psi.shape)
-        pred_grad[slot] += np.einsum("jbcx,jbcx->b", mu.conj(), g_psi).imag
+def _conjugate(op: np.ndarray, factor: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """F op F^dagger on every block, or F^dagger op F with `adjoint`."""
+    if factor.ndim == 1:
+        phases = factor.conj() if adjoint else factor
+        return op * phases[:, None] * phases.conj()
+    if adjoint:
+        return factor.conj().swapaxes(1, 2) @ op @ factor
+    return factor @ op @ factor.conj().swapaxes(1, 2)
 
 
 def loss_gradient_from_blocks(circuit: Circuit, params: Sequence[float], states: np.ndarray,
@@ -301,6 +261,32 @@ def loss_gradient_from_blocks(circuit: Circuit, params: Sequence[float], states:
     `spin_states`; equal to `gradients._loss_gradient_from_arrays` on the
     statevectors.  Raises ValueError unless the circuit is S_n-symmetric."""
     _check_symmetric(circuit)
+    _check_arguments(circuit, params, slots)
     n = circuit.n_qubits
-    return _adjoint_gradient(circuit, params, states, labels, slots, _run_blocks,
-                             lambda s: _measure(s, n), _block_overlaps)
+    factors = _factors(circuit, params)
+    grads = dict.fromkeys(slots, 0.0)
+    observable = np.tile(np.diag(_weight_diagonals(n)[0]).astype(np.complex128),
+                         (n // 2 + 1, 1, 1))
+    stored: Dict[int, np.ndarray] = {}
+    for k in range(len(factors) - 1, -1, -1):
+        if factors[k][0] in grads:
+            stored[k] = observable
+        observable = _conjugate(observable, factors[k][1], adjoint=True)
+    # p_r = tr(O rho_r) and sigma = sum_r 2 (p_r - y_r)/R rho_r; einsum, not
+    # BLAS, so the sum over rows does not depend on the BLAS thread count
+    preds = np.einsum("rbxy,byx->r", states, observable).real
+    sigma = np.einsum("r,rbxy->bxy", 2.0 * (preds - labels) / len(labels), states)
+    for k in range(max(stored, default=-1) + 1):
+        slot, factor, generator = factors[k]
+        sigma = _conjugate(sigma, factor)
+        if k in stored:
+            o = stored.pop(k)
+            # Re(-i/2 tr(O [G, sigma])) = Im tr([O, G] sigma) / 2, and
+            # tr(A sigma) = vdot(sigma, A) for Hermitian sigma; a generator
+            # that commutes with O gives exactly 0
+            if generator.ndim == 1:
+                commutator = o * (generator - generator[:, None])
+            else:
+                commutator = o @ generator - generator @ o
+            grads[slot] += np.vdot(sigma, commutator).imag / 2
+    return np.array([grads[slot] for slot in slots])

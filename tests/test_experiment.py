@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +80,21 @@ class TestDatasetGeneration:
         b_states, b_labels = generate_dataset(4, cfg)
         assert np.array_equal(a_states, b_states)
         assert np.array_equal(a_labels, b_labels)
+
+    def test_peak_is_one_batch(self):
+        # each state is written into the preallocated batch: no list of
+        # states is kept alive while a stacked copy is made
+        n = 12
+        cfg = ExperimentConfig(qubit_counts=(n,))
+        generate_dataset(n, cfg)  # caches the bit tables
+        tracemalloc.start()
+        try:
+            states, _ = generate_dataset(n, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert states.shape == (50, 1 << n)
+        assert peak <= 1.25 * states.nbytes
 
     def test_retry_cap_raises(self):
         # p close to 1 starves the disconnected class

@@ -84,21 +84,21 @@ class TestDensities:
 
     @pytest.mark.parametrize("n", [3, 6, 9])
     @pytest.mark.parametrize("source", ["random", "graph states"])
-    def test_states_factor_the_densities(self, n, source):
-        # graph states leave most blocks rank-deficient; the pivoted
-        # Cholesky factor must still rebuild them
+    def test_states_pad_the_densities(self, n, source):
+        # block w = n/2 - j sits at [w:n+1-w, w:n+1-w] of its (n+1)x(n+1)
+        # slice, and every other entry is zero
         if source == "random":
             amps = random_states(n, 3, n)
         else:
             amps = generate_dataset(n, ExperimentConfig(qubit_counts=(n,), dataset_size=6))[0]
         states = spin_states(amps, n)
-        assert states.shape[0] == n // 2 + 1 and states.shape[-1] == n + 1
+        assert states.shape == (len(amps), n // 2 + 1, n + 1, n + 1)
         for w, rho in enumerate(spin_densities(amps, n)):
-            block = states[w][..., w:n + 1 - w]
-            rebuilt = np.einsum("bck,bcl->bkl", block, block.conj())
-            assert np.allclose(rebuilt, rho, rtol=0, atol=1e-12 * np.abs(rho).max())
-            outside = np.delete(states[w], np.s_[w:n + 1 - w], axis=-1)
-            assert not outside.any()
+            block = slice(w, n + 1 - w)
+            assert np.array_equal(states[:, w, block, block], rho)
+            padding = states[:, w].copy()
+            padding[:, block, block] = 0
+            assert not padding.any()
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -121,6 +121,17 @@ class TestReducedGradients:
         reference = statevector_samples(cfg, n, 2)
         assert reduced.shape == reference.shape
         assert np.abs(reduced - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    def test_last_zz_slot_vanishes_exactly(self):
+        # the circuit ends in ZZ, which commutes with the parity: that
+        # slot's gradient is exactly 0 on the statevector, and its variance
+        # row prints 0.0 on the blocks too
+        n = 6
+        cfg = ExperimentConfig(qubit_counts=(n,), samples_per_point=2, probe_all_slots=True)
+        reduced = experiment._gradient_samples(cfg, AnsatzKind.PERMUTATION, n, 0, 2)
+        assert not statevector_samples(cfg, n, 2)[:, -1].any()
+        assert not reduced[:, -1].any()
+        assert reduced[:, :-1].all()
 
     def test_permutation_points_skip_the_statevector_gradient(self, monkeypatch):
         def refuse(*args):
@@ -155,6 +166,22 @@ class TestReducedGradients:
         with pytest.raises(ValueError, match="not S_n-symmetric"):
             loss_gradient_from_blocks(c, [0.3], states, np.ones(2), [0])
 
+    @pytest.mark.parametrize("n_params, slot, message", [
+        (7, 0, "expected 6 parameters, got 7"), (5, 0, "expected 6 parameters, got 5"),
+        (6, 6, "slot 6 out of range"), (6, -1, "slot -1 out of range")])
+    @pytest.mark.parametrize("path", ["statevector", "spin blocks"])
+    def test_parameters_and_slots_checked(self, path, n_params, slot, message):
+        n = 4
+        c = build_ansatz(AnsatzKind.PERMUTATION, n, 2)
+        assert c.n_params == 6
+        amps, labels = generate_dataset(n, ExperimentConfig(qubit_counts=(n,), dataset_size=4))
+        if path == "spin blocks":
+            amps, loss_gradient = spin_states(amps, n), loss_gradient_from_blocks
+        else:
+            loss_gradient = _loss_gradient_from_arrays
+        with pytest.raises(ValueError, match=message):
+            loss_gradient(c, np.full(n_params, 0.3), amps, labels, [slot])
+
     @pytest.mark.parametrize("n", [3, 4])
     def test_any_symmetric_circuit(self, n):
         # RZ, a slot used twice on each wire, ZZ pairs in either order and
@@ -180,8 +207,8 @@ class TestReducedGradients:
 def test_reduction_memory():
     # the weights are swept downward and J+ is gathered one fan-in index
     # and one chain at a time: the reduction peaks below one statevector
-    # gradient (about 5 batches), and a reduced gradient holds a few copies
-    # of the block columns
+    # gradient (about 5 batches), and a reduced gradient holds at most a
+    # few copies of the padded densities
     n = 10
     c = build_ansatz(AnsatzKind.PERMUTATION, n, default_layer_count(AnsatzKind.PERMUTATION, n))
     amps, labels = generate_dataset(n, ExperimentConfig(qubit_counts=(n,)))
@@ -200,3 +227,25 @@ def test_reduction_memory():
     assert amps.shape == (50, 1 << n)
     assert peaks[0] <= 4.2 * amps.nbytes
     assert peaks[1] <= 5 * states.nbytes
+
+
+def test_gradient_memory_does_not_grow_with_rows():
+    # the rows enter only through the predictions and the weighted sum
+    # sigma, so 150 more rows add a few vectors of their length, not
+    # copies of their densities
+    n = 8
+    c = build_ansatz(AnsatzKind.PERMUTATION, n, default_layer_count(AnsatzKind.PERMUTATION, n))
+    params = np.random.default_rng(0).uniform(-2 * math.pi, 2 * math.pi, c.n_params)
+    peaks, sizes = [], []
+    for rows in (50, 200):
+        amps, labels = generate_dataset(n, ExperimentConfig(qubit_counts=(n,), dataset_size=rows))
+        states = spin_states(amps, n)
+        loss_gradient_from_blocks(c, params, states, labels, [probe_slot(c)])  # caches
+        tracemalloc.start()
+        try:
+            loss_gradient_from_blocks(c, params, states, labels, [probe_slot(c)])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        sizes.append(states.nbytes)
+    assert peaks[1] - peaks[0] <= 0.05 * (sizes[1] - sizes[0])
