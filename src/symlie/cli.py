@@ -166,7 +166,7 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
     orbits = enumerate_invariant_basis(spec, space_cap=args.cap_space).member_strings()
     if args.format == "json":
         # the words are digit strings, which JSON does not escape, so this is
-        # the text of json.dumps(orbit_to_json(o)) per orbit, joined by ", "
+        # json.dumps of each orbit's {representative, weight, members}, joined by ", "
         print("[" + ", ".join(['{"representative": "%s", "weight": %d, "members": ["%s"]}'
                                % (m[0], len(m), '", "'.join(m)) for m in orbits]) + "]")
     else:

@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 import pytest
+from pauli_reference import orbit_generator, word_matrix
 
 from symlie.cli import main as cli_main
 from symlie.combinatorics import (
@@ -37,7 +38,7 @@ from symlie.dense_oracle import (
     is_block_diagonal,
     weight_sort_permutation,
 )
-from symlie.pauli_orbits import enumerate_invariant_basis, pauli_matrix, symmetrized_generator
+from symlie.pauli_orbits import enumerate_invariant_basis
 from symlie.permutation_rep import (
     apply_to_tuple,
     compose,
@@ -168,7 +169,7 @@ def test_criterion_6_swap_and_representation_suites():
         for n in range(2, 6):
             elems = enumerate_elements(GroupSpec(family, n)).elements
             strings = list(itertools.product(range(4), repeat=n))
-            paulis = np.stack([pauli_matrix(s) for s in strings])
+            paulis = np.stack([word_matrix(s) for s in strings])
             index = {s: i for i, s in enumerate(strings)}
             for p in elems:
                 idx = qubit_index_permutation(p)
@@ -203,7 +204,8 @@ def test_criterion_8_exponential_map_membership():
         for n in (2, 3):
             spec = GroupSpec(family, n)
             generators = group_constraint_matrices(spec)
-            basis = [symmetrized_generator(b) for b in enumerate_invariant_basis(spec)]
+            basis = [orbit_generator(m)
+                     for m in enumerate_invariant_basis(spec).member_strings()]
             rng = np.random.default_rng(800 + 10 * n + ALL_FAMILIES.index(family))
             for _ in range(100):
                 coeffs = rng.normal(size=len(basis))

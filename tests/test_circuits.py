@@ -136,10 +136,10 @@ class TestEquivariance:
     def test_shared_layer_generators_are_invariant_orbits(self, n):
         # each shared slot's gate family must be exactly one orbit of the
         # matching symmetry group, up to the X/Y/ZZ Pauli word involved
-        perm_orbits = {b.representative: set(b.members)
-                       for b in enumerate_invariant_basis(GroupSpec(Family.SYMMETRIC, n))}
-        cyc_orbits = {b.representative: set(b.members)
-                      for b in enumerate_invariant_basis(GroupSpec(Family.CYCLIC, n))}
+        perm_orbits = {m[0]: set(m) for m in
+                       enumerate_invariant_basis(GroupSpec(Family.SYMMETRIC, n)).member_strings()}
+        cyc_orbits = {m[0]: set(m) for m in
+                      enumerate_invariant_basis(GroupSpec(Family.CYCLIC, n)).member_strings()}
 
         def word(gate):
             digits = [0] * n
@@ -148,7 +148,7 @@ class TestEquivariance:
             else:
                 for t in gate.targets:
                     digits[t] = 3
-            return tuple(digits)
+            return "".join(map(str, digits))
 
         for kind, orbits in ((AnsatzKind.PERMUTATION, perm_orbits),
                              (AnsatzKind.CYCLIC, cyc_orbits)):

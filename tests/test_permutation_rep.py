@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from pauli_reference import word_matrix
 
 from symlie.cli import parse_group_spec
 from symlie.combinatorics import (Family, GroupSpec, ProductGroupSpec, cycle_index, dimension,
                                   evaluate)
 from symlie.errors import OrderCapExceeded, StateSpaceCapExceeded
 from symlie.indexing import digit_action
-from symlie.pauli_orbits import pauli_matrix
 from symlie.permutation_rep import (
     _digit_permuted,
     apply_to_tuple,
@@ -260,9 +260,9 @@ class TestQubitMatrices:
         # a 3-qubit cyclic shift must move sigma_1 from qubit 0 to qubit 2
         shift = (1, 2, 0)
         u = qubit_permutation_matrix(shift)
-        lhs = u @ pauli_matrix((1, 0, 0)) @ u.conj().T
-        assert np.allclose(lhs, pauli_matrix((0, 0, 1)), atol=1e-14)
-        assert np.allclose(lhs, pauli_matrix(apply_to_tuple(shift, (1, 0, 0))), atol=1e-14)
+        lhs = u @ word_matrix((1, 0, 0)) @ u.conj().T
+        assert np.allclose(lhs, word_matrix((0, 0, 1)), atol=1e-14)
+        assert np.allclose(lhs, word_matrix(apply_to_tuple(shift, (1, 0, 0))), atol=1e-14)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     @pytest.mark.parametrize("n", range(1, 6))
@@ -306,7 +306,7 @@ class TestQubitMatrices:
         # U_alpha P_s U_alpha^dagger == P_{alpha . s} for every group element
         # and every Pauli string
         elems = enumerate_elements(GroupSpec(family, n)).elements
-        paulis = np.stack([pauli_matrix(s)
+        paulis = np.stack([word_matrix(s)
                            for s in itertools.product(range(4), repeat=n)])
         strings = list(itertools.product(range(4), repeat=n))
         string_index = {s: i for i, s in enumerate(strings)}
