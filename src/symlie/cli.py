@@ -137,7 +137,7 @@ def _cmd_dim(args: argparse.Namespace) -> int:
         sweep = _parse_range(args.sweep)
         specs = _specs_for_sweep(args.spec, sweep)
         for spec in specs:  # refuse an oversized sweep before building any table
-            comb.check_term_cap(spec)
+            comb.check_digit_cap(spec, args.alphabet)
         _emit_rows(args.format, ["N", "spec", "dimension"],
                    [(n, str(spec), comb.dimension(spec, args.alphabet))
                     for n, spec in zip(sweep, specs)])

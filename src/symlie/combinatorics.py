@@ -21,8 +21,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Tuple, Union
 
-from .errors import NonIntegerCount, TermCapExceeded
-from .indexing import MAX_CYCLE_INDEX_TERMS, max_partition_degree
+from .errors import DigitCapExceeded, NonIntegerCount, TermCapExceeded
+from .indexing import MAX_CYCLE_INDEX_TERMS, MAX_DIMENSION_DIGITS, max_partition_degree
 
 __all__ = [
     "Family",
@@ -32,6 +32,7 @@ __all__ = [
     "CycleIndex",
     "cycle_index",
     "check_term_cap",
+    "check_digit_cap",
     "evaluate",
     "dim_invariant_algebra",
     "dim_product",
@@ -193,6 +194,18 @@ def check_term_cap(spec: AnySpec) -> None:
             raise TermCapExceeded(str(part), MAX_CYCLE_INDEX_TERMS, max_degree)
 
 
+def check_digit_cap(spec: AnySpec, alphabet: int) -> None:
+    """Refuse, before any table is built, a spec over an S or A part above the
+    term cap, or one whose dimension clearly has more than MAX_DIMENSION_DIGITS
+    digits.  The orbit count is at least k^N / |G|, the identity's term alone,
+    so its log10 is at least N log10(k) - log10|G|; a spare digit absorbs
+    rounding, and `dimension` checks the exact value."""
+    check_term_cap(spec)  # first, so that |G| is never a large factorial
+    if alphabet > 1 and spec.degree > (
+            MAX_DIMENSION_DIGITS + 1 + math.log10(group_order(spec))) / math.log10(alphabet):
+        raise DigitCapExceeded(str(spec), MAX_DIMENSION_DIGITS)
+
+
 def cycle_index(spec: GroupSpec) -> CycleIndex:
     """Build the exact cycle index polynomial for a named group family."""
     check_term_cap(spec)
@@ -217,7 +230,7 @@ def evaluate(ci: CycleIndex, k: int) -> int:
     and raises NonIntegerCount."""
     if k < 1:
         raise ValueError(f"alphabet size must be >= 1, got {k}")
-    powers = [k ** m for m in range(ci.degree + 1)]
+    powers = {m: k ** m for m in {len(part) for part in ci.counts}}
     total = sum(c * powers[len(part)] for part, c in ci.counts.items())
     if total % ci.order or total < 0:
         raise NonIntegerCount(f"evaluation at k={k} gave non-integer {Fraction(total, ci.order)}")
@@ -261,10 +274,14 @@ def dim_product(spec: ProductGroupSpec, alphabet: int = 4) -> int:
 
 
 def dimension(spec: AnySpec, alphabet: int = 4) -> int:
-    """Invariant-subalgebra dimension of a named group or a product of them."""
-    if isinstance(spec, ProductGroupSpec):
-        return dim_product(spec, alphabet)
-    return dim_invariant_algebra(spec, alphabet)
+    """Invariant-subalgebra dimension of a named group or a product of them;
+    one of more than MAX_DIMENSION_DIGITS digits raises DigitCapExceeded."""
+    check_digit_cap(spec, alphabet)
+    dim = (dim_product(spec, alphabet) if isinstance(spec, ProductGroupSpec)
+           else dim_invariant_algebra(spec, alphabet))
+    if dim >= 10**MAX_DIMENSION_DIGITS:
+        raise DigitCapExceeded(str(spec), MAX_DIMENSION_DIGITS)
+    return dim
 
 
 def dim_symmetric_closed_form(n: int) -> int:

@@ -64,6 +64,15 @@ class TermCapExceeded(SymlieError):
                          f"S and A are capped at degree {max_degree}")
 
 
+class DigitCapExceeded(SymlieError):
+    """A dimension would have more decimal digits than can be printed."""
+
+    def __init__(self, spec: str, cap: int):
+        self.spec = spec
+        self.cap = cap
+        super().__init__(f"the dimension of {spec} has more than {cap} decimal digits")
+
+
 class NonIntegerCount(SymlieError):
     """A cycle-index evaluation produced a non-integer, i.e. the polynomial is corrupted."""
 

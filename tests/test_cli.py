@@ -103,6 +103,26 @@ class TestDim:
         assert "error" in err.lower()
 
 
+class TestDigitCap:
+    def test_largest_printable_dimension_prints(self, capsys):
+        code, out, err = run_cli(capsys, "dim", "C:7148", "--format", "csv")
+        assert code == 0 and err == ""
+        assert len(out) == 4301  # 4300 digits and a newline
+
+    def test_sweep_is_refused_before_any_row(self, capsys):
+        code, out, err = run_cli(capsys, "dim", "C", "--sweep", "7145..7160", "--format", "csv")
+        assert code == 2 and out == ""
+        assert "has more than 4300 decimal digits" in err
+
+    def test_oversized_spec_is_refused_before_its_cycle_index(self, capsys, monkeypatch):
+        def refuse(spec):
+            raise AssertionError(f"built the cycle index of {spec}")
+        monkeypatch.setattr(comb, "cycle_index", refuse)
+        code, out, err = run_cli(capsys, "dim", "C:1000000000")
+        assert code == 2 and out == ""
+        assert "the dimension of C:1000000000 has more than 4300 decimal digits" in err
+
+
 class TestTermCap:
     @pytest.mark.parametrize("argv", [
         ("dim", "S:500"),

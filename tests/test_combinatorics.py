@@ -15,6 +15,7 @@ from symlie.combinatorics import (
     Family,
     GroupSpec,
     ProductGroupSpec,
+    check_digit_cap,
     check_term_cap,
     cycle_index,
     dim_energy_preserving,
@@ -26,8 +27,8 @@ from symlie.combinatorics import (
     evaluate,
     group_order,
 )
-from symlie.errors import NonIntegerCount, TermCapExceeded
-from symlie.indexing import MAX_CYCLE_INDEX_TERMS
+from symlie.errors import DigitCapExceeded, NonIntegerCount, TermCapExceeded
+from symlie.indexing import MAX_CYCLE_INDEX_TERMS, MAX_DIMENSION_DIGITS
 from symlie.permutation_rep import enumerate_elements
 
 ALL_FAMILIES = list(Family)
@@ -298,6 +299,44 @@ class TestTermCap:
         check_term_cap(GroupSpec(Family.SYMMETRIC, 7))
         with pytest.raises(TermCapExceeded):
             check_term_cap(GroupSpec(Family.SYMMETRIC, 8))
+
+
+class TestDigitCap:
+    @pytest.mark.parametrize("family, alphabet, last", [
+        (Family.CYCLIC, 4, 7148),
+        (Family.DIHEDRAL, 4, 7149),
+        (Family.TRIVIAL, 4, 7142),
+        (Family.CYCLIC, 2, 14298),
+        (Family.DIHEDRAL, 3, 9021),
+        (Family.TRIVIAL, 16, 3571),
+    ])
+    def test_last_printable_degree(self, family, alphabet, last):
+        # the last degree whose dimension has at most MAX_DIMENSION_DIGITS
+        # digits passes the cheap bound and is returned; the next is refused
+        check_digit_cap(GroupSpec(family, last), alphabet)
+        assert len(str(dimension(GroupSpec(family, last), alphabet))) <= MAX_DIMENSION_DIGITS
+        with pytest.raises(DigitCapExceeded) as info:
+            dimension(GroupSpec(family, last + 1), alphabet)
+        assert info.value.cap == MAX_DIMENSION_DIGITS
+
+    @pytest.mark.parametrize("spec, alphabet", [
+        (GroupSpec(Family.CYCLIC, 10**9), 4),
+        (GroupSpec(Family.DIHEDRAL, 10**400), 2),
+        (ProductGroupSpec((GroupSpec(Family.TRIVIAL, 8000), GroupSpec(Family.SYMMETRIC, 3))), 4),
+    ])
+    def test_bound_refuses_before_any_cycle_index(self, monkeypatch, spec, alphabet):
+        def refuse(part):
+            raise AssertionError(f"built the cycle index of {part}")
+        monkeypatch.setattr(comb, "cycle_index", refuse)
+        with pytest.raises(DigitCapExceeded):
+            dimension(spec, alphabet)
+
+    def test_alphabets_below_two_are_not_bounded(self):
+        # k^N / |G| is at most 1, and a non-positive alphabet is refused by
+        # `evaluate` with its own message
+        check_digit_cap(GroupSpec(Family.CYCLIC, 10**9), 1)
+        with pytest.raises(ValueError, match="alphabet size must be >= 1"):
+            dimension(GroupSpec(Family.CYCLIC, 4), 0)
 
 
 class TestTotient:
