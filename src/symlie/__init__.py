@@ -25,6 +25,7 @@ from .combinatorics import (
 from .errors import (
     ConstraintCapExceeded,
     DatasetGenerationFailed,
+    DigitCapExceeded,
     IndeterminateRank,
     MatrixSizeCapExceeded,
     NonIntegerCount,

@@ -194,6 +194,9 @@ def check_term_cap(spec: AnySpec) -> None:
             raise TermCapExceeded(str(part), MAX_CYCLE_INDEX_TERMS, max_degree)
 
 
+_LEAST_UNPRINTABLE = 10**MAX_DIMENSION_DIGITS  # the least int of more digits than the cap
+
+
 def check_digit_cap(spec: AnySpec, alphabet: int) -> None:
     """Refuse, before any table is built, a spec over an S or A part above the
     term cap, or one whose dimension clearly has more than MAX_DIMENSION_DIGITS
@@ -230,7 +233,7 @@ def evaluate(ci: CycleIndex, k: int) -> int:
     and raises NonIntegerCount."""
     if k < 1:
         raise ValueError(f"alphabet size must be >= 1, got {k}")
-    powers = {m: k ** m for m in {len(part) for part in ci.counts}}
+    powers = [k ** m for m in range(ci.degree + 1)]
     total = sum(c * powers[len(part)] for part, c in ci.counts.items())
     if total % ci.order or total < 0:
         raise NonIntegerCount(f"evaluation at k={k} gave non-integer {Fraction(total, ci.order)}")
@@ -279,7 +282,7 @@ def dimension(spec: AnySpec, alphabet: int = 4) -> int:
     check_digit_cap(spec, alphabet)
     dim = (dim_product(spec, alphabet) if isinstance(spec, ProductGroupSpec)
            else dim_invariant_algebra(spec, alphabet))
-    if dim >= 10**MAX_DIMENSION_DIGITS:
+    if dim >= _LEAST_UNPRINTABLE:
         raise DigitCapExceeded(str(spec), MAX_DIMENSION_DIGITS)
     return dim
 

@@ -35,9 +35,7 @@ MAX_STATE_BATCH_BYTES = 2**30
 # the costate is swept back; 2^27 holds one 50-state batch up to n = 17.
 MAX_STORED_STATE_BYTES = 2**27
 MAX_CYCLE_INDEX_TERMS = 10**5  # cycle types of S_n or A_n: p(45) = 89,134 < cap < p(46)
-# Decimal digits of a dimension: Python converts no longer int to a string by
-# default (sys.get_int_max_str_digits), so a larger dimension could not be printed.
-MAX_DIMENSION_DIGITS = 4300
+MAX_DIMENSION_DIGITS = 4300  # Python prints an int of at most this many digits by default
 # Entries per chunk of a chunked array build (Pauli columns, the oracle's
 # candidate entries per chunk of words and its union-find passes): bounds
 # their temporaries to a few MB whatever the matrix size.

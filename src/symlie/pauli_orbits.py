@@ -6,8 +6,8 @@ most significant bit).  The invariant subalgebra for a permutation group has
 one basis element per orbit of nonzero words: i times the sum of the orbit's
 matrices.  An orbit is held only as the digit strings of its words, such as
 "0312", so that dimension counting never needs 2^N memory; a word's dense
-matrix is built from `indexing.pauli_columns` and an orbit's generator by
-``indexing.pauli_sum(members, 1j)``.
+matrix is built from `indexing.pauli_columns`, and an orbit's generator is
+`indexing.pauli_sum` of its members' digits, each weighted 1j.
 """
 
 from __future__ import annotations
