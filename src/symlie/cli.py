@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import combinatorics as comb
 from .combinatorics import AnySpec, Family, GroupSpec, ProductGroupSpec
@@ -85,12 +85,12 @@ def parse_group_spec(text: str) -> AnySpec:
     return _spec_from_parts([_parse_part(tok, allow_variable=False) for tok in text.split("x")])
 
 
-def _specs_for_sweep(text: str, sweep: Sequence[int]) -> List[AnySpec]:
+def _specs_for_sweep(text: str, sweep: Iterable[int]) -> Iterator[AnySpec]:
+    """The spec at each sweep value, built one at a time."""
     parts = [_parse_part(tok, allow_variable=True) for tok in text.split("x")]
     variable = [i for i, (_, size) in enumerate(parts) if size is None]
     if len(variable) != 1:
         raise SpecSyntaxError("--sweep needs exactly one variable part (bare family or FAMILY:*)")
-    out: List[AnySpec] = []
     fixed_total = sum(size for _, size in parts if size is not None)
     for n in sweep:
         var_size = n - fixed_total
@@ -98,12 +98,11 @@ def _specs_for_sweep(text: str, sweep: Sequence[int]) -> List[AnySpec]:
             raise SpecSyntaxError(
                 f"sweep value {n} leaves no symbols for the variable part "
                 f"(fixed parts already use {fixed_total})")
-        out.append(_spec_from_parts(
-            [(fam, size if size is not None else var_size) for fam, size in parts]))
-    return out
+        yield _spec_from_parts(
+            [(fam, size if size is not None else var_size) for fam, size in parts])
 
 
-def _parse_range(text: str, step: int = 1) -> List[int]:
+def _parse_range(text: str, step: int = 1) -> Sequence[int]:
     if "," in text:
         return [int(tok) for tok in text.split(",")]
     if ".." in text:
@@ -111,7 +110,7 @@ def _parse_range(text: str, step: int = 1) -> List[int]:
         lo, hi = int(lo_text), int(hi_text)
         if hi < lo:
             raise SpecSyntaxError(f"empty range {text!r}")
-        return list(range(lo, hi + 1, step))
+        return range(lo, hi + 1, step)
     return [int(text)]
 
 
@@ -135,12 +134,14 @@ def _emit_rows(fmt: str, headers: Sequence[str], rows: Iterable[Sequence]) -> No
 def _cmd_dim(args: argparse.Namespace) -> int:
     if args.sweep:
         sweep = _parse_range(args.sweep)
-        specs = _specs_for_sweep(args.spec, sweep)
-        for spec in specs:  # refuse an oversized sweep before building any table
+        # refuse an oversized sweep before building any table; the specs are
+        # checked as they are built, so a refused range stops at its first
+        # oversized N, and every row is computed before one is printed
+        for spec in _specs_for_sweep(args.spec, sweep):
             comb.check_digit_cap(spec, args.alphabet)
         _emit_rows(args.format, ["N", "spec", "dimension"],
                    [(n, str(spec), comb.dimension(spec, args.alphabet))
-                    for n, spec in zip(sweep, specs)])
+                    for n, spec in zip(sweep, _specs_for_sweep(args.spec, sweep))])
         return 0
     spec = parse_group_spec(args.spec)
     dim = comb.dimension(spec, args.alphabet)

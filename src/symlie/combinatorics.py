@@ -113,10 +113,18 @@ AnySpec = Union[GroupSpec, ProductGroupSpec]
 
 
 def euler_totient(d: int) -> int:
-    """Count the integers in [1, d] coprime to d."""
+    """Count the integers in [1, d] coprime to d, as d prod_{p | d} (1 - 1/p)
+    over the primes p found by trial division up to sqrt(d)."""
     if d < 1:
         raise ValueError(f"totient needs d >= 1, got {d}")
-    return sum(1 for i in range(1, d + 1) if math.gcd(i, d) == 1)
+    phi, rest, p = d, d, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            phi -= phi // p
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return phi - phi // rest if rest > 1 else phi
 
 
 @dataclass(frozen=True)
@@ -169,7 +177,10 @@ def _alternating_counts(n: int) -> Dict[Partition, int]:
 
 def _cyclic_counts(n: int) -> Dict[Partition, int]:
     # phi(d) rotations have order d and type d^(n/d); distinct d give distinct types.
-    return {(d,) * (n // d): euler_totient(d) for d in range(1, n + 1) if n % d == 0}
+    # The divisors d <= sqrt(n) give the rest as n // d; keyed by ascending d.
+    low = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    divisors = low + [n // d for d in reversed(low) if d * d != n]
+    return {(d,) * (n // d): euler_totient(d) for d in divisors}
 
 
 def _dihedral_counts(n: int) -> Dict[Partition, int]:
@@ -233,7 +244,8 @@ def evaluate(ci: CycleIndex, k: int) -> int:
     and raises NonIntegerCount."""
     if k < 1:
         raise ValueError(f"alphabet size must be >= 1, got {k}")
-    powers = [k ** m for m in range(ci.degree + 1)]
+    # one power per cycle count that occurs: a C:N index has one per divisor of N
+    powers = {m: k ** m for m in {len(part) for part in ci.counts}}
     total = sum(c * powers[len(part)] for part, c in ci.counts.items())
     if total % ci.order or total < 0:
         raise NonIntegerCount(f"evaluation at k={k} gave non-integer {Fraction(total, ci.order)}")

@@ -17,8 +17,6 @@ from .experiment import (
     ExperimentConfig,
     VarianceRow,
     generate_dataset,
-    is_connected,
-    random_graph,
     rows_to_csv,
     rows_to_json,
     run_variance_experiment,
@@ -45,8 +43,6 @@ __all__ = [
     "ExperimentConfig",
     "VarianceRow",
     "generate_dataset",
-    "is_connected",
-    "random_graph",
     "rows_to_csv",
     "rows_to_json",
     "run_variance_experiment",

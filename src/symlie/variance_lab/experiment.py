@@ -9,6 +9,12 @@ parity observable commute with S_n, so its gradients are computed on the
 spin blocks of each dataset state (`spin_blocks`), reduced once per chunk of
 samples; the other ansatzes run on the statevector.
 
+The points run in n-major order (for each qubit count, every ansatz), so each
+process draws each qubit count's dataset once and holds only the current
+one; a block of graphs is drawn and labelled at a time.  With a pool every
+chunk is submitted before any is collected, and the rows come out in
+ansatz-major order.
+
 Randomness is fully pinned: all streams are PCG64 generators seeded from
 ``SeedSequence(entropy=seed, spawn_key=...)``, with key ``(0, n)`` for the
 dataset at n qubits and ``(1 + ansatz_index, n, sample_index)`` for each
@@ -24,7 +30,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,8 +44,6 @@ from .spin_blocks import loss_gradient_from_blocks, spin_states
 __all__ = [
     "ExperimentConfig",
     "VarianceRow",
-    "random_graph",
-    "is_connected",
     "generate_dataset",
     "run_variance_experiment",
     "rows_to_csv",
@@ -105,62 +109,76 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
         np.random.SeedSequence(entropy=seed, spawn_key=key)))
 
 
-def random_graph(n: int, p: float, rng: np.random.Generator) -> List[Tuple[int, int]]:
-    """Erdos-Renyi G(n, p); pairs are tried in (i, j), i < j order.
-
-    One vector draw of n(n-1)/2 coins reads the same stream values as one
-    scalar draw per pair."""
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    coins = rng.random(len(pairs))
-    return [pair for pair, coin in zip(pairs, coins) if coin < p]
+# graphs drawn and labelled at a time; the (rows, n, n) float32 closure
+# stays under 1 MB up to n = 31
+_GRAPH_BLOCK_ROWS = 256
 
 
-def is_connected(n: int, edges: Sequence[Tuple[int, int]]) -> bool:
-    """Union-find connectivity over the edge list."""
-    parent = list(range(n))
+def _connected_rows(n: int, coins: np.ndarray) -> np.ndarray:
+    """Connectivity of each row's graph, given its (i, j), i < j edge coins.
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    components = n
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            components -= 1
-    return components == 1
+    The closure of I + A by repeated squaring reaches, after k squarings,
+    every vertex within distance 2^k; a graph is connected iff vertex 0
+    then reaches all n."""
+    upper = np.triu_indices(n, 1)
+    adjacency = np.zeros((len(coins), n, n), dtype=bool)
+    adjacency[:, upper[0], upper[1]] = coins
+    reach = (adjacency | adjacency.swapaxes(1, 2) | np.eye(n, dtype=bool)).astype(np.float32)
+    for _ in range((n - 2).bit_length()):  # 2^k >= n - 1, the longest path
+        reach = np.minimum(reach @ reach, 1.0)
+    return reach[:, 0].all(axis=1)
 
 
 def generate_dataset(n: int, cfg: ExperimentConfig) -> Tuple[np.ndarray, np.ndarray]:
     """Balanced graph-state dataset: half connected (+1), half disconnected (-1).
 
-    Graphs are drawn and kept only while their class still has room
-    (per-class rejection sampling); exceeding the retry cap raises
-    DatasetGenerationFailed.  Each state is written into one preallocated
-    batch, so the peak stays one batch.
+    Erdos-Renyi G(n, p) graphs, one coin per pair in (i, j), i < j order,
+    are drawn and kept only while their class still has room (per-class
+    rejection sampling); needing more than `dataset_retry_cap` draws raises
+    DatasetGenerationFailed.  The coins of up to _GRAPH_BLOCK_ROWS graphs
+    are read in one call and labelled by one vectorised connectivity test.
+    The stream feeds only this dataset, so reading past the last kept graph
+    changes nothing.  Each state is written into one preallocated batch, so
+    the peak stays one batch.
     """
     rng = _stream(cfg.seed, 0, n)
+    first, second = np.triu_indices(n, 1)
     quota = {1.0: cfg.dataset_size // 2, -1.0: cfg.dataset_size // 2}
     states = np.empty((cfg.dataset_size, 1 << n), dtype=np.complex128)
     labels: List[float] = []
-    attempts = 0
+    drawn = 0
     while quota[1.0] or quota[-1.0]:
-        attempts += 1
-        if attempts > cfg.dataset_retry_cap:
+        if drawn >= cfg.dataset_retry_cap:
             raise DatasetGenerationFailed(
                 f"could not balance classes for n={n}, p={cfg.edge_probability} "
                 f"within {cfg.dataset_retry_cap} draws (still need "
                 f"{quota[1.0]} connected, {quota[-1.0]} disconnected)")
-        edges = random_graph(n, cfg.edge_probability, rng)
-        label = 1.0 if is_connected(n, edges) else -1.0
-        if quota[label]:
-            quota[label] -= 1
-            states[len(labels)] = graph_state(edges, n).amplitudes
-            labels.append(label)
+        rows = min(_GRAPH_BLOCK_ROWS, cfg.dataset_retry_cap - drawn)
+        coins = rng.random((rows, len(first))) < cfg.edge_probability
+        drawn += rows
+        for edges, connected in zip(coins, _connected_rows(n, coins)):
+            label = 1.0 if connected else -1.0
+            if quota[label]:
+                quota[label] -= 1
+                pairs = zip(first[edges].tolist(), second[edges].tolist())
+                states[len(labels)] = graph_state(pairs, n).amplitudes
+                labels.append(label)
     return states, np.array(labels)
+
+
+# The dataset of the qubit count being run, as ((n, cfg), states, labels):
+# every ansatz and every chunk at that n in this process share it, and
+# run_variance_experiment drops it when it returns.
+_current_dataset: Optional[tuple] = None
+
+
+def _point_dataset(n: int, cfg: ExperimentConfig) -> Tuple[np.ndarray, np.ndarray]:
+    global _current_dataset
+    entry = _current_dataset
+    if entry is None or entry[0] != (n, cfg):
+        _current_dataset = entry = None  # free the last batch before drawing the next
+        entry = _current_dataset = ((n, cfg), *generate_dataset(n, cfg))
+    return entry[1], entry[2]
 
 
 def _build_circuit(kind: AnsatzKind, n: int, cfg: ExperimentConfig):
@@ -177,7 +195,7 @@ def _gradient_samples(cfg: ExperimentConfig, kind: AnsatzKind, n: int,
                       start: int, stop: int) -> np.ndarray:
     """Gradients for samples [start, stop); shape (stop-start, n_probed_slots)."""
     circuit = _build_circuit(kind, n, cfg)
-    amps, labels = generate_dataset(n, cfg)
+    amps, labels = _point_dataset(n, cfg)
     slots = _probed_slots(circuit, cfg)
     loss_gradient = _loss_gradient_from_arrays
     if kind is AnsatzKind.PERMUTATION:
@@ -225,40 +243,52 @@ def _cap_blas_threads(threads: int) -> None:
         return
 
 
-def _collect_point(cfg: ExperimentConfig, kind: AnsatzKind, n: int,
-                   pool: Optional[ProcessPoolExecutor]) -> np.ndarray:
+def _collect_points(cfg: ExperimentConfig, pool: Optional[ProcessPoolExecutor]
+                    ) -> Dict[Tuple[AnsatzKind, int], np.ndarray]:
+    """Gradients of every (ansatz, n) point, run in n-major order so that a
+    process draws each qubit count's dataset once."""
+    points = [(kind, n) for n in cfg.qubit_counts for kind in cfg.ansatz_kinds]
     total = cfg.samples_per_point
     if pool is None:
-        return _gradient_samples(cfg, kind, n, 0, total)
+        return {(kind, n): _gradient_samples(cfg, kind, n, 0, total) for kind, n in points}
     chunk = max(1, math.ceil(total / cfg.workers))
-    futures = [pool.submit(_gradient_samples, cfg, kind, n, s, min(s + chunk, total))
-               for s in range(0, total, chunk)]
-    return np.concatenate([f.result() for f in futures])
+    # every chunk is submitted before any is collected, so no point waits
+    # for the one before it
+    futures = {(kind, n): [pool.submit(_gradient_samples, cfg, kind, n, s,
+                                       min(s + chunk, total))
+                           for s in range(0, total, chunk)]
+               for kind, n in points}
+    return {point: np.concatenate([f.result() for f in chunks])
+            for point, chunks in futures.items()}
 
 
 def run_variance_experiment(cfg: ExperimentConfig) -> List[VarianceRow]:
     """One row per (qubit count, ansatz) in default mode; one row per slot
-    when probe_all_slots is set."""
-    rows: List[VarianceRow] = []
+    when probe_all_slots is set.  Rows are ordered by ansatz, then n."""
+    global _current_dataset
     pool = None
     if cfg.workers > 1:
         threads = max(1, (os.cpu_count() or 1) // cfg.workers)
         pool = ProcessPoolExecutor(max_workers=cfg.workers, initializer=_cap_blas_threads,
                                    initargs=(threads,))
     try:
-        for kind in cfg.ansatz_kinds:
-            for n in cfg.qubit_counts:
-                grads = _collect_point(cfg, kind, n, pool)
-                # all-slot mode probes slots 0, 1, ... in column order
-                for slot in range(grads.shape[1]):
-                    variance = float(np.var(grads[:, slot], ddof=1))
-                    rows.append(VarianceRow(
-                        qubits=n, ansatz=kind.value, variance=variance,
-                        samples=cfg.samples_per_point, seed=cfg.seed,
-                        slot=slot if cfg.probe_all_slots else None))
+        grads = _collect_points(cfg, pool)
     finally:
+        _current_dataset = None
         if pool is not None:
-            pool.shutdown()
+            # after a failed chunk, the chunks not yet started never run
+            pool.shutdown(cancel_futures=True)
+    rows: List[VarianceRow] = []
+    for kind in cfg.ansatz_kinds:
+        for n in cfg.qubit_counts:
+            point = grads[kind, n]
+            # all-slot mode probes slots 0, 1, ... in column order
+            for slot in range(point.shape[1]):
+                variance = float(np.var(point[:, slot], ddof=1))
+                rows.append(VarianceRow(
+                    qubits=n, ansatz=kind.value, variance=variance,
+                    samples=cfg.samples_per_point, seed=cfg.seed,
+                    slot=slot if cfg.probe_all_slots else None))
     return rows
 
 

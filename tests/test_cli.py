@@ -114,6 +114,29 @@ class TestDigitCap:
         assert code == 2 and out == ""
         assert "has more than 4300 decimal digits" in err
 
+    def test_long_sweep_stops_at_its_first_oversized_spec(self, capsys, monkeypatch):
+        # the range's specs are checked as they are built: E:7144 is refused
+        # without building the other 2,992,856
+        built = []
+        original = cli._spec_from_parts
+
+        def counting(parts):
+            built.append(parts)
+            return original(parts)
+
+        monkeypatch.setattr(cli, "_spec_from_parts", counting)
+        code, out, err = run_cli(capsys, "dim", "E", "--sweep", "1..3000000", "--format", "csv")
+        assert code == 2 and out == ""
+        assert "the dimension of E:7144 has more than 4300 decimal digits" in err
+        assert len(built) == 7144
+
+    def test_unit_alphabet_of_a_huge_cyclic_group_prints_zero(self, capsys):
+        # no digit bound applies at k = 1; the divisors are found up to
+        # sqrt(N) and one power is built per cycle count
+        code, out, err = run_cli(capsys, "dim", "C:10000000", "--alphabet", "1",
+                                 "--format", "csv")
+        assert (code, out, err) == (0, "0\n", "")
+
     def test_oversized_spec_is_refused_before_its_cycle_index(self, capsys, monkeypatch):
         def refuse(spec):
             raise AssertionError(f"built the cycle index of {spec}")

@@ -343,6 +343,15 @@ class TestTotient:
     def test_examples(self, d, expected):
         assert euler_totient(d) == expected
 
+    def test_cyclic_counts_equal_the_divisor_scan(self):
+        # every d <= n is tried and phi(d) counted by gcds; this covers the
+        # totient of every d <= 300, since d divides itself, and the
+        # ascending-d key order
+        for n in range(1, 301):
+            want = {(d,) * (n // d): sum(1 for i in range(1, d + 1) if math.gcd(i, d) == 1)
+                    for d in range(1, n + 1) if n % d == 0}
+            assert list(comb._cyclic_counts(n).items()) == list(want.items()), n
+
     @given(st.integers(min_value=1, max_value=200))
     @settings(max_examples=50, deadline=None)
     def test_multiplicative_bound(self, d):

@@ -1,14 +1,18 @@
 """Dataset generation, experiment determinism, and output formats."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from dataset_reference import is_connected, random_graph, reference_dataset
 
 from symlie.errors import DatasetGenerationFailed, StateBatchCapExceeded, SymlieError
 from symlie.indexing import MAX_STATE_BATCH_BYTES
@@ -16,13 +20,12 @@ from symlie.variance_lab import (
     AnsatzKind,
     ExperimentConfig,
     generate_dataset,
-    is_connected,
-    random_graph,
     rows_to_csv,
     rows_to_json,
     run_variance_experiment,
 )
-from symlie.variance_lab.experiment import VarianceRow, _stream
+from symlie.variance_lab import experiment
+from symlie.variance_lab.experiment import ALL_ANSATZE, VarianceRow, _stream
 
 
 class TestConnectivity:
@@ -103,6 +106,42 @@ class TestDatasetGeneration:
         with pytest.raises(DatasetGenerationFailed):
             generate_dataset(8, cfg)
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    def test_matches_graph_by_graph_reference(self, seed):
+        # a cap of 2000 draws spans eight blocks and keeps the reference's
+        # starved cases (rare connected graphs at p = 0.1, rare disconnected
+        # ones at p = 0.9) cheap; those must fail with the same message
+        for n in range(2, 15):
+            for p in (0.1, 0.4, 0.9):
+                cfg = ExperimentConfig(qubit_counts=(n,), seed=seed, edge_probability=p,
+                                       dataset_retry_cap=2000)
+                try:
+                    want_states, want_labels, _ = reference_dataset(n, cfg)
+                except DatasetGenerationFailed as refused:
+                    with pytest.raises(DatasetGenerationFailed) as info:
+                        generate_dataset(n, cfg)
+                    assert str(info.value) == str(refused)
+                    continue
+                states, labels = generate_dataset(n, cfg)
+                assert np.array_equal(states, want_states), (n, p)
+                assert np.array_equal(labels, want_labels), (n, p)
+
+    @pytest.mark.parametrize("n", [4, 14])
+    def test_retry_cap_boundary(self, n):
+        # n = 4 needs fewer draws than one block, n = 14 several blocks
+        cfg = ExperimentConfig(qubit_counts=(n,), seed=1)
+        want_states, want_labels, draws = reference_dataset(n, cfg)
+        assert (draws > 256) == (n == 14)
+        states, labels = generate_dataset(n, replace(cfg, dataset_retry_cap=draws))
+        assert np.array_equal(states, want_states)
+        assert np.array_equal(labels, want_labels)
+        short = replace(cfg, dataset_retry_cap=draws - 1)
+        with pytest.raises(DatasetGenerationFailed) as info:
+            generate_dataset(n, short)
+        with pytest.raises(DatasetGenerationFailed) as refused:
+            reference_dataset(n, short)
+        assert str(info.value) == str(refused.value)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(dataset_size=7)
@@ -166,6 +205,54 @@ class TestExperiment:
         serial = run_variance_experiment(ExperimentConfig(**SMALL, workers=1))
         parallel = run_variance_experiment(ExperimentConfig(**SMALL, workers=2))
         assert rows_to_csv(serial) == rows_to_csv(parallel)
+        # two qubit counts share the workers' datasets in turn, field by field
+        for all_slots in (False, True):
+            cfg = ExperimentConfig(qubit_counts=(4, 5), samples_per_point=5, dataset_size=8,
+                                   seed=4, probe_all_slots=all_slots, layers=2)
+            serial = run_variance_experiment(cfg)
+            assert run_variance_experiment(replace(cfg, workers=2)) == serial
+            assert experiment._current_dataset is None
+
+    def test_all_ansatze_rows_equal_one_run_per_ansatz(self):
+        cfg = ExperimentConfig(qubit_counts=(4, 5), samples_per_point=4, dataset_size=8,
+                               seed=6, ansatz_kinds=ALL_ANSATZE)
+        separate = [row for kind in ALL_ANSATZE
+                    for row in run_variance_experiment(replace(cfg, ansatz_kinds=(kind,)))]
+        assert run_variance_experiment(cfg) == separate
+
+    def test_each_dataset_drawn_once_per_qubit_count(self, monkeypatch):
+        drawn = []
+        original = experiment.generate_dataset
+
+        def counting(n, cfg):
+            drawn.append(n)
+            return original(n, cfg)
+
+        monkeypatch.setattr(experiment, "generate_dataset", counting)
+        run_variance_experiment(ExperimentConfig(qubit_counts=(4, 5, 6), samples_per_point=2,
+                                                 dataset_size=4))
+        assert drawn == [4, 5, 6]  # n-major: every ansatz at n shares one draw
+        assert experiment._current_dataset is None
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the workers must inherit the patched dataset draw")
+    def test_worker_failure_cancels_the_chunks_not_started(self, monkeypatch, tmp_path):
+        started = tmp_path / "started"
+
+        def failing(n, cfg):
+            with started.open("a") as log:
+                log.write(f"{n}\n")
+            time.sleep(0.2)
+            raise DatasetGenerationFailed(f"no dataset at n={n}")
+
+        monkeypatch.setattr(experiment, "generate_dataset", failing)
+        cfg = ExperimentConfig(qubit_counts=(4, 5, 6, 7, 8), samples_per_point=4,
+                               dataset_size=4, workers=2)
+        with pytest.raises(DatasetGenerationFailed, match="no dataset at n=4"):
+            run_variance_experiment(cfg)
+        # 30 chunks were submitted; only those already handed to a worker run
+        assert len(started.read_text().split()) < 20
+        assert experiment._current_dataset is None
 
     def test_blas_thread_count_does_not_change_output(self):
         # the block matmuls may run on several BLAS threads; the printed
@@ -193,7 +280,6 @@ class TestExperiment:
 
     def test_each_circuit_built_once_per_point(self, monkeypatch):
         # the rows' slots come from the gradient columns, not a second build
-        from symlie.variance_lab import experiment
         built = []
         original = experiment.build_ansatz
 
@@ -214,7 +300,6 @@ class TestExperiment:
     def test_cyclic_variant_changes_results(self):
         base = ExperimentConfig(**SMALL, ansatz_kinds=(AnsatzKind.CYCLIC,))
         with_t4 = run_variance_experiment(base)
-        from dataclasses import replace
         without_t4 = run_variance_experiment(replace(base, cyclic_distance2=False))
         assert with_t4[0].variance != without_t4[0].variance
 
