@@ -243,6 +243,14 @@ def _cap_blas_threads(threads: int) -> None:
         return
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the platform
+    reports one, which a pinned process keeps below `os.cpu_count()`."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _collect_points(cfg: ExperimentConfig, pool: Optional[ProcessPoolExecutor]
                     ) -> Dict[Tuple[AnsatzKind, int], np.ndarray]:
     """Gradients of every (ansatz, n) point, run in n-major order so that a
@@ -268,7 +276,7 @@ def run_variance_experiment(cfg: ExperimentConfig) -> List[VarianceRow]:
     global _current_dataset
     pool = None
     if cfg.workers > 1:
-        threads = max(1, (os.cpu_count() or 1) // cfg.workers)
+        threads = max(1, _usable_cores() // cfg.workers)
         pool = ProcessPoolExecutor(max_workers=cfg.workers, initializer=_cap_blas_threads,
                                    initargs=(threads,))
     try:

@@ -5,14 +5,19 @@ the mean squared error against labels.  Gradients come from adjoint
 differentiation (Jones and Gacon, arXiv:2009.02823): every parametrized
 gate here is exp(-i*theta/2 * G), so an occurrence of a slot contributes
 dp/dtheta = Im<mu|G|psi>, where psi is the state just after the gate and
-mu the costate P U_after psi with the suffix U_after of the circuit.  The
-forward pass keeps psi at the output of each probed step, up to
-`MAX_STORED_STATE_BYTES`, and ends in psi_out and mu_out = P psi_out; the
-reverse sweep then undoes the circuit's fused steps on mu alone and collects
-every occurrence of every probed slot (Griewank and Walther's stored
-checkpoints, one per probed step).  Only a probed step whose state did not
-fit is reached by sweeping psi back from psi_out as well, and that second
-batch is dropped once no such step is left.
+mu the costate U_after^dagger P U_after psi with the suffix U_after of the
+circuit.  The parity needs no pass over the batch through the circuit's
+unprobed tail: CNOT runs map the Z-string to a Z-string, ZZ and CZ runs
+commute with it, and a single-qubit step V before them turns it into the
+product operator A = V^dagger Z_S V, one 2x2 matrix per qubit.  The forward
+pass keeps psi at the output of each probed step, up to
+`MAX_STORED_STATE_BYTES`, and stops at the boundary b before that tail,
+where mu_b = A psi_b and p = <psi_b|A|psi_b>; the reverse sweep then undoes
+the fused steps before b on mu alone and collects every occurrence of every
+probed slot (Griewank and Walther's stored checkpoints, one per probed
+step).  Only a probed step whose state did not fit is reached by sweeping
+psi back from psi_b as well, and that second batch is dropped once no such
+step is left.
 
 The sweep measures only at step boundaries, so one pass serves any set of
 probed slots.  A ZZ generator is diagonal and commutes
@@ -28,14 +33,15 @@ spin blocks instead (`spin_blocks`).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..indexing import MAX_STORED_STATE_BYTES
 from ..pauli_orbits import SIGMA
-from .simulator import (Circuit, GateKind, StateVector, Step, _check_arguments, _factor,
-                        _parity_batch, _parity_signs, _run_batch, _summed_pair_signs)
+from .simulator import (_IDENTITY, _LOCAL, Circuit, GateKind, StateVector, Step,
+                        _apply_local, _check_arguments, _factor, _parity_batch,
+                        _parity_signs, _run_batch, _summed_pair_signs, _wire_matrix)
 
 __all__ = ["mse_loss", "predictions", "gradient", "gradient_finite_difference",
            "stack_dataset"]
@@ -72,6 +78,9 @@ def mse_loss(circuit: Circuit, params: Sequence[float], dataset: Dataset) -> flo
 
 
 _PAULI = dict(zip("XYZ", SIGMA[1:]))
+# step kinds that keep a Z-string diagonal: CNOT runs permute it, ZZ and CZ
+# runs commute with it
+_DIAGONAL_ON_Z_STRINGS = (GateKind.CNOT, GateKind.ZZ, GateKind.CZ)
 
 
 def _conjugated_generators(rotations: Sequence[Tuple[str, Optional[int]]],
@@ -135,6 +144,38 @@ def _step_overlaps(step: Step, params: Sequence[float], mu: np.ndarray,
                 pred_grad[slot] += (d @ g.reshape(4)).imag
 
 
+def _tail_observable(circuit: Circuit, params: Sequence[float], stop: int
+                     ) -> Tuple[int, Union[np.ndarray, Dict[int, np.ndarray]]]:
+    """The parity swept back through the circuit's steps from `stop` on,
+    as far as it keeps a closed form: (b, A).
+
+    A CNOT run maps a Z-string to a Z-string, and ZZ and CZ runs commute
+    with it, so over those steps the parity stays a +-1 diagonal, reindexed
+    by each CNOT run's inverse gather.  If the step before that is a
+    single-qubit step V, the Z-string Z_S becomes the product operator
+    V^dagger Z_S V, one 2x2 matrix v_q^dagger Z v_q per qubit q of S
+    (v_q = I where V does not gate q).  A is the parity's image at
+    boundary b, so <P> = <psi_b|A|psi_b>: the diagonal's +-1 vector, or the
+    dict of per-qubit matrices when a single-qubit step was absorbed."""
+    steps, n = circuit.steps, circuit.n_qubits
+    diagonal = _parity_signs(n)
+    b = len(steps)
+    while b > stop and steps[b - 1].kind in _DIAGONAL_ON_Z_STRINGS:
+        b -= 1
+        if steps[b].kind is GateKind.CNOT:
+            diagonal = diagonal[steps[b].inverse_gather]
+    if b == stop or steps[b - 1].kind != _LOCAL:
+        return b, diagonal
+    b -= 1
+    wires = steps[b].wires
+    mats = {}
+    for q in range(n):
+        if diagonal[1 << (n - 1 - q)] < 0:  # q is in the Z-string
+            v = _wire_matrix(wires[q], params) if q in wires else _IDENTITY
+            mats[q] = v.conj().T @ _PAULI["Z"] @ v
+    return b, mats
+
+
 def _loss_gradient_from_arrays(circuit: Circuit, params: Sequence[float],
                                amps: np.ndarray, labels: np.ndarray,
                                slots: Sequence[int]) -> np.ndarray:
@@ -142,32 +183,40 @@ def _loss_gradient_from_arrays(circuit: Circuit, params: Sequence[float],
     one reverse sweep of the costate.
 
     The forward pass stores the state at the earliest probed steps, as many
-    batches as `MAX_STORED_STATE_BYTES` holds.  The sweep undoes the
-    circuit's steps on mu and stops at the earliest probed step.  psi is
-    swept back beside it, as a second batch, only down to the earliest
-    probed step left unstored, so with nothing stored this is the sweep of
-    both.  In default mode the one stored batch takes the swept psi's
-    place, and the peak stays one forward pass plus one batch.
+    batches as `MAX_STORED_STATE_BYTES` holds, and stops at the boundary b
+    of `_tail_observable`, at or after the last probed step; there
+    mu_b = A psi_b and p = Re<psi_b|mu_b>.  The sweep undoes steps before
+    b on mu and stops at the earliest probed step.  psi is swept back
+    beside it, as a second batch, only down to the earliest probed step
+    left unstored, so with nothing stored this is the sweep of both.  In
+    default mode the one stored batch takes the swept psi's place, and the
+    peak stays one forward pass plus one batch.
     """
     _check_arguments(circuit, params, slots)
     n = circuit.n_qubits
     steps = circuit.steps
     pred_grad: Dict[int, np.ndarray] = {slot: np.zeros(amps.shape[0]) for slot in slots}
     probed = [k for k, step in enumerate(steps) if not step.slots.isdisjoint(pred_grad)]
+    boundary, observable = _tail_observable(circuit, params,
+                                            probed[-1] + 1 if probed else len(steps))
     kept = probed[:MAX_STORED_STATE_BYTES // max(1, 16 * amps.size)]
     stored: Dict[int, np.ndarray] = {}
     psi, cursor = amps, 0
     for k in kept:
         psi = stored[k] = _run_batch(circuit, params, psi, start=cursor, stop=k + 1)
         cursor = k + 1
-    if cursor < len(steps):
-        psi = _run_batch(circuit, params, psi, start=cursor)
-    preds = _parity_batch(psi, n)
-    mu = psi * _parity_signs(n)
+    if cursor < boundary:
+        psi = _run_batch(circuit, params, psi, start=cursor, stop=boundary)
+    if isinstance(observable, dict):
+        mu = _apply_local(psi, observable, n)
+    else:
+        mu = psi * observable
+    # Re<psi|mu>: the real dot product of the interleaved (re, im) pairs
+    preds = np.einsum("bx,bx->b", psi.view(np.float64), mu.view(np.float64))
     swept = probed[len(kept):]  # steps reached by sweeping psi back
     if not swept:
         psi = None
-    cursor = len(steps)
+    cursor = boundary
     for k in reversed(probed):
         if cursor > k + 1:
             if psi is not None:

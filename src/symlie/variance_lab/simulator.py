@@ -12,13 +12,15 @@ run of single-qubit gates is one step: its gates multiply into one 2x2
 matrix per qubit, and the qubits, grouped in blocks of `BLOCK_QUBITS`
 counted from the least significant end, are applied one block at a time as
 the block's Kronecker product (a block with a single gated qubit keeps the
-2x2 kernel).  A maximal run of ZZ gates is one diagonal, a maximal run of
-CZ gates is one sign flip, and a maximal run of CNOT gates is one gather by
-the composed index permutation.  Each step returns a new array, and its
-adjoint is the per-qubit dagger, the conjugate phases, the same signs or
-the inverse gather, so `_run_batch` runs any stretch of steps forward or
-backward without touching its input.  `apply_gate` runs a one-gate circuit,
-so every gate is applied by the same step kernels.
+2x2 kernel); the same kernel applies any product of per-qubit 2x2 matrices,
+which the gradient uses for the parity's image.  A maximal run of ZZ gates
+is one diagonal, a maximal run of CZ gates is one sign flip, and a maximal
+run of CNOT gates is one gather by the composed index permutation.  Each
+step returns a new array, and its adjoint is the per-qubit dagger, the
+conjugate phases, the same signs or the inverse gather, so `_run_batch`
+runs any stretch of steps forward or backward without touching its input.
+`apply_gate` runs a one-gate circuit, so every gate is applied by the same
+step kernels.
 """
 
 from __future__ import annotations
@@ -166,18 +168,8 @@ class Step:
     @cached_property
     def blocks(self) -> Tuple[Tuple[int, int, Tuple[int, ...]], ...]:
         """(first qubit, width, gated qubits) of each block with a gated
-        qubit, least significant first.
-
-        Aligning blocks at the low end leaves the trailing axis of every
-        block either 1 or a multiple of 2^BLOCK_QUBITS, where matmul stays
-        fast; only the top block may be narrower."""
-        out = []
-        for stop in range(self.n_qubits, 0, -BLOCK_QUBITS):
-            first = max(0, stop - BLOCK_QUBITS)
-            gated = tuple(q for q in range(first, stop) if q in self.wires)
-            if gated:
-                out.append((first, stop - first, gated))
-        return tuple(out)
+        qubit, least significant first (`_blocks`)."""
+        return _blocks(self.n_qubits, frozenset(self.wires))
 
     @cached_property
     def phase_groups(self) -> Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...]:
@@ -333,14 +325,27 @@ def _summed_pair_signs(n: int, pairs: Tuple[Tuple[int, int], ...]) -> np.ndarray
     return total
 
 
-def _apply_local(amps: np.ndarray, step: Step, params: Sequence[float], n: int,
-                 adjoint: bool) -> np.ndarray:
-    wires = step.wires
-    for first, width, gated in step.blocks:
-        mats = {}
-        for q in gated:
-            u = _wire_matrix(wires[q], params)
-            mats[q] = u.conj().T if adjoint else u
+@lru_cache(maxsize=None)
+def _blocks(n: int, qubits: frozenset) -> Tuple[Tuple[int, int, Tuple[int, ...]], ...]:
+    """(first qubit, width, member qubits) of each block of `BLOCK_QUBITS`
+    qubits holding one of `qubits`, least significant first.
+
+    Aligning blocks at the low end leaves the trailing axis of every block
+    either 1 or a multiple of 2^BLOCK_QUBITS, where matmul stays fast; only
+    the top block may be narrower."""
+    out = []
+    for stop in range(n, 0, -BLOCK_QUBITS):
+        first = max(0, stop - BLOCK_QUBITS)
+        gated = tuple(q for q in range(first, stop) if q in qubits)
+        if gated:
+            out.append((first, stop - first, gated))
+    return tuple(out)
+
+
+def _apply_local(amps: np.ndarray, mats: Dict[int, np.ndarray], n: int) -> np.ndarray:
+    """Apply the product of one 2x2 matrix per qubit of `mats`, one
+    Kronecker block at a time; qubits not in `mats` are left alone."""
+    for first, width, gated in _blocks(n, frozenset(mats)):
         if len(gated) == 1:
             amps = _apply_1q(amps, mats[gated[0]], gated[0], n)
             continue
@@ -359,7 +364,10 @@ def _apply_local(amps: np.ndarray, step: Step, params: Sequence[float], n: int,
 def _apply_step(amps: np.ndarray, step: Step, params: Sequence[float], n: int,
                 adjoint: bool = False) -> np.ndarray:
     if step.kind == _LOCAL:
-        return _apply_local(amps, step, params, n, adjoint)
+        mats = {q: _wire_matrix(rotations, params) for q, rotations in step.wires.items()}
+        if adjoint:
+            mats = {q: u.conj().T for q, u in mats.items()}
+        return _apply_local(amps, mats, n)
     if step.kind is GateKind.ZZ:
         exponent = sum((-0.5j * params[slot]) * _summed_pair_signs(n, pairs)
                        for slot, pairs in step.phase_groups)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from concurrent.futures import Future
 from dataclasses import replace
 from pathlib import Path
 
@@ -253,6 +254,31 @@ class TestExperiment:
         # 30 chunks were submitted; only those already handed to a worker run
         assert len(started.read_text().split()) < 20
         assert experiment._current_dataset is None
+
+    @pytest.mark.parametrize("affinity, threads", [({0}, 1), ({0, 1, 2, 3}, 2)])
+    def test_blas_threads_follow_the_cpu_affinity(self, monkeypatch, affinity, threads):
+        # a process pinned to fewer cores than the machine has sizes each
+        # worker's BLAS pool from the cores it may use
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer, initargs):
+                pools.append((max_workers, initializer, initargs))
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+        run_variance_experiment(ExperimentConfig(qubit_counts=(4,), samples_per_point=2,
+                                                 dataset_size=4, workers=2))
+        assert pools == [(2, experiment._cap_blas_threads, (threads,))]
 
     def test_blas_thread_count_does_not_change_output(self):
         # the block matmuls may run on several BLAS threads; the printed

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gate_reference import reference_predictions
-from symlie.variance_lab import gradients
+from gradient_reference import reference_loss_gradient
+from symlie.variance_lab import gradients, simulator
 from symlie.variance_lab.circuits import (
     AnsatzKind,
     build_ansatz,
@@ -272,6 +273,11 @@ class TestAdjointDifferential:
 class TestAllSlotSweep:
     @pytest.mark.parametrize("kind", list(AnsatzKind))
     def test_one_sweep_equals_per_slot_gradients(self, kind):
+        # a single-slot gradient starts its costate after its last probed
+        # step.  For a slot of the circuit's last parametrized step that is
+        # where the all-slot sweep starts too, and the two agree bit for
+        # bit; an earlier slot folds later layers into its observable,
+        # which the all-slot sweep cannot, and agrees to rounding
         n = 4
         c = build_ansatz(kind, n, default_layer_count(kind, n))
         rng = np.random.default_rng(7)
@@ -280,8 +286,10 @@ class TestAllSlotSweep:
         labels = np.array([label for _, label in dataset])
         params = rng.uniform(-2 * math.pi, 2 * math.pi, c.n_params)
         swept = _loss_gradient_from_arrays(c, params, amps, labels, range(c.n_params))
-        single = [gradient(c, params, dataset, slot) for slot in range(c.n_params)]
-        assert swept.tolist() == single
+        single = np.array([gradient(c, params, dataset, slot) for slot in range(c.n_params)])
+        last = sorted(next(s.slots for s in reversed(c.steps) if s.slots))
+        assert swept[last].tolist() == single[last].tolist()
+        assert np.abs(swept - single).max() <= 1e-12 * np.abs(swept).max()
 
 
 def all_slot_problem(kind, n=5):
@@ -367,3 +375,108 @@ def test_probe_gradient_memory():
         tracemalloc.stop()
     assert amps.shape == (50, 1 << n)
     assert peak <= 5.5 * amps.nbytes
+
+
+TAIL_RUNS = {
+    "empty": (),
+    "cnot": (GateKind.CNOT,),
+    "cz": (GateKind.CZ,),
+    "zz": (GateKind.ZZ,),
+    "mixed": (GateKind.CNOT, GateKind.ZZ, GateKind.CNOT, GateKind.CZ, GateKind.ZZ),
+}
+ROTATIONS = (GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.ROT3)
+
+
+def tail_problem(rng, n, tail):
+    """Three random layers (a rotation or Hadamard on every qubit, then n
+    random two-qubit gates), a last single-qubit layer of one or two
+    rotations on each of 1..n-1 qubits, and runs of the `tail` kinds, each
+    of 1..3 gates; a ZZ gate takes a fresh slot.  Returns the circuit, the
+    body's and the last layer's slots, and parameters, states and labels."""
+    gates, slot = [], 0
+
+    def add(kind, targets):
+        nonlocal slot
+        k = _N_SLOTS[kind]
+        gates.append(Gate(kind, targets, tuple(range(slot, slot + k))))
+        slot += k
+
+    def pair():
+        return tuple(int(q) for q in rng.permutation(n)[:2])
+
+    def pick(kinds):
+        return kinds[int(rng.integers(len(kinds)))]
+
+    for _ in range(3):
+        for q in range(n):
+            add(pick(ROTATIONS + (GateKind.H,)), (q,))
+        for _ in range(n):
+            add(pick((GateKind.CNOT, GateKind.CZ, GateKind.ZZ)), pair())
+    body = list(range(slot))
+    gated = rng.choice(n, size=int(rng.integers(1, n)), replace=False)
+    for q in sorted(int(q) for q in gated):
+        for _ in range(int(rng.integers(1, 3))):
+            add(pick(ROTATIONS), (q,))
+    last = list(range(body[-1] + 1, slot))
+    for kind in TAIL_RUNS[tail]:
+        for _ in range(int(rng.integers(1, 4))):
+            add(kind, pair())
+    circuit = Circuit(n, tuple(gates), slot)
+    params = rng.uniform(-2 * math.pi, 2 * math.pi, slot)
+    amps = rng.normal(size=(4, 1 << n)) + 1j * rng.normal(size=(4, 1 << n))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    labels = rng.choice([-1.0, 1.0], size=4)
+    return circuit, body, last, params, amps, labels
+
+
+class TestTrimmedTail:
+    @pytest.mark.parametrize("batches", [None, 0, 1])
+    @pytest.mark.parametrize("probe", ["body", "last layer", "all slots"])
+    @pytest.mark.parametrize("tail", list(TAIL_RUNS))
+    def test_matches_full_sweep_reference(self, monkeypatch, tail, probe, batches):
+        # the costate starts at the boundary before the unprobed tail; the
+        # reference starts it at the circuit's output.  With `batches` the
+        # stored-state cap holds none or one batch (None: unpatched)
+        rng = np.random.default_rng([list(TAIL_RUNS).index(tail), len(probe)])
+        for n in range(2, 9):
+            for _ in range(2):
+                c, body, last, params, amps, labels = tail_problem(rng, n, tail)
+                slots = {"body": [int(rng.choice(body))], "last layer": [int(rng.choice(last))],
+                         "all slots": range(c.n_params)}[probe]
+                reference = reference_loss_gradient(c, params, amps, labels, slots)
+                if batches is not None:
+                    monkeypatch.setattr(gradients, "MAX_STORED_STATE_BYTES",
+                                        batches * amps.nbytes)
+                trimmed = _loss_gradient_from_arrays(c, params, amps, labels, slots)
+                monkeypatch.undo()
+                # a last-layer slot outside the parity's Z-string, or a
+                # last RZ, has a zero gradient that both compute as rounding
+                scale = max(np.abs(reference).max(), 1e-3)
+                assert np.abs(trimmed - reference).max() <= 1e-12 * scale
+
+    def test_strongly_entangling_gradient_skips_its_last_layer(self, monkeypatch):
+        # two layers, probe in step 0: the forward pass runs the first
+        # rotation layer and CNOT ring, the product operator is one more
+        # local pass, and the sweep back undoes the first ring; the full
+        # sweep makes 3 local passes and 4 gathers
+        n = 6
+        c = build_ansatz(AnsatzKind.STRONGLY_ENTANGLING, n, 2)
+        dataset = random_graph_dataset(np.random.default_rng(6), n, 4)
+        amps = np.stack([sv.amplitudes for sv, _ in dataset])
+        labels = np.array([label for _, label in dataset])
+        params = np.random.default_rng(7).uniform(-2 * math.pi, 2 * math.pi, c.n_params)
+        passes = {"1q": 0, GateKind.CNOT: 0}
+        apply_step, apply_local = simulator._apply_step, gradients._apply_local
+
+        def counted_step(amps, step, *args, **kwargs):
+            passes[step.kind] += 1
+            return apply_step(amps, step, *args, **kwargs)
+
+        def counted_local(*args):
+            passes["1q"] += 1
+            return apply_local(*args)
+
+        monkeypatch.setattr(simulator, "_apply_step", counted_step)
+        monkeypatch.setattr(gradients, "_apply_local", counted_local)
+        _loss_gradient_from_arrays(c, params, amps, labels, [probe_slot(c)])
+        assert passes == {"1q": 2, GateKind.CNOT: 2}
