@@ -7,7 +7,9 @@ slot in the middle of the circuit, and reports the unbiased sample variance
 of those gradients per ansatz family.  The permutation ansatz and the
 parity observable commute with S_n, so its gradients are computed on the
 spin blocks of each dataset state (`spin_blocks`), reduced once per chunk of
-samples; the other ansatzes run on the statevector.
+samples; the other ansatzes run on the statevector, and the gradients of a
+chunk reuse one workspace of free batches (`simulator.Workspace`) that is
+dropped when the chunk ends.
 
 The points run in n-major order (for each qubit count, every ansatz), so each
 process draws each qubit count's dataset once and holds only the current
@@ -38,7 +40,7 @@ from ..errors import DatasetGenerationFailed, StateBatchCapExceeded
 from ..indexing import MAX_STATE_BATCH_BYTES
 from .circuits import AnsatzKind, build_ansatz, default_layer_count, probe_slot
 from .gradients import _loss_gradient_from_arrays
-from .simulator import Circuit, graph_state
+from .simulator import Circuit, Workspace, graph_state
 from .spin_blocks import loss_gradient_from_blocks, spin_states
 
 __all__ = [
@@ -197,11 +199,17 @@ def _gradient_samples(cfg: ExperimentConfig, kind: AnsatzKind, n: int,
     circuit = _build_circuit(kind, n, cfg)
     amps, labels = _point_dataset(n, cfg)
     slots = _probed_slots(circuit, cfg)
-    loss_gradient = _loss_gradient_from_arrays
     if kind is AnsatzKind.PERMUTATION:
         # the ansatz and the parity commute with S_n: each state enters the
         # loss only through its spin blocks, reduced once per chunk
         amps, loss_gradient = spin_states(amps, n), loss_gradient_from_blocks
+    else:
+        # the chunk's gradients sweep through one workspace's batches, which
+        # are dropped with the chunk
+        workspace = Workspace()
+
+        def loss_gradient(*args):
+            return _loss_gradient_from_arrays(*args, workspace)
     ansatz_index = list(AnsatzKind).index(kind)
     lo, hi = cfg.parameter_range
     out = np.empty((stop - start, len(slots)))

@@ -16,8 +16,16 @@ where mu_b = A psi_b and p = <psi_b|A|psi_b>; the reverse sweep then undoes
 the fused steps before b on mu alone and collects every occurrence of every
 probed slot (Griewank and Walther's stored checkpoints, one per probed
 step).  Only a probed step whose state did not fit is reached by sweeping
-psi back from psi_b as well, and that second batch is dropped once no such
-step is left.
+psi back from psi_b as well, and that second batch is given back once no
+such step is left.
+
+Every batch the gradient writes (stored states, psi, mu, and the overlaps'
+conjugate and products) is taken from one `simulator.Workspace` and given
+back as soon as nothing reads it.  In default mode the workspace peaks at
+four batches beside the dataset: the stored state, psi_b or mu, and the
+two batches a kernel pass reads and writes.  A caller that keeps the
+workspace over many gradients, as the experiment does over a chunk of
+samples, allocates no new batch for them after the first gradient.
 
 The sweep measures only at step boundaries, so one pass serves any set of
 probed slots.  A ZZ generator is diagonal and commutes
@@ -40,8 +48,9 @@ import numpy as np
 from ..indexing import MAX_STORED_STATE_BYTES
 from ..pauli_orbits import SIGMA
 from .simulator import (_IDENTITY, _LOCAL, Circuit, GateKind, StateVector, Step,
-                        _apply_local, _check_arguments, _factor, _parity_batch,
-                        _parity_signs, _run_batch, _summed_pair_signs, _wire_matrix)
+                        Workspace, _apply_local, _check_arguments, _factor,
+                        _parity_batch, _parity_signs, _run_batch, _summed_pair_signs,
+                        _wire_matrix)
 
 __all__ = ["mse_loss", "predictions", "gradient", "gradient_finite_difference",
            "stack_dataset"]
@@ -99,17 +108,27 @@ def _conjugated_generators(rotations: Sequence[Tuple[str, Optional[int]]],
 
 
 def _block_overlaps(mu: np.ndarray, psi: np.ndarray, first: int, width: int,
-                    n: int) -> np.ndarray:
+                    n: int, workspace: Workspace) -> np.ndarray:
     """D[b, x, y] = <mu_x|psi_y> for row b, x and y the bits of the block's
     qubits; one matrix product over the batch, shaped as the simulator
-    applies the block."""
+    applies the block.  mu's conjugate and the per-slice products go into
+    workspace batches."""
     dim, lo = 1 << width, 1 << (n - first - width)
     rows = mu.shape[0]
-    m = mu.reshape(rows, -1, dim, lo).conj()
+    conj = np.conjugate(mu, out=workspace.take(mu.shape))
+    m = conj.reshape(rows, -1, dim, lo)
     p = psi.reshape(m.shape)
     if lo == 1:
-        return np.matmul(m[..., 0].swapaxes(1, 2), p[..., 0])
-    return np.matmul(m, p.swapaxes(2, 3)).sum(axis=1)
+        d = np.matmul(m[..., 0].swapaxes(1, 2), p[..., 0])
+    else:
+        # lo is a multiple of 2^BLOCK_QUBITS (`_blocks`), at least dim, so
+        # the (rows, slices, dim, dim) products fit in one batch
+        batch = workspace.take(mu.shape)
+        products = batch.reshape(-1)[:mu.size * dim // lo].reshape(rows, -1, dim, dim)
+        d = np.matmul(m, p.swapaxes(2, 3), out=products).sum(axis=1)
+        workspace.give(batch)
+    workspace.give(conj)
+    return d
 
 
 def _qubit_overlaps(block: np.ndarray, position: int, width: int) -> np.ndarray:
@@ -121,7 +140,8 @@ def _qubit_overlaps(block: np.ndarray, position: int, width: int) -> np.ndarray:
 
 
 def _step_overlaps(step: Step, params: Sequence[float], mu: np.ndarray,
-                   psi: np.ndarray, n: int, pred_grad: Dict[int, np.ndarray]) -> None:
+                   psi: np.ndarray, n: int, pred_grad: Dict[int, np.ndarray],
+                   workspace: Workspace) -> None:
     """Add each probed occurrence in `step` to its slot's prediction
     gradient; mu and psi are taken at the step's output."""
     if step.kind is GateKind.ZZ:
@@ -138,7 +158,7 @@ def _step_overlaps(step: Step, params: Sequence[float], mu: np.ndarray,
             if not generators:
                 continue
             if block is None:
-                block = _block_overlaps(mu, psi, first, width, n)
+                block = _block_overlaps(mu, psi, first, width, n, workspace)
             d = _qubit_overlaps(block, q - first, width)
             for slot, g in generators.items():
                 pred_grad[slot] += (d @ g.reshape(4)).imag
@@ -178,7 +198,8 @@ def _tail_observable(circuit: Circuit, params: Sequence[float], stop: int
 
 def _loss_gradient_from_arrays(circuit: Circuit, params: Sequence[float],
                                amps: np.ndarray, labels: np.ndarray,
-                               slots: Sequence[int]) -> np.ndarray:
+                               slots: Sequence[int],
+                               workspace: Optional[Workspace] = None) -> np.ndarray:
     """d(loss)/d(theta_s) for every s in `slots` from one forward pass and
     one reverse sweep of the costate.
 
@@ -188,11 +209,15 @@ def _loss_gradient_from_arrays(circuit: Circuit, params: Sequence[float],
     mu_b = A psi_b and p = Re<psi_b|mu_b>.  The sweep undoes steps before
     b on mu and stops at the earliest probed step.  psi is swept back
     beside it, as a second batch, only down to the earliest probed step
-    left unstored, so with nothing stored this is the sweep of both.  In
-    default mode the one stored batch takes the swept psi's place, and the
-    peak stays one forward pass plus one batch.
+    left unstored, so with nothing stored this is the sweep of both.
+
+    Batches come from `workspace` and go back to it (see the module
+    docstring); without one a throwaway workspace is used.  `amps` is never
+    written.
     """
     _check_arguments(circuit, params, slots)
+    if workspace is None:
+        workspace = Workspace()
     n = circuit.n_qubits
     steps = circuit.steps
     pred_grad: Dict[int, np.ndarray] = {slot: np.zeros(amps.shape[0]) for slot in slots}
@@ -201,31 +226,52 @@ def _loss_gradient_from_arrays(circuit: Circuit, params: Sequence[float],
                                             probed[-1] + 1 if probed else len(steps))
     kept = probed[:MAX_STORED_STATE_BYTES // max(1, 16 * amps.size)]
     stored: Dict[int, np.ndarray] = {}
+
+    def release(batch: Optional[np.ndarray]) -> None:
+        # give back a batch of this gradient's that nothing reads any more
+        if (batch is not None and batch is not amps
+                and all(batch is not state for state in stored.values())):
+            workspace.give(batch)
+
     psi, cursor = amps, 0
     for k in kept:
-        psi = stored[k] = _run_batch(circuit, params, psi, start=cursor, stop=k + 1)
+        psi = stored[k] = _run_batch(circuit, params, psi, start=cursor, stop=k + 1,
+                                     workspace=workspace)
         cursor = k + 1
     if cursor < boundary:
-        psi = _run_batch(circuit, params, psi, start=cursor, stop=boundary)
+        psi = _run_batch(circuit, params, psi, start=cursor, stop=boundary,
+                         workspace=workspace)
     if isinstance(observable, dict):
-        mu = _apply_local(psi, observable, n)
+        mu = _apply_local(psi, observable, n, workspace)
     else:
-        mu = psi * observable
+        mu = np.multiply(psi, observable, out=workspace.take(psi.shape))
     # Re<psi|mu>: the real dot product of the interleaved (re, im) pairs
     preds = np.einsum("bx,bx->b", psi.view(np.float64), mu.view(np.float64))
     swept = probed[len(kept):]  # steps reached by sweeping psi back
     if not swept:
+        release(psi)
         psi = None
     cursor = boundary
     for k in reversed(probed):
         if cursor > k + 1:
             if psi is not None:
-                psi = _run_batch(circuit, params, psi, start=k + 1, stop=cursor, adjoint=True)
-            mu = _run_batch(circuit, params, mu, start=k + 1, stop=cursor, adjoint=True)
+                back = _run_batch(circuit, params, psi, start=k + 1, stop=cursor,
+                                  adjoint=True, workspace=workspace)
+                release(psi)
+                psi = back
+            back = _run_batch(circuit, params, mu, start=k + 1, stop=cursor,
+                              adjoint=True, workspace=workspace)
+            workspace.give(mu)
+            mu = back
             cursor = k + 1
-        _step_overlaps(steps[k], params, mu, stored.pop(k, psi), n, pred_grad)
+        state = stored.pop(k, psi)
+        _step_overlaps(steps[k], params, mu, state, n, pred_grad, workspace)
+        if state is not psi:
+            release(state)
         if swept and k == swept[0]:
+            release(psi)
             psi = None
+    workspace.give(mu)
     return np.array([np.mean(2.0 * (preds - labels) * pred_grad[slot]) for slot in slots])
 
 

@@ -15,10 +15,15 @@ the block's Kronecker product (a block with a single gated qubit keeps the
 2x2 kernel); the same kernel applies any product of per-qubit 2x2 matrices,
 which the gradient uses for the parity's image.  A maximal run of ZZ gates
 is one diagonal, a maximal run of CZ gates is one sign flip, and a maximal
-run of CNOT gates is one gather by the composed index permutation.  Each
-step returns a new array, and its adjoint is the per-qubit dagger, the
-conjugate phases, the same signs or the inverse gather, so `_run_batch`
-runs any stretch of steps forward or backward without touching its input.
+run of CNOT gates is one gather by the composed index permutation.  A
+step's adjoint is the per-qubit dagger, the conjugate phases, the same signs
+or the inverse gather, so `_run_batch` runs any stretch of steps forward or
+backward.  Every kernel pass writes into a batch taken from a `Workspace`, a
+short list of free batches, and a stretch of steps gives each intermediate
+batch back as soon as the next step has read it; the input is never written.
+A caller that passes no workspace gets a new array, and one that keeps a
+workspace over many stretches (the gradient's sweeps) reuses its batches
+instead of allocating one per pass.
 `apply_gate` runs a one-gate circuit, so every gate is applied by the same
 step kernels.
 """
@@ -299,22 +304,43 @@ def _kron(factors: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _apply_1q(amps: np.ndarray, u: np.ndarray, q: int, n: int) -> np.ndarray:
+class Workspace:
+    """Free complex batches for kernel passes to write into.
+
+    `take` hands out a free batch of the requested shape, or a new one when
+    none is free; `give` returns a batch whose contents are no longer
+    needed.  A batch is either free or held by one caller, never both."""
+
+    def __init__(self):
+        self.free: list = []
+
+    def take(self, shape: Tuple[int, ...]) -> np.ndarray:
+        for i, batch in enumerate(self.free):
+            if batch.shape == shape:
+                return self.free.pop(i)
+        return np.empty(shape, dtype=np.complex128)
+
+    def give(self, batch: np.ndarray) -> None:
+        self.free.append(batch)
+
+
+def _apply_1q(amps: np.ndarray, u: np.ndarray, q: int, n: int,
+              out: np.ndarray) -> np.ndarray:
     # scalar combination of the two sub-block views; uniform cost in q,
     # unlike batched 2x2 matmuls which crawl when the trailing block is tiny.
-    # The output buffer is allocated in the blocked shape so the writes below
-    # always go through views, whatever the input layout was.
+    # `out` (contiguous, amps' shape) is written through its blocked view,
+    # whatever the input layout was.
     lo = 1 << (n - 1 - q)
     x = amps.reshape(-1, 2, lo)
     x0, x1 = x[:, 0, :], x[:, 1, :]
-    out = np.empty(x.shape, dtype=np.complex128)
+    y = out.reshape(x.shape)
     if u[0, 1] == 0 and u[1, 0] == 0:
-        np.multiply(x0, u[0, 0], out=out[:, 0, :])
-        np.multiply(x1, u[1, 1], out=out[:, 1, :])
+        np.multiply(x0, u[0, 0], out=y[:, 0, :])
+        np.multiply(x1, u[1, 1], out=y[:, 1, :])
     else:
-        out[:, 0, :] = u[0, 0] * x0 + u[0, 1] * x1
-        out[:, 1, :] = u[1, 0] * x0 + u[1, 1] * x1
-    return out.reshape(amps.shape)
+        y[:, 0, :] = u[0, 0] * x0 + u[0, 1] * x1
+        y[:, 1, :] = u[1, 0] * x0 + u[1, 1] * x1
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -342,42 +368,64 @@ def _blocks(n: int, qubits: frozenset) -> Tuple[Tuple[int, int, Tuple[int, ...]]
     return tuple(out)
 
 
-def _apply_local(amps: np.ndarray, mats: Dict[int, np.ndarray], n: int) -> np.ndarray:
+def _apply_local(amps: np.ndarray, mats: Dict[int, np.ndarray], n: int,
+                 workspace: Workspace, consume: bool = False) -> np.ndarray:
     """Apply the product of one 2x2 matrix per qubit of `mats`, one
-    Kronecker block at a time; qubits not in `mats` are left alone."""
+    Kronecker block at a time; qubits not in `mats` are left alone.
+
+    Each block writes into a batch taken from `workspace` and gives the
+    batch it read back to it, `amps` only with `consume`; `amps` is never
+    written.  Returns the last block's batch."""
+    work = amps
     for first, width, gated in _blocks(n, frozenset(mats)):
+        out = workspace.take(amps.shape)
         if len(gated) == 1:
-            amps = _apply_1q(amps, mats[gated[0]], gated[0], n)
-            continue
-        k = _kron([mats.get(q, _IDENTITY) for q in range(first, first + width)])
-        lo = 1 << (n - first - width)
-        if lo == 1:
-            # one (rows x 2^w) @ (2^w x 2^w) product instead of a stack of
-            # matrix-vector products
-            out = amps.reshape(-1, 1 << width) @ k.T
+            _apply_1q(work, mats[gated[0]], gated[0], n, out)
         else:
-            out = np.matmul(k, amps.reshape(-1, 1 << width, lo))
-        amps = out.reshape(amps.shape)
-    return amps
+            k = _kron([mats.get(q, _IDENTITY) for q in range(first, first + width)])
+            lo = 1 << (n - first - width)
+            if lo == 1:
+                # one (rows x 2^w) @ (2^w x 2^w) product instead of a stack of
+                # matrix-vector products
+                np.matmul(work.reshape(-1, 1 << width), k.T,
+                          out=out.reshape(-1, 1 << width))
+            else:
+                np.matmul(k, work.reshape(-1, 1 << width, lo),
+                          out=out.reshape(-1, 1 << width, lo))
+        if consume or work is not amps:
+            workspace.give(work)
+        work = out
+    return work
 
 
 def _apply_step(amps: np.ndarray, step: Step, params: Sequence[float], n: int,
-                adjoint: bool = False) -> np.ndarray:
+                workspace: Workspace, adjoint: bool = False,
+                consume: bool = False) -> np.ndarray:
+    """Apply one step, or its adjoint, into a batch taken from `workspace`;
+    with `consume`, `amps` is given back to it once read."""
     if step.kind == _LOCAL:
         mats = {q: _wire_matrix(rotations, params) for q, rotations in step.wires.items()}
         if adjoint:
             mats = {q: u.conj().T for q, u in mats.items()}
-        return _apply_local(amps, mats, n)
+        return _apply_local(amps, mats, n, workspace, consume)
+    out = workspace.take(amps.shape)
     if step.kind is GateKind.ZZ:
         exponent = sum((-0.5j * params[slot]) * _summed_pair_signs(n, pairs)
                        for slot, pairs in step.phase_groups)
         phases = np.exp(exponent)
-        return amps * (phases.conj() if adjoint else phases)
-    if step.kind is GateKind.CNOT:
-        return np.take(amps, step.inverse_gather if adjoint else step.gather, axis=-1)
-    if step.kind is GateKind.CZ:
-        return amps * step.signs
-    raise ValueError(f"unhandled step kind {step.kind}")
+        np.multiply(amps, phases.conj() if adjoint else phases, out=out)
+    elif step.kind is GateKind.CNOT:
+        # mode="clip" gathers straight into `out`; the default "raise"
+        # gathers into a buffer first (the indices are always in range)
+        np.take(amps, step.inverse_gather if adjoint else step.gather, axis=-1,
+                out=out, mode="clip")
+    elif step.kind is GateKind.CZ:
+        np.multiply(amps, step.signs, out=out)
+    else:
+        raise ValueError(f"unhandled step kind {step.kind}")
+    if consume:
+        workspace.give(amps)
+    return out
 
 
 def _check_arguments(circuit: Circuit, params: Sequence[float],
@@ -393,19 +441,29 @@ def _check_arguments(circuit: Circuit, params: Sequence[float],
 
 def _run_batch(circuit: Circuit, params: Sequence[float], amps: np.ndarray,
                start: int = 0, stop: Optional[int] = None,
-               adjoint: bool = False) -> np.ndarray:
+               adjoint: bool = False, workspace: Optional[Workspace] = None) -> np.ndarray:
     """Apply steps [start, stop) of `circuit.steps` to a batch of states
     (last axis is the state), or with `adjoint` undo them, last step first.
 
-    Returns a new array; `amps` is never written.
+    Every step writes into a batch taken from `workspace` and gives the
+    batch it read back to it.  `amps` belongs to the caller: it is never
+    written or given back.  Returns a batch taken from `workspace`, which
+    the caller holds until it gives it back; without a workspace a
+    throwaway one is used, so the result is a new array.
     """
     _check_arguments(circuit, params)
+    if workspace is None:
+        workspace = Workspace()
     n = circuit.n_qubits
-    work = np.asarray(amps, dtype=np.complex128)
+    amps = work = np.asarray(amps, dtype=np.complex128)
     steps = circuit.steps[start:stop]
     for step in (reversed(steps) if adjoint else steps):
-        work = _apply_step(work, step, params, n, adjoint)
-    return work.copy() if work is amps else work
+        work = _apply_step(work, step, params, n, workspace, adjoint,
+                           consume=work is not amps)
+    if work is amps:
+        work = workspace.take(amps.shape)
+        np.copyto(work, amps)
+    return work
 
 
 def _apply_gate_array(amps: np.ndarray, gate: Gate, angles: Sequence[float],

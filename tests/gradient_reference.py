@@ -16,8 +16,8 @@ import numpy as np
 
 from symlie.indexing import MAX_STORED_STATE_BYTES
 from symlie.variance_lab.gradients import _step_overlaps
-from symlie.variance_lab.simulator import (Circuit, _check_arguments, _parity_batch,
-                                           _parity_signs, _run_batch)
+from symlie.variance_lab.simulator import (Circuit, Workspace, _check_arguments,
+                                           _parity_batch, _parity_signs, _run_batch)
 
 
 def reference_loss_gradient(circuit: Circuit, params: Sequence[float], amps: np.ndarray,
@@ -49,7 +49,7 @@ def reference_loss_gradient(circuit: Circuit, params: Sequence[float], amps: np.
                 psi = _run_batch(circuit, params, psi, start=k + 1, stop=cursor, adjoint=True)
             mu = _run_batch(circuit, params, mu, start=k + 1, stop=cursor, adjoint=True)
             cursor = k + 1
-        _step_overlaps(steps[k], params, mu, stored.pop(k, psi), n, pred_grad)
+        _step_overlaps(steps[k], params, mu, stored.pop(k, psi), n, pred_grad, Workspace())
         if swept and k == swept[0]:
             psi = None
     return np.array([np.mean(2.0 * (preds - labels) * pred_grad[slot]) for slot in slots])

@@ -34,6 +34,7 @@ from symlie.variance_lab.simulator import (
     Gate,
     GateKind,
     StateVector,
+    Workspace,
     graph_state,
     zero_state,
 )
@@ -375,6 +376,75 @@ def test_probe_gradient_memory():
         tracemalloc.stop()
     assert amps.shape == (50, 1 << n)
     assert peak <= 5.5 * amps.nbytes
+
+
+class NoReuse(Workspace):
+    """A workspace that hands out a new batch on every take: the gradient
+    as it would be with one fresh batch per kernel pass."""
+
+    def give(self, batch):
+        pass
+
+
+class Poisoning(Workspace):
+    """A workspace that fills every batch given back with NaN, so a batch
+    read after it was given back spoils the gradient."""
+
+    def give(self, batch):
+        batch.fill(np.nan)
+        super().give(batch)
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("batches", [None, 0, 1])
+    @pytest.mark.parametrize("all_slots", [False, True])
+    @pytest.mark.parametrize("kind", [AnsatzKind.CYCLIC, AnsatzKind.STRONGLY_ENTANGLING])
+    def test_reused_workspace_changes_no_bit(self, monkeypatch, kind, all_slots, batches):
+        # three samples through one workspace, whose given-back batches are
+        # poisoned, equal gradients that never reuse a batch, bit for bit: a
+        # stored state or swept psi sharing a batch with the costate, or a
+        # batch given back twice, would show here.  `batches` caps the stored
+        # states at none or one batch (None: unpatched)
+        n = 5
+        c = build_ansatz(kind, n, default_layer_count(kind, n))
+        amps, labels = generate_dataset(n, ExperimentConfig(qubit_counts=(n,), dataset_size=6))
+        slots = range(c.n_params) if all_slots else [probe_slot(c)]
+        if batches is not None:
+            monkeypatch.setattr(gradients, "MAX_STORED_STATE_BYTES", batches * amps.nbytes)
+        original = amps.copy()
+        rng = np.random.default_rng(23)
+        workspace = Poisoning()
+        for _ in range(3):
+            params = rng.uniform(-2 * math.pi, 2 * math.pi, c.n_params)
+            reused = _loss_gradient_from_arrays(c, params, amps, labels, slots, workspace)
+            fresh = _loss_gradient_from_arrays(c, params, amps, labels, slots, NoReuse())
+            assert np.array_equal(reused, fresh)
+            assert np.array_equal(amps, original)
+            assert len({id(b) for b in workspace.free}) == len(workspace.free)
+            assert not any(np.shares_memory(b, amps) for b in workspace.free)
+
+    def test_warm_workspace_allocates_no_batch(self):
+        # once a workspace has served one gradient, the next allocates only
+        # small arrays (4 batches without a workspace), and the workspace
+        # holds the stored state, psi, mu and one batch in flight
+        n = 10
+        kind = AnsatzKind.STRONGLY_ENTANGLING
+        c = build_ansatz(kind, n, default_layer_count(kind, n))
+        amps, labels = generate_dataset(n, ExperimentConfig(qubit_counts=(n,)))
+        rng = np.random.default_rng(5)
+        slots = [probe_slot(c)]
+        workspace = Workspace()
+        _loss_gradient_from_arrays(c, rng.uniform(-2 * math.pi, 2 * math.pi, c.n_params),
+                                   amps, labels, slots, workspace)
+        params = rng.uniform(-2 * math.pi, 2 * math.pi, c.n_params)
+        tracemalloc.start()
+        try:
+            _loss_gradient_from_arrays(c, params, amps, labels, slots, workspace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * amps.nbytes
+        assert len(workspace.free) <= 5
 
 
 TAIL_RUNS = {

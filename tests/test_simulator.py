@@ -17,6 +17,7 @@ from symlie.variance_lab.simulator import (
     Gate,
     GateKind,
     StateVector,
+    Workspace,
     _run_batch,
     apply_gate,
     circuit_unitary,
@@ -398,3 +399,42 @@ class TestFusedSteps:
                 out = _run_batch(circuit, params, states, start, stop, adjoint=adjoint)
                 assert np.array_equal(states, original)
                 assert not np.shares_memory(out, states)
+
+    def test_run_batch_with_a_workspace_never_writes_its_input(self):
+        # each step writes into a workspace batch and gives back the one it
+        # read, but never the caller's input: not the dataset, and not a
+        # batch the caller took from the same workspace and still holds
+        rng = np.random.default_rng(12)
+        n = 6
+        circuit = build_ansatz(AnsatzKind.STRONGLY_ENTANGLING, n, 2)
+        params = rng.uniform(-3, 3, circuit.n_params)
+        states = np.stack([random_state(rng, n).amplitudes for _ in range(3)])
+        original = states.copy()
+        workspace = Workspace()
+        held = _run_batch(circuit, params, states, stop=2, workspace=workspace)
+        held_before = held.copy()
+        for adjoint in (False, True):
+            for start, stop in ((0, None), (1, 3), (2, 2)):
+                for source in (states, held):
+                    out = _run_batch(circuit, params, source, start, stop, adjoint=adjoint,
+                                     workspace=workspace)
+                    assert np.array_equal(states, original)
+                    assert np.array_equal(held, held_before)
+                    assert not np.shares_memory(out, source)
+                    assert not any(np.shares_memory(b, states) or np.shares_memory(b, held)
+                                   for b in workspace.free)
+                    workspace.give(out)
+        assert len({id(b) for b in workspace.free}) == len(workspace.free)
+
+    def test_run_circuit_and_circuit_unitary_return_new_arrays(self):
+        rng = np.random.default_rng(13)
+        circuit = build_ansatz(AnsatzKind.STRONGLY_ENTANGLING, 3, 2)
+        params = rng.uniform(-3, 3, circuit.n_params)
+        empty = Circuit(3, (), 0)
+        state = random_state(rng, 3)
+        before = state.amplitudes.copy()
+        for c, p in ((circuit, params), (empty, [])):
+            out = run_circuit(c, p, state)
+            assert not np.shares_memory(out.amplitudes, state.amplitudes)
+            assert np.array_equal(state.amplitudes, before)
+            assert not np.shares_memory(circuit_unitary(c, p), circuit_unitary(c, p))
