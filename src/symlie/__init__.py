@@ -32,6 +32,7 @@ from .errors import (
     OrderCapExceeded,
     StateBatchCapExceeded,
     StateSpaceCapExceeded,
+    SubsetCapExceeded,
     SymlieError,
     TermCapExceeded,
 )

@@ -53,6 +53,19 @@ class StateBatchCapExceeded(SymlieError):
                          f"above the state batch cap of {cap} bytes")
 
 
+class SubsetCapExceeded(SymlieError):
+    """A variance experiment's sweep over its graphs' vertex subsets would
+    exceed the cap."""
+
+    def __init__(self, qubits: int, size: int, subsets: int, cap: int):
+        self.qubits = qubits
+        self.size = size
+        self.subsets = subsets
+        self.cap = cap
+        super().__init__(f"{size} graphs of {qubits} vertices have {subsets} vertex subsets, "
+                         f"above the subset cap of {cap}")
+
+
 class TermCapExceeded(SymlieError):
     """An S or A cycle index would have more terms (cycle types) than the cap."""
 

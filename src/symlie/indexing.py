@@ -31,6 +31,12 @@ MAX_CONSTRAINT_ENTRIES = 2**25
 # complex128 amplitudes of one variance experiment's dataset batch, dataset
 # size x 2^n x 16 bytes; 2^30 admits 50 states at n = 20 and refuses n = 21.
 MAX_STATE_BATCH_BYTES = 2**30
+# Vertex subsets a permutation-only variance experiment sweeps, dataset size
+# x 2^n.  The sweep and its histogram visit about 36 million subsets a second
+# on one core, so 2^28 (about 7.5 s per chunk) admits 50 graphs at n = 22
+# and refuses n = 23; a run with a statevector ansatz stops at the state
+# batch cap first.
+MAX_GRAPH_SUBSETS = 2**28
 # Forward states an adjoint gradient keeps at its probed steps, so that only
 # the costate is swept back; 2^27 holds one 50-state batch up to n = 17.
 MAX_STORED_STATE_BYTES = 2**27

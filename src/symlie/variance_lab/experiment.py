@@ -6,15 +6,17 @@ samples parameter vectors uniformly, evaluates the loss gradient at a probe
 slot in the middle of the circuit, and reports the unbiased sample variance
 of those gradients per ansatz family.  The permutation ansatz and the
 parity observable commute with S_n, so its gradients are computed on the
-spin blocks of each dataset state (`spin_blocks`), reduced once per chunk of
-samples; the other ansatzes run on the statevector, and the gradients of a
-chunk reuse one workspace of free batches (`simulator.Workspace`) that is
-dropped when the chunk ends.
+spin blocks of each dataset state (`spin_blocks`), reduced from the state's
+graph once per chunk of samples; a run whose only ansatz is the permutation
+one draws the graphs and builds no amplitude.  The other ansatzes run on the
+statevector, and the gradients of a chunk reuse one workspace of free
+batches (`simulator.Workspace`) that is dropped when the chunk ends.
 
 The points run in n-major order (for each qubit count, every ansatz), so each
 process draws each qubit count's dataset once and holds only the current
-one; a block of graphs is drawn and labelled at a time.  With a pool every
-chunk is submitted before any is collected, and the rows come out in
+one; a block of graphs is drawn and labelled at a time, and their
+amplitudes are written by one sweep over their vertex subsets.  With a pool
+every chunk is submitted before any is collected, and the rows come out in
 ansatz-major order.
 
 Randomness is fully pinned: all streams are PCG64 generators seeded from
@@ -36,12 +38,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import DatasetGenerationFailed, StateBatchCapExceeded
-from ..indexing import MAX_STATE_BATCH_BYTES
+from ..errors import DatasetGenerationFailed, StateBatchCapExceeded, SubsetCapExceeded
+from ..indexing import MAX_GRAPH_SUBSETS, MAX_STATE_BATCH_BYTES
 from .circuits import AnsatzKind, build_ansatz, default_layer_count, probe_slot
 from .gradients import _loss_gradient_from_arrays
-from .simulator import Circuit, Workspace, graph_state
-from .spin_blocks import loss_gradient_from_blocks, spin_states
+from .simulator import Circuit, Workspace, graph_amplitudes
+from .spin_blocks import graph_spin_states, loss_gradient_from_blocks
 
 __all__ = [
     "ExperimentConfig",
@@ -89,11 +91,17 @@ class ExperimentConfig:
             raise ValueError(f"layers must be >= 1, got {self.layers}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        # complex128 amplitudes of the largest dataset, refused before any is drawn
+        # the largest dataset, refused before any graph is drawn: its
+        # complex128 amplitudes when an ansatz runs on the statevector, else
+        # the vertex subsets its graphs' sweep visits
         n = max(self.qubit_counts)
-        nbytes = self.dataset_size * (16 << n)
-        if nbytes > MAX_STATE_BATCH_BYTES:
-            raise StateBatchCapExceeded(n, self.dataset_size, nbytes, MAX_STATE_BATCH_BYTES)
+        if _needs_amplitudes(self):
+            nbytes = self.dataset_size * (16 << n)
+            if nbytes > MAX_STATE_BATCH_BYTES:
+                raise StateBatchCapExceeded(n, self.dataset_size, nbytes, MAX_STATE_BATCH_BYTES)
+        elif self.dataset_size << n > MAX_GRAPH_SUBSETS:
+            raise SubsetCapExceeded(n, self.dataset_size, self.dataset_size << n,
+                                    MAX_GRAPH_SUBSETS)
 
 
 @dataclass(frozen=True)
@@ -116,23 +124,22 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
 _GRAPH_BLOCK_ROWS = 256
 
 
-def _connected_rows(n: int, coins: np.ndarray) -> np.ndarray:
-    """Connectivity of each row's graph, given its (i, j), i < j edge coins.
+def _connected_rows(adjacency: np.ndarray) -> np.ndarray:
+    """Connectivity of each graph of a (rows, n, n) boolean adjacency stack.
 
     The closure of I + A by repeated squaring reaches, after k squarings,
     every vertex within distance 2^k; a graph is connected iff vertex 0
     then reaches all n."""
-    upper = np.triu_indices(n, 1)
-    adjacency = np.zeros((len(coins), n, n), dtype=bool)
-    adjacency[:, upper[0], upper[1]] = coins
-    reach = (adjacency | adjacency.swapaxes(1, 2) | np.eye(n, dtype=bool)).astype(np.float32)
+    n = adjacency.shape[-1]
+    reach = (adjacency | np.eye(n, dtype=bool)).astype(np.float32)
     for _ in range((n - 2).bit_length()):  # 2^k >= n - 1, the longest path
         reach = np.minimum(reach @ reach, 1.0)
     return reach[:, 0].all(axis=1)
 
 
-def generate_dataset(n: int, cfg: ExperimentConfig) -> Tuple[np.ndarray, np.ndarray]:
-    """Balanced graph-state dataset: half connected (+1), half disconnected (-1).
+def _draw_graphs(n: int, cfg: ExperimentConfig) -> Tuple[np.ndarray, np.ndarray]:
+    """The dataset's graphs as rows of neighbour masks (`simulator.subset_codes`)
+    and their labels: half connected (+1), half disconnected (-1).
 
     Erdos-Renyi G(n, p) graphs, one coin per pair in (i, j), i < j order,
     are drawn and kept only while their class still has room (per-class
@@ -140,13 +147,12 @@ def generate_dataset(n: int, cfg: ExperimentConfig) -> Tuple[np.ndarray, np.ndar
     DatasetGenerationFailed.  The coins of up to _GRAPH_BLOCK_ROWS graphs
     are read in one call and labelled by one vectorised connectivity test.
     The stream feeds only this dataset, so reading past the last kept graph
-    changes nothing.  Each state is written into one preallocated batch, so
-    the peak stays one batch.
-    """
+    changes nothing."""
     rng = _stream(cfg.seed, 0, n)
     first, second = np.triu_indices(n, 1)
+    bits = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
     quota = {1.0: cfg.dataset_size // 2, -1.0: cfg.dataset_size // 2}
-    states = np.empty((cfg.dataset_size, 1 << n), dtype=np.complex128)
+    graphs = np.empty((cfg.dataset_size, n), dtype=np.int64)
     labels: List[float] = []
     drawn = 0
     while quota[1.0] or quota[-1.0]:
@@ -158,29 +164,62 @@ def generate_dataset(n: int, cfg: ExperimentConfig) -> Tuple[np.ndarray, np.ndar
         rows = min(_GRAPH_BLOCK_ROWS, cfg.dataset_retry_cap - drawn)
         coins = rng.random((rows, len(first))) < cfg.edge_probability
         drawn += rows
-        for edges, connected in zip(coins, _connected_rows(n, coins)):
+        adjacency = np.zeros((rows, n, n), dtype=bool)
+        adjacency[:, first, second] = adjacency[:, second, first] = coins
+        for masks, connected in zip(adjacency @ bits, _connected_rows(adjacency)):
             label = 1.0 if connected else -1.0
             if quota[label]:
                 quota[label] -= 1
-                pairs = zip(first[edges].tolist(), second[edges].tolist())
-                states[len(labels)] = graph_state(pairs, n).amplitudes
+                graphs[len(labels)] = masks
                 labels.append(label)
-    return states, np.array(labels)
+    return graphs, np.array(labels)
 
 
-# The dataset of the qubit count being run, as ((n, cfg), states, labels):
-# every ansatz and every chunk at that n in this process share it, and
-# run_variance_experiment drops it when it returns.
+def generate_dataset(n: int, cfg: ExperimentConfig) -> Tuple[np.ndarray, np.ndarray]:
+    """Balanced graph-state dataset: the amplitudes of the graphs that
+    `_draw_graphs` keeps, one row each, and their labels.
+
+    The amplitudes are written by one subset sweep per block of graphs
+    (`simulator.graph_amplitudes`) into one preallocated batch."""
+    graphs, labels = _draw_graphs(n, cfg)
+    return graph_amplitudes(graphs, n), labels
+
+
+def _graphs_of(amps: np.ndarray, n: int) -> np.ndarray:
+    """Neighbour masks of graph states, read off their amplitudes on the
+    two-vertex subsets {a, b}, which are negative exactly where ab is an
+    edge (the singletons and the empty set are positive)."""
+    bits = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
+    return (amps[:, bits[:, None] | bits].real < 0) @ bits
+
+
+def _needs_amplitudes(cfg: ExperimentConfig) -> bool:
+    """Whether an ansatz of `cfg` runs on the statevector; the permutation
+    ansatz reads only the graphs."""
+    return any(kind is not AnsatzKind.PERMUTATION for kind in cfg.ansatz_kinds)
+
+
+# The dataset of the qubit count being run, as ((n, cfg), graphs, states,
+# labels): every ansatz and every chunk at that n in this process share it,
+# and run_variance_experiment drops it when it returns.
 _current_dataset: Optional[tuple] = None
 
 
-def _point_dataset(n: int, cfg: ExperimentConfig) -> Tuple[np.ndarray, np.ndarray]:
+def _point_dataset(n: int, cfg: ExperimentConfig
+                   ) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
+    """(graphs, states, labels) at n; no states are built when every ansatz
+    of the run reads only the graphs."""
     global _current_dataset
     entry = _current_dataset
     if entry is None or entry[0] != (n, cfg):
         _current_dataset = entry = None  # free the last batch before drawing the next
-        entry = _current_dataset = ((n, cfg), *generate_dataset(n, cfg))
-    return entry[1], entry[2]
+        if _needs_amplitudes(cfg):
+            states, labels = generate_dataset(n, cfg)
+            graphs = _graphs_of(states, n)
+        else:
+            (graphs, labels), states = _draw_graphs(n, cfg), None
+        entry = _current_dataset = ((n, cfg), graphs, states, labels)
+    return entry[1:]
 
 
 def _build_circuit(kind: AnsatzKind, n: int, cfg: ExperimentConfig):
@@ -197,12 +236,13 @@ def _gradient_samples(cfg: ExperimentConfig, kind: AnsatzKind, n: int,
                       start: int, stop: int) -> np.ndarray:
     """Gradients for samples [start, stop); shape (stop-start, n_probed_slots)."""
     circuit = _build_circuit(kind, n, cfg)
-    amps, labels = _point_dataset(n, cfg)
+    graphs, amps, labels = _point_dataset(n, cfg)
     slots = _probed_slots(circuit, cfg)
     if kind is AnsatzKind.PERMUTATION:
         # the ansatz and the parity commute with S_n: each state enters the
-        # loss only through its spin blocks, reduced once per chunk
-        amps, loss_gradient = spin_states(amps, n), loss_gradient_from_blocks
+        # loss only through its spin blocks, reduced from its graph once per
+        # chunk
+        amps, loss_gradient = graph_spin_states(graphs, n), loss_gradient_from_blocks
     else:
         # the chunk's gradients sweep through one workspace's batches, which
         # are dropped with the chunk

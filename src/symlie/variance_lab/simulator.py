@@ -25,7 +25,8 @@ A caller that passes no workspace gets a new array, and one that keeps a
 workspace over many stretches (the gradient's sweeps) reuses its batches
 instead of allocating one per pass.
 `apply_gate` runs a one-gate circuit, so every gate is applied by the same
-step kernels.
+step kernels.  Graph states are not built by CZ gates: one doubling sweep
+over the vertex subsets (`subset_codes`) gives each amplitude's sign.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..indexing import hamming_weights
+from ..indexing import CHUNK_ENTRIES, hamming_weights
 
 __all__ = [
     "GateKind",
@@ -51,6 +52,7 @@ __all__ = [
     "run_circuit",
     "circuit_unitary",
     "graph_state",
+    "graph_amplitudes",
     "expectation_parity",
 ]
 
@@ -85,10 +87,18 @@ class Gate:
     slots: Tuple[int, ...] = ()
 
     def __post_init__(self):
-        # an unknown kind raises ValueError here, not when the gate is run
-        object.__setattr__(self, "kind", GateKind(self.kind))
-        if len(set(self.targets)) != len(self.targets):
-            raise ValueError(f"gate targets must be distinct: {self.targets}")
+        # an unknown kind raises ValueError here, not when the gate is run;
+        # circuits build thousands of gates, so the common cases (a GateKind
+        # and one or two targets) skip the coercion and the set
+        if type(self.kind) is not GateKind:
+            object.__setattr__(self, "kind", GateKind(self.kind))
+        targets = self.targets
+        if len(targets) == 2:
+            repeated = targets[0] == targets[1]
+        else:
+            repeated = len(targets) > 2 and len(set(targets)) != len(targets)
+        if repeated:
+            raise ValueError(f"gate targets must be distinct: {targets}")
         if len(self.targets) != _N_TARGETS[self.kind]:
             raise ValueError(f"{self.kind.value} takes {_N_TARGETS[self.kind]} targets")
         if len(self.slots) != _N_SLOTS[self.kind]:
@@ -325,7 +335,7 @@ class Workspace:
 
 
 def _apply_1q(amps: np.ndarray, u: np.ndarray, q: int, n: int,
-              out: np.ndarray) -> np.ndarray:
+              out: np.ndarray, workspace: Workspace) -> np.ndarray:
     # scalar combination of the two sub-block views; uniform cost in q,
     # unlike batched 2x2 matmuls which crawl when the trailing block is tiny.
     # `out` (contiguous, amps' shape) is written through its blocked view,
@@ -337,9 +347,17 @@ def _apply_1q(amps: np.ndarray, u: np.ndarray, q: int, n: int,
     if u[0, 1] == 0 and u[1, 0] == 0:
         np.multiply(x0, u[0, 0], out=y[:, 0, :])
         np.multiply(x1, u[1, 1], out=y[:, 1, :])
-    else:
-        y[:, 0, :] = u[0, 0] * x0 + u[0, 1] * x1
-        y[:, 1, :] = u[1, 0] * x0 + u[1, 1] * x1
+        return out
+    # u[r, 0] * x0 + u[r, 1] * x1 in that operand order, so the bits are those
+    # of the plain expression; the second product goes through a workspace
+    # batch of half the size
+    scratch = workspace.take((x0.size,))
+    half = scratch.reshape(x0.shape)
+    for r in range(2):
+        np.multiply(u[r, 0], x0, out=y[:, r, :])
+        np.multiply(u[r, 1], x1, out=half)
+        np.add(y[:, r, :], half, out=y[:, r, :])
+    workspace.give(scratch)
     return out
 
 
@@ -380,7 +398,7 @@ def _apply_local(amps: np.ndarray, mats: Dict[int, np.ndarray], n: int,
     for first, width, gated in _blocks(n, frozenset(mats)):
         out = workspace.take(amps.shape)
         if len(gated) == 1:
-            _apply_1q(work, mats[gated[0]], gated[0], n, out)
+            _apply_1q(work, mats[gated[0]], gated[0], n, out, workspace)
         else:
             k = _kron([mats.get(q, _IDENTITY) for q in range(first, first + width)])
             lo = 1 << (n - first - width)
@@ -501,15 +519,76 @@ def circuit_unitary(circuit: Circuit, params: Sequence[float]) -> np.ndarray:
     return columns.T
 
 
+def subset_codes(graphs: np.ndarray, n: int):
+    """Sweep every vertex subset S of every graph, about CHUNK_ENTRIES at a time.
+
+    `graphs` holds a row of neighbour masks per graph: entry v is N(v) with
+    vertex u at bit n - 1 - u, the bit of qubit u in a basis index, and S is
+    numbered the same way.  Yields (rows, start, codes): codes[r, i] is the
+    code of subset start + i of graph rows[r], its low n bits the mask
+    Z(S) = XOR of N(v) over v in S and bit n the edge parity |E(S)| mod 2.
+
+    The sweep doubles: vertex v joins each subset S found so far, adding
+    N(v) to Z(S) and |N(v) & S| edges, which is bit v of Z(S).  A graph of
+    more than CHUNK_ENTRIES subsets is swept in pieces, each starting from
+    the code of its prefix on the leading vertices."""
+    dtype = np.uint16 if n < 16 else np.uint32
+    masks = graphs.astype(dtype)
+    low = min(n, CHUNK_ENTRIES.bit_length() - 1)
+    step = max(1, CHUNK_ENTRIES >> n)
+    for lo in range(0, len(masks), step):
+        block = masks[lo:lo + step]
+        rows = slice(lo, lo + len(block))
+        prefixes = _sweep(np.zeros(len(block), dtype), block, range(n - 1 - low, -1, -1), n)
+        for head in range(prefixes.shape[1]):
+            yield rows, head << low, _sweep(prefixes[:, head], block,
+                                            range(n - 1, n - 1 - low, -1), n)
+
+
+def _sweep(first: np.ndarray, masks: np.ndarray, vertices: Iterable[int], n: int) -> np.ndarray:
+    """Codes (`subset_codes`) of S + T for each subset T of `vertices`, the
+    first vertex the lowest bit of T's position, given the codes `first`
+    of one subset S per row that holds none of them."""
+    vertices = list(vertices)
+    codes = np.empty((len(first), 1 << len(vertices)), dtype=first.dtype)
+    codes[:, 0] = first
+    for t, v in enumerate(vertices):
+        old, new = codes[:, :1 << t], codes[:, 1 << t:2 << t]
+        np.right_shift(old, n - 1 - v, out=new)
+        new &= 1
+        new <<= n
+        new ^= old
+        new ^= masks[:, v, None]
+    return codes
+
+
+def graph_amplitudes(graphs: np.ndarray, n: int) -> np.ndarray:
+    """The graph states of rows of neighbour masks (`subset_codes`), one
+    row each: 2^(-n/2) (-1)^|E(S)| on the basis state whose set bits are S."""
+    amps = np.zeros((len(graphs), 1 << n), dtype=np.complex128)
+    scale = 2.0 ** (-n / 2)
+    for rows, start, codes in subset_codes(graphs, n):
+        codes >>= n
+        real = amps[rows, start:start + codes.shape[1]].real
+        # scale - 2 scale |E(S)| mod 2, exactly +-scale
+        np.multiply(codes, -2 * scale, out=real)
+        real += scale
+    return amps
+
+
 def graph_state(edges: Iterable[Tuple[int, int]], n: int) -> StateVector:
-    """|G> = prod_{(a,b) in E} CZ_{a,b} |+>^n for a simple graph on n vertices."""
+    """|G> = prod_{(a,b) in E} CZ_{a,b} |+>^n for a simple graph on n vertices,
+    built by the dataset's subset sweep (`graph_amplitudes`)."""
     edge_list = [tuple(sorted(e)) for e in edges]
     if len(set(edge_list)) != len(edge_list):
         raise ValueError("duplicate edges")
+    masks = np.zeros((1, n), dtype=np.int64)
     for a, b in edge_list:
         if a == b or a < 0 or b >= n:
             raise ValueError(f"bad edge ({a}, {b}) for {n} vertices")
-    return StateVector(n, plus_state(n).amplitudes * _cz_signs(n, edge_list))
+        masks[0, a] |= 1 << (n - 1 - b)
+        masks[0, b] |= 1 << (n - 1 - a)
+    return StateVector(n, graph_amplitudes(masks, n)[0])
 
 
 def _parity_batch(amps: np.ndarray, n: int) -> np.ndarray:

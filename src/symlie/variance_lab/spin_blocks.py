@@ -9,16 +9,18 @@ traced out (Anschuetz et al., arXiv:2211.16998; Schatzki et al.,
 arXiv:2210.09974).  Their sizes add up to sum_j (2j+1)^2 = C(n+3, 3), one
 more than the dimension of the S_n-invariant subalgebra.
 
-Reduction.  With J+ = sum_q |0><1|_q, which lowers the Hamming weight w by
-one, and m = n/2 - w, block j has its highest weight at w = n/2 - j.  For
-u_k = (J+)^k psi at that weight (the image of psi's weight-(w+k) part),
-rho_j[k, l] = <u_l|Pi_j u_k> / (N_k N_l) in the basis |j, j - k>, with
-N_k^2 = k! (2j)! / (2j - k)!, and Pi_j the Löwdin product over j' > j of
-(J-J+ - c_j') / (-c_j'), c_j' = j'(j'+1) - j(j+1), which keeps the
-highest-weight vectors of spin j.  J+ and J- act by gathers over the
-weight-restricted index arrays (`_ladder_table`); the weights are swept
-downward, so each psi_w is raised once and no dense 2^n x 2^n operator,
-SVD or eigensolver is used.
+Reduction.  Every dataset state is a graph state |G>, so the rho_j come
+from its graph, not its 2^n amplitudes.  |G><G| = 2^-n sum_S K_S over the
+vertex subsets S, with K_S = prod_(v in S) X_v Z_N(v) = (-1)^|E(S)| (-i)^#Y
+times X on S - Z(S), Y on S & Z(S) and Z on Z(S) - S, where Z(S) is the
+XOR of the neighbourhoods N(v) over v in S.  So <G|u^(x)n|G> for
+u = aI + xX + yY + zZ is sum_S (-1)^|E(S)| (-i)^#Y a^#I x^#X y^#Y z^#Z,
+and the signed histogram of (|S|, #Y, #Z), C(n+3, 3) numbers, fixes the
+rho_j.  One subset sweep (`simulator.subset_codes`) gives every Z(S) and
+|E(S)| mod 2; a fixed map per n (`_histogram_map`) turns the histogram
+into the rho_j by Krawtchouk changes of variables and an exact
+Gauss-Legendre projection onto Wigner's d^j(beta).  No amplitude, dense
+operator, SVD or eigensolver is used.
 
 Blocks share one padded layout: block j sits at positions w = n/2 - j ..
 n/2 + j of n + 1 positions indexed by the Hamming weight, so a state's
@@ -43,113 +45,173 @@ raises ValueError, so a circuit that is not S_n-symmetric is never reduced.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..indexing import CHUNK_ENTRIES, hamming_weights
+from ..indexing import hamming_weights
 from .circuits import all_pairs
-from .simulator import _LOCAL, Circuit, GateKind, _check_arguments
+from .simulator import _LOCAL, Circuit, GateKind, _check_arguments, subset_codes
 
-__all__ = ["spin_densities", "spin_states", "loss_gradient_from_blocks"]
-
-
-@lru_cache(maxsize=None)
-def _weight_states(n: int, w: int) -> np.ndarray:
-    """Basis indices of Hamming weight w, ascending."""
-    return np.flatnonzero(hamming_weights(n) == w)
+__all__ = ["graph_spin_states", "loss_gradient_from_blocks"]
 
 
 @lru_cache(maxsize=None)
-def _ranks(n: int) -> np.ndarray:
-    """Position of every basis index among the indices of its weight."""
-    ranks = np.empty(1 << n, dtype=np.int64)
-    for w in range(n + 1):
-        states = _weight_states(n, w)
-        ranks[states] = np.arange(states.size)
-    return ranks
+def _word_weights() -> np.ndarray:
+    """Set bits of every 16-bit word."""
+    return hamming_weights(16).astype(np.uint8)
 
 
-@lru_cache(maxsize=None)
-def _ladder_table(n: int, target: int, source: int) -> np.ndarray:
-    """Per state of weight `target`, the ranks among weight `source` (one
-    more or one less) of the states one bit flip away: J+ or J- from
-    `source` to `target` is the sum of the gathers by its columns."""
-    states = _weight_states(n, target)
-    flipped = states[:, None] ^ (1 << np.arange(n))
-    adjacent = hamming_weights(n)[flipped] == source
-    return _ranks(n)[flipped[adjacent].reshape(states.size, -1)]
+def _table_popcount(x: np.ndarray) -> np.ndarray:
+    """Set bits of each entry of a uint16 or uint32 array, as uint8."""
+    weights = _word_weights()
+    if x.dtype == np.uint16:
+        return np.take(weights, x)
+    return np.take(weights, x & 0xFFFF) + np.take(weights, x >> 16)
 
 
-def _ladder(v: np.ndarray, table: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """sum_t v[..., table[:, t]], one gather of the output's size at a time."""
-    if out is None:
-        out = np.empty(v.shape[:-1] + table.shape[:1], dtype=np.complex128)
-    # the indices are in range; "clip" lets take write into `out` unbuffered
-    np.take(v, table[:, 0], axis=-1, out=out, mode="clip")
-    gathered = np.empty_like(out)
-    for t in range(1, table.shape[1]):
-        out += np.take(v, table[:, t], axis=-1, out=gathered, mode="clip")
+# NumPy 2 counts bits without the table's index copies
+_popcount = getattr(np, "bitwise_count", _table_popcount)
+
+
+def _histogram_offsets(n: int) -> np.ndarray:
+    """Start of each |S| = s in a histogram row, which holds (s + 1) x
+    (n - s + 1) entries (#Y, #Z) per s, C(n + 3, 3) in all."""
+    sizes = [(s + 1) * (n - s + 1) for s in range(n + 1)]
+    return np.cumsum([0] + sizes)
+
+
+def _stabilizer_histograms(graphs: np.ndarray, n: int) -> np.ndarray:
+    """Per graph, the sum of (-1)^|E(S)| over the subsets S with each
+    (|S|, #Y, #Z), entry (#Y, #Z) of |S| = s at offset s of
+    `_histogram_offsets`; one subset sweep (`simulator.subset_codes`).
+
+    K_S = (-1)^|E(S)| (-i)^#Y X on S - Z(S), Y on S & Z(S), Z on Z(S) - S."""
+    offsets = _histogram_offsets(n)
+    hist = np.zeros((len(graphs), int(offsets[-1])), dtype=np.int64)
+    for rows, start, codes in subset_codes(graphs, n):
+        hist[rows] += _signed_counts(codes, start, n, offsets)
+    return hist
+
+
+def _signed_counts(codes: np.ndarray, start: int, n: int, offsets: np.ndarray) -> np.ndarray:
+    """The histogram rows of one piece of `simulator.subset_codes`."""
+    width = int(offsets[-1])
+    subsets = np.arange(start, start + codes.shape[1], dtype=codes.dtype)
+    sizes = _popcount(subsets)
+    # bin 2 (offset + #Y (n - |S| + 1) + #Z) + parity, with
+    # #Z = |Z(S)| - #Y and the code's set bits |Z(S)| + parity
+    bins = _popcount(codes & subsets) * (2 * (n - sizes)).astype(np.intp)
+    ones = _popcount(codes)
+    bins += ones
+    bins += ones
+    bins -= codes >> n
+    bins += 2 * offsets[sizes]
+    bins += 2 * width * np.arange(len(bins))[:, None]
+    counts = np.bincount(bins.ravel(), minlength=2 * width * len(bins))
+    counts = counts.reshape(len(bins), width, 2)
+    return counts[..., 0] - counts[..., 1]
+
+
+def _krawtchouk(d: int) -> np.ndarray:
+    """K[t, p]: the coefficient of u^p v^(d-p) in (u + v)^(d-t) (u - v)^t.
+
+    Row t + 1 is row t times (u - v) / (u + v): with row t = (u + v) q,
+    it is row t - 2 v q, q found by synthetic division."""
+    rows = [[math.comb(d, p) for p in range(d + 1)]]
+    for _ in range(d):
+        quotient = itertools.accumulate(rows[-1], lambda q, c: c - q)
+        rows.append([c - 2 * q for c, q in zip(rows[-1], quotient)])
+    return np.array(rows, dtype=np.int64)
+
+
+def _legendre_nodes(count: int) -> List[Tuple[float, float]]:
+    """Gauss-Legendre (node, weight) pairs on [-1, 1], by Newton's method on
+    the three-term recurrence of P_count; exact for degree < 2 count."""
+    out = []
+    for i in range(count):
+        x = math.cos(math.pi * (i + 0.75) / (count + 0.5))
+        for _ in range(100):
+            below, p = 1.0, x
+            for k in range(2, count + 1):
+                below, p = p, ((2 * k - 1) * x * p - (k - 1) * below) / k
+            slope = count * (x * p - below) / (x * x - 1)
+            step = p / slope
+            x -= step
+            if abs(step) < 1e-15:
+                break
+        out.append((x, 2 / ((1 - x * x) * slope * slope)))
     return out
 
 
-def _highest_weight_part(u: np.ndarray, n: int, w: int) -> np.ndarray:
-    """Pi_j u for vectors u of weight w = n/2 - j: the Löwdin product over
-    j' = j + t, t = w, ..., 1, of 1 - J-J+ / c_j', c_j' = t (2j + t + 1)."""
-    for t in range(w, 0, -1):
-        lowered = _ladder(_ladder(u, _ladder_table(n, w - 1, w)), _ladder_table(n, w, w - 1))
-        lowered /= -t * (n - 2 * w + t + 1)
-        lowered += u
-        u = lowered
-    return u
+def _histogram_map(n: int) -> Tuple[List[Tuple[np.ndarray, np.ndarray, np.ndarray]], np.ndarray]:
+    """The fixed linear map from a stabilizer histogram to the padded rho_j.
+
+    <G|u^(x)n|G> = sum h a^#I x^#X y^#Y z^#Z for u = aI + xX + yY + zZ, the
+    (-i)^#Y of K_S cancelling the i^#Y of y = i(u12 - u21)/2.  For each
+    |S| = d2 the histogram's (#Y, #Z) slice becomes, by one Krawtchouk
+    matrix per side, the coefficients of u11^p u12^q u21^r u22^s with
+    p + s = d1 = n - d2, which sit at entry (k, l) = (n - p - q, d1 - p + q)
+    of the weights of bra and ket.  On u = exp(-i beta Y/2) such a monomial
+    is (-1)^q cos(beta/2)^d1 sin(beta/2)^d2, and <G|u^(x)n|G> =
+    sum_j tr(d^j(beta) rho_j), so rho_j[l, k] is the projection on
+    d^j_kl(beta), whose products are polynomials of degree <= n in
+    cos(beta): Gauss-Legendre at n//2 + 1 nodes integrates them exactly.
+
+    Returns, per d2, the integer Krawtchouk pair (with the (-1)^q folded
+    in) and the flat (k, l) target of every (q, p); and B[d1, w, k, l], the
+    projection weights of block w, zero outside it."""
+    side, blocks = n + 1, n // 2 + 1
+    projection = np.zeros((side, blocks, side, side))
+    for node, weight in _legendre_nodes(blocks):
+        half_cos, half_sin = math.sqrt((1 + node) / 2), math.sqrt((1 - node) / 2)
+        turn = _spin_rotation("Y", math.acos(node), n).real
+        for d1 in range(side):
+            projection[d1] += weight * half_cos ** d1 * half_sin ** (n - d1) * turn
+    inside = np.zeros((blocks, side, side))
+    for w in range(blocks):
+        inside[w, w:side - w, w:side - w] = (n + 1 - 2 * w) / 2 / 2 ** n
+    projection *= inside
+    degrees = []
+    for d2 in range(side):
+        d1 = n - d2
+        q, p = np.arange(d2 + 1)[:, None], np.arange(d1 + 1)
+        degrees.append((_krawtchouk(d2) * (1 - 2 * (q.T % 2)), _krawtchouk(d1),
+                        ((n - p - q) * side + d1 - p + q).ravel()))
+    return degrees, projection
 
 
-def spin_densities(amps: np.ndarray, n: int) -> List[np.ndarray]:
-    """rho_j of each row of `amps`: one (rows, 2j+1, 2j+1) array per
-    w = n/2 - j = 0 .. n//2, in the basis |j, j>, |j, j-1>, ..., |j, -j>.
-
-    The chains (J+)^i psi_(w+i), i = 0 .. n - w, are carried down the
-    weights w = n .. 0; at w <= n/2 the first 2j+1 of them are the u_k.
-    """
-    rows = amps.shape[0]
-    out: List[np.ndarray] = [np.empty(0)] * (n // 2 + 1)
-    chains = amps[:, _weight_states(n, n)][:, None, :]
-    for w in range(n, -1, -1):
-        if w <= n // 2:
-            d = n - 2 * w + 1
-            u = chains[:, :d]
-            rho = np.matmul(_highest_weight_part(u, n, w), u.conj().swapaxes(1, 2))
-            # N_k^2 = prod_{t <= k} t (2j - t + 1)
-            norms = np.sqrt(np.cumprod([1.0] + [t * (d - t) for t in range(1, d)]))
-            out[w] = rho / np.outer(norms, norms)
-        if w:
-            below = _weight_states(n, w - 1)
-            raised = np.empty((rows, chains.shape[1] + 1, below.size), dtype=np.complex128)
-            raised[:, 0] = amps[:, below]
-            table = _ladder_table(n, w - 1, w)
-            for i in range(chains.shape[1]):
-                _ladder(chains[:, i], table, out=raised[:, i + 1])
-            chains = raised
-    return out
-
-
-def spin_states(amps: np.ndarray, n: int) -> np.ndarray:
-    """The rho_j of each row of `amps` in the padded layout: shape
+def graph_spin_states(graphs: np.ndarray, n: int) -> np.ndarray:
+    """The rho_j of the graph state of each row of neighbour masks
+    (`simulator.subset_codes`) in the padded layout: shape
     (rows, n//2 + 1, n + 1, n + 1), block w = n/2 - j at
     [w:n+1-w, w:n+1-w] and zero elsewhere.
 
-    The reduction's temporaries are a few times the amplitudes it reduces,
-    so rows are reduced about CHUNK_ENTRIES amplitudes at a time."""
-    rows, step = amps.shape[0], max(1, CHUNK_ENTRIES >> n)
-    out = None
-    for lo in range(0, rows, step):
-        densities = spin_densities(amps[lo:lo + step], n)
-        if out is None:  # after the first chunk's temporaries are freed
-            out = np.zeros((rows, n // 2 + 1, n + 1, n + 1), dtype=np.complex128)
-        for w, rho in enumerate(densities):
-            out[lo:lo + step, w, w:n + 1 - w, w:n + 1 - w] = rho
+    The histogram is exact in integers, and so are its Krawtchouk
+    transforms (below 2^53 up to n = 26); the projection sums over d1 in a
+    fixed order, so a row's densities do not depend on the rows beside it."""
+    degrees, projection = _histogram_map(n)
+    offsets, side = _histogram_offsets(n), n + 1
+    hist = _stabilizer_histograms(graphs, n)
+    rows, blocks = len(graphs), n // 2 + 1
+    out = np.zeros((rows, blocks, side, side), dtype=np.complex128)
+    total = np.zeros((rows, blocks, side * side))
+    # one buffer for every degree's term: a temporary per degree left the
+    # allocator holding 0.7 MB more through the acceptance run's gradients
+    term = np.empty_like(total)
+    monomials = np.zeros((rows, side * side))
+    for d2, (left, right, targets) in enumerate(degrees):
+        d1 = n - d2
+        counts = hist[:, offsets[d2]:offsets[d2 + 1]].reshape(rows, d2 + 1, d1 + 1)
+        coefficients = left.T @ counts @ right
+        monomials[:] = 0
+        monomials[:, targets] = coefficients.reshape(rows, -1)
+        np.multiply(monomials[:, None, :], projection[d1].reshape(blocks, -1), out=term)
+        total += term
+    out.real = total.reshape(out.shape).swapaxes(2, 3)
     return out
 
 

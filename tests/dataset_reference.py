@@ -1,10 +1,11 @@
 """Graph-by-graph reference for the experiment's dataset.
 
 Each Erdos-Renyi graph is drawn with its own `rng.random` call, labelled by
-a union-find over its edge list and kept while its class has room, one
-graph at a time.  Nothing from the package's block draw or its vectorised
-connectivity test is used, so a test that compares `generate_dataset` with
-`reference_dataset` compares two independent constructions.
+a union-find over its edge list, kept while its class has room, one graph at
+a time, and built by one CZ sign flip per edge on |+>^n.  Nothing from the
+package's block draw, its vectorised connectivity test or its subset sweep
+is used, so a test that compares `generate_dataset` with `reference_dataset`
+compares two independent constructions.
 """
 
 from typing import List, Sequence, Tuple
@@ -13,7 +14,17 @@ import numpy as np
 
 from symlie.errors import DatasetGenerationFailed
 from symlie.variance_lab.experiment import _stream
-from symlie.variance_lab.simulator import graph_state
+
+
+def cz_graph_state(edges: Sequence[Tuple[int, int]], n: int) -> np.ndarray:
+    """prod_{(a,b) in E} CZ_{a,b} |+>^n: the amplitudes of |+>^n times the
+    parity of the CZ gates whose two bits are set, one edge at a time."""
+    index = np.arange(1 << n)
+    odd = np.zeros(1 << n, dtype=np.int8)
+    for a, b in edges:
+        odd ^= ((index >> (n - 1 - a)) & (index >> (n - 1 - b)) & 1).astype(np.int8)
+    plus = np.full(1 << n, 2.0 ** (-n / 2), dtype=np.complex128)
+    return plus * np.where(odd, -1.0, 1.0)
 
 
 def random_graph(n: int, p: float, rng: np.random.Generator) -> List[Tuple[int, int]]:
@@ -64,6 +75,6 @@ def reference_dataset(n, cfg):
         label = 1.0 if is_connected(n, edges) else -1.0
         if quota[label]:
             quota[label] -= 1
-            states.append(graph_state(edges, n).amplitudes)
+            states.append(cz_graph_state(edges, n))
             labels.append(label)
     return np.array(states), np.array(labels), attempts

@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 from dataset_reference import is_connected, random_graph, reference_dataset
 
-from symlie.errors import DatasetGenerationFailed, StateBatchCapExceeded, SymlieError
-from symlie.indexing import MAX_STATE_BATCH_BYTES
+from symlie.errors import (DatasetGenerationFailed, StateBatchCapExceeded, SubsetCapExceeded,
+                           SymlieError)
+from symlie.indexing import MAX_GRAPH_SUBSETS, MAX_STATE_BATCH_BYTES
 from symlie.variance_lab import (
     AnsatzKind,
     ExperimentConfig,
@@ -27,6 +28,9 @@ from symlie.variance_lab import (
 )
 from symlie.variance_lab import experiment
 from symlie.variance_lab.experiment import ALL_ANSATZE, VarianceRow, _stream
+from symlie.variance_lab.simulator import graph_amplitudes
+
+PERMUTATION_ONLY = (AnsatzKind.PERMUTATION,)
 
 
 class TestConnectivity:
@@ -180,6 +184,70 @@ class TestDatasetGeneration:
             ExperimentConfig(qubit_counts=(20,), dataset_size=66)
         with pytest.raises(StateBatchCapExceeded):
             ExperimentConfig(qubit_counts=(40,), samples_per_point=2)
+
+    def test_subset_cap(self):
+        # a permutation-only run builds no amplitudes, so its bound is the
+        # subsets its graphs' sweep visits: 50 graphs fit at n = 22, above
+        # the state batch cap, not at n = 23
+        assert 50 << 22 <= MAX_GRAPH_SUBSETS < 50 << 23
+        ExperimentConfig(qubit_counts=(4, 22), ansatz_kinds=PERMUTATION_ONLY)
+        with pytest.raises(StateBatchCapExceeded):
+            ExperimentConfig(qubit_counts=(4, 22))
+        with pytest.raises(SubsetCapExceeded) as info:
+            ExperimentConfig(qubit_counts=(23, 4), ansatz_kinds=PERMUTATION_ONLY)
+        assert isinstance(info.value, SymlieError)
+        assert (info.value.qubits, info.value.size) == (23, 50)
+        assert info.value.subsets == 50 << 23
+        assert info.value.cap == MAX_GRAPH_SUBSETS
+        # exactly at the cap and one graph pair past it
+        size = MAX_GRAPH_SUBSETS >> 20
+        ExperimentConfig(qubit_counts=(20,), dataset_size=size, ansatz_kinds=PERMUTATION_ONLY)
+        with pytest.raises(SubsetCapExceeded):
+            ExperimentConfig(qubit_counts=(20,), dataset_size=size + 2,
+                             ansatz_kinds=PERMUTATION_ONLY)
+
+    def test_subset_cap_refuses_before_any_allocation(self, monkeypatch):
+        # both sides of a lowered cap end to end; a refused run draws no
+        # graph and allocates next to nothing
+        monkeypatch.setattr(experiment, "MAX_GRAPH_SUBSETS", 8 << 5)
+        small = dict(samples_per_point=2, dataset_size=8, ansatz_kinds=PERMUTATION_ONLY)
+        rows = run_variance_experiment(ExperimentConfig(qubit_counts=(4, 5), **small))
+        assert [row.qubits for row in rows] == [4, 5]
+
+        def refuse(*args):
+            raise AssertionError("graphs drawn")
+
+        monkeypatch.setattr(experiment, "_draw_graphs", refuse)
+        for n in (6, 40):
+            tracemalloc.start()
+            try:
+                with pytest.raises(SubsetCapExceeded):
+                    run_variance_experiment(ExperimentConfig(qubit_counts=(4, n), **small))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 100_000
+
+    def test_permutation_only_runs_build_no_amplitudes(self, monkeypatch):
+        # the permutation ansatz reads only the graphs; the rows equal those
+        # of a run whose graphs are read back off the amplitudes
+        def refuse(*args):
+            raise AssertionError("amplitudes built")
+
+        cfg = ExperimentConfig(qubit_counts=(4, 5), samples_per_point=3, dataset_size=8,
+                               seed=3, ansatz_kinds=PERMUTATION_ONLY)
+        with monkeypatch.context() as patched:
+            patched.setattr(experiment, "generate_dataset", refuse)
+            patched.setattr(experiment, "graph_amplitudes", refuse)
+            rows = run_variance_experiment(cfg)
+        mixed = run_variance_experiment(replace(cfg, ansatz_kinds=ALL_ANSATZE))
+        assert rows == [row for row in mixed if row.ansatz == "permutation"]
+
+    @pytest.mark.parametrize("n", [2, 5, 9, 14])
+    def test_graphs_read_off_the_amplitudes(self, n):
+        cfg = ExperimentConfig(qubit_counts=(n,), dataset_size=10, seed=n)
+        graphs, _ = experiment._draw_graphs(n, cfg)
+        assert np.array_equal(experiment._graphs_of(graph_amplitudes(graphs, n), n), graphs)
 
 
 SMALL = dict(qubit_counts=(4,), samples_per_point=6, dataset_size=10, seed=12)

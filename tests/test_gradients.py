@@ -446,6 +446,37 @@ class TestWorkspace:
         assert peak < 0.5 * amps.nbytes
         assert len(workspace.free) <= 5
 
+    def test_warm_single_qubit_blocks_allocate_no_batch(self):
+        # at n = 9 the top Kronecker block holds qubit 0 alone, so its
+        # passes run the 2x2 kernel, whose products now go through a
+        # workspace batch (about 1.1 batches a gradient when they were
+        # temporaries).  What is left is NumPy's ufunc buffering of the
+        # strided half-batch views, three 8192-entry buffers (384 KiB)
+        # whatever the batch, so 200 rows keep it apart from a batch.
+        # Strongly-entangling: a cyclic probe's overlap matrices, rows x
+        # 16 x 16, are themselves half a batch at n = 9.
+        n = 9
+        kind = AnsatzKind.STRONGLY_ENTANGLING
+        c = build_ansatz(kind, n, default_layer_count(kind, n))
+        assert any(len(gated) == 1 for step in c.steps if step.kind == "1q"
+                   for _, _, gated in step.blocks)
+        amps, labels = generate_dataset(n, ExperimentConfig(qubit_counts=(n,), dataset_size=200))
+        rng = np.random.default_rng(9)
+        slots = [probe_slot(c)]
+        workspace = Workspace()
+        _loss_gradient_from_arrays(c, rng.uniform(-2 * math.pi, 2 * math.pi, c.n_params),
+                                   amps, labels, slots, workspace)
+        params = rng.uniform(-2 * math.pi, 2 * math.pi, c.n_params)
+        tracemalloc.start()
+        try:
+            warm = _loss_gradient_from_arrays(c, params, amps, labels, slots, workspace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * amps.nbytes
+        fresh = _loss_gradient_from_arrays(c, params, amps, labels, slots, NoReuse())
+        assert np.array_equal(warm.view(np.int64), fresh.view(np.int64))
+
 
 TAIL_RUNS = {
     "empty": (),

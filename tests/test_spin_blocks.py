@@ -1,26 +1,77 @@
 """The Schur–Weyl reduction of the permutation experiment: spin-block
-densities, and gradients on the blocks against the statevector's."""
+densities from the graphs' stabilizer histograms against the amplitude
+reference, and gradients on the blocks against the statevector's."""
 
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from dataset_reference import cz_graph_state
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from spin_reference import spin_densities, spin_states
 
 from symlie.combinatorics import Family, GroupSpec, dim_invariant_algebra
-from symlie.variance_lab import experiment, spin_blocks
+from symlie.indexing import CHUNK_ENTRIES
+from symlie.variance_lab import experiment, simulator, spin_blocks
 from symlie.variance_lab.circuits import (AnsatzKind, build_ansatz, default_layer_count,
                                           probe_slot)
 from symlie.variance_lab.experiment import ExperimentConfig, generate_dataset
 from symlie.variance_lab.gradients import _loss_gradient_from_arrays
-from symlie.variance_lab.simulator import Circuit, Gate, GateKind
-from symlie.variance_lab.spin_blocks import (loss_gradient_from_blocks, spin_densities,
-                                             spin_states)
+from symlie.variance_lab.simulator import Circuit, Gate, GateKind, graph_amplitudes
+from symlie.variance_lab.spin_blocks import graph_spin_states, loss_gradient_from_blocks
 
 
 def random_states(n, rows, seed):
     rng = np.random.default_rng(seed)
     return rng.normal(size=(rows, 1 << n)) + 1j * rng.normal(size=(rows, 1 << n))
+
+
+def edge_masks(n, edge_sets):
+    """Neighbour masks (vertex u at bit n - 1 - u) of each edge list."""
+    graphs = np.zeros((len(edge_sets), n), dtype=np.int64)
+    for row, edges in enumerate(edge_sets):
+        for a, b in edges:
+            graphs[row, a] |= 1 << (n - 1 - b)
+            graphs[row, b] |= 1 << (n - 1 - a)
+    return graphs
+
+
+def complete(n):
+    return [(a, b) for a in range(n) for b in range(a + 1, n)]
+
+
+def random_edge_sets(n, rows, seed, p=0.4):
+    rng = np.random.default_rng(seed)
+    return [[pair for pair in complete(n) if rng.random() < p] for _ in range(rows)]
+
+
+@st.composite
+def graph_blocks(draw, sizes=st.integers(2, 14)):
+    """(n, edge lists) of 1-3 graphs on n vertices, each pair an edge or not."""
+    n = draw(sizes)
+    pairs = complete(n)
+    masks = draw(st.lists(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)),
+                          min_size=1, max_size=3))
+    return n, [[pair for pair, edge in zip(pairs, mask) if edge] for mask in masks]
+
+
+def extended_reference(graphs, n):
+    """The amplitude reference computed in np.clongdouble, as complex128."""
+    amps = graph_amplitudes(graphs, n).astype(np.clongdouble)
+    return spin_states(amps, n).astype(np.complex128)
+
+
+def assert_densities_match(got, want):
+    # within 1e-13 of the largest entry, and exactly zero outside the blocks
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    n = got.shape[-1] - 1
+    for w in range(n // 2 + 1):
+        padding = got[:, w].copy()
+        padding[:, w:n + 1 - w, w:n + 1 - w] = 0
+        assert not padding.any()
 
 
 def statevector_samples(cfg, n, stop):
@@ -74,31 +125,130 @@ class TestDensities:
         assert np.allclose(bottom, [[[1.0]]], rtol=0, atol=1e-15)
 
     def test_chunked_reduction_is_bit_identical(self, monkeypatch):
-        # rows are reduced about CHUNK_ENTRIES amplitudes at a time; each
-        # row's arithmetic does not depend on its chunk
+        # graphs are swept about CHUNK_ENTRIES subsets at a time: a block of
+        # rows, or a piece of one graph's subsets; each row's arithmetic does
+        # not depend on its chunk
         n = 6
-        amps = random_states(n, 7, 3)
-        whole = spin_states(amps, n)
-        monkeypatch.setattr(spin_blocks, "CHUNK_ENTRIES", 3 << n)
-        assert np.array_equal(spin_states(amps, n), whole)
+        graphs = edge_masks(n, random_edge_sets(n, 7, 3))
+        whole = graph_spin_states(graphs, n)
+        for entries in (3 << n, 1 << 3, 1):
+            monkeypatch.setattr(simulator, "CHUNK_ENTRIES", entries)
+            assert np.array_equal(graph_spin_states(graphs, n), whole)
+            assert np.array_equal(graph_amplitudes(graphs, n),
+                                  [cz_graph_state(edges, n) for edges in random_edge_sets(n, 7, 3)])
 
     @pytest.mark.parametrize("n", [3, 6, 9])
     @pytest.mark.parametrize("source", ["random", "graph states"])
     def test_states_pad_the_densities(self, n, source):
         # block w = n/2 - j sits at [w:n+1-w, w:n+1-w] of its (n+1)x(n+1)
         # slice, and every other entry is zero
+        cfg = ExperimentConfig(qubit_counts=(n,), dataset_size=6)
         if source == "random":
             amps = random_states(n, 3, n)
+            states = spin_states(amps, n)
         else:
-            amps = generate_dataset(n, ExperimentConfig(qubit_counts=(n,), dataset_size=6))[0]
-        states = spin_states(amps, n)
+            graphs, _ = experiment._draw_graphs(n, cfg)
+            amps, states = graph_amplitudes(graphs, n), graph_spin_states(graphs, n)
         assert states.shape == (len(amps), n // 2 + 1, n + 1, n + 1)
         for w, rho in enumerate(spin_densities(amps, n)):
             block = slice(w, n + 1 - w)
-            assert np.array_equal(states[:, w, block, block], rho)
+            if source == "random":
+                assert np.array_equal(states[:, w, block, block], rho)
+            else:
+                assert np.abs(states[:, w, block, block] - rho).max() <= 1e-13
             padding = states[:, w].copy()
             padding[:, block, block] = 0
             assert not padding.any()
+
+
+class TestGraphSweep:
+    """The subset sweep against one CZ sign flip per edge, and the
+    stabilizer-histogram densities against the amplitude reduction."""
+
+    @given(graph_blocks())
+    @example((2, [[]]))
+    @example((9, [complete(9)]))
+    @example((14, [[], complete(14)]))
+    @settings(max_examples=60, deadline=None)
+    def test_amplitudes_equal_the_cz_reference(self, block):
+        n, edge_sets = block
+        amps = graph_amplitudes(edge_masks(n, edge_sets), n)
+        assert np.array_equal(amps, [cz_graph_state(edges, n) for edges in edge_sets])
+        for edges, row in zip(edge_sets, amps):
+            assert np.array_equal(simulator.graph_state(edges, n).amplitudes, row)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="the amplitude reference needs an extended long double")
+    @given(graph_blocks())
+    @example((2, [[]]))
+    @example((7, [complete(7)]))
+    @example((13, [[], complete(13)]))
+    @example((14, [[], complete(14)]))
+    @settings(max_examples=30, deadline=None)
+    def test_densities_match_the_amplitude_reference(self, block):
+        # in complex128 the reference's Löwdin products are off by up to
+        # 3e-12 of the largest entry at odd n >= 11 near the symmetric
+        # block; in extended precision it is exact to about 1e-15
+        n, edge_sets = block
+        graphs = edge_masks(n, edge_sets)
+        assert_densities_match(graph_spin_states(graphs, n), extended_reference(graphs, n))
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_symmetric_graph_states_are_exact(self, n):
+        # the empty and the complete graph have amplitudes that depend only
+        # on |S|, so they lie in j = n/2 with psi_w = (-1)^(|E(S)|)
+        # sqrt(C(n, w)) / 2^(n/2); their densities are known exactly
+        graphs = edge_masks(n, [[], complete(n)])
+        for graph, edge_count in zip(graph_spin_states(graphs, n),
+                                     (lambda w: 0, lambda w: math.comb(w, 2))):
+            psi = np.array([(-1) ** edge_count(w) * math.sqrt(math.comb(n, w))
+                            for w in range(n + 1)]) / 2 ** (n / 2)
+            want = np.zeros_like(graph)
+            want[0] = np.outer(psi, psi)
+            assert np.abs(graph - want).max() <= 1e-14
+
+    @given(graph_blocks(st.integers(2, 12)))
+    @example((13, [[], complete(13), [(0, 12)]]))
+    @settings(max_examples=40, deadline=None)
+    def test_block_equals_one_graph_at_a_time(self, block):
+        n, edge_sets = block
+        graphs = edge_masks(n, edge_sets)
+        together = graph_spin_states(graphs, n)
+        for row in range(len(graphs)):
+            assert np.array_equal(graph_spin_states(graphs[row:row + 1], n), together[row:row + 1])
+
+    @pytest.mark.slow
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="the amplitude reference needs an extended long double")
+    def test_densities_match_the_reference_at_16(self):
+        n = 16
+        graphs = edge_masks(n, random_edge_sets(n, 3, 16) + [[], complete(n)])
+        assert_densities_match(graph_spin_states(graphs, n), extended_reference(graphs, n))
+
+    @pytest.mark.parametrize("d", range(9))
+    def test_krawtchouk_rows_expand_the_binomials(self, d):
+        # row t holds (u + v)^(d-t) (u - v)^t, the coefficient of u^0 first
+        for t, row in enumerate(spin_blocks._krawtchouk(d)):
+            want = np.convolve([math.comb(d - t, i) for i in range(d - t + 1)],
+                               [math.comb(t, i) * (-1) ** (t - i) for i in range(t + 1)])
+            assert np.array_equal(row, want)
+
+    @pytest.mark.parametrize("dtype", [np.uint16, np.uint32])
+    def test_table_popcount_counts_bits(self, dtype):
+        # the bit count NumPy < 2 falls back to
+        words = np.random.default_rng(1).integers(0, np.iinfo(dtype).max, 1000, endpoint=True)
+        words = words.astype(dtype)
+        want = [bin(int(word)).count("1") for word in words]
+        assert np.array_equal(spin_blocks._table_popcount(words), want)
+        assert np.array_equal(spin_blocks._popcount(words), want)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_legendre_nodes_integrate_to_their_degree(self, n):
+        # n nodes integrate x^k exactly for k < 2n
+        nodes = spin_blocks._legendre_nodes(n)
+        for k in range(2 * n):
+            assert math.isclose(sum(weight * x ** k for x, weight in nodes),
+                                (1 + (-1) ** k) / (k + 1), abs_tol=1e-14)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -205,28 +355,34 @@ class TestReducedGradients:
 
 
 def test_reduction_memory():
-    # the weights are swept downward and J+ is gathered one fan-in index
-    # and one chain at a time: the reduction peaks below one statevector
-    # gradient (about 5 batches), and a reduced gradient holds at most a
-    # few copies of the padded densities
-    n = 10
-    c = build_ansatz(AnsatzKind.PERMUTATION, n, default_layer_count(AnsatzKind.PERMUTATION, n))
-    amps, labels = generate_dataset(n, ExperimentConfig(qubit_counts=(n,)))
-    params = np.random.default_rng(0).uniform(-2 * math.pi, 2 * math.pi, c.n_params)
-    states = spin_states(amps, n)  # caches the index tables
-    loss_gradient_from_blocks(c, params, states, labels, [probe_slot(c)])
-    peaks = []
-    for run in (lambda: spin_states(amps, n),
-                lambda: loss_gradient_from_blocks(c, params, states, labels, [probe_slot(c)])):
+    # the graphs are swept a block of about CHUNK_ENTRIES subsets at a
+    # time, so the reduction's peak is a few bytes per entry of one block
+    # plus a few copies of its (rows, n//2+1, n+1, n+1) output, not the
+    # 2^n amplitudes of every graph; a reduced gradient holds at most a few
+    # copies of the padded densities
+    peaks = {}
+    for n in (14, 16):
+        graphs, labels = experiment._draw_graphs(n, ExperimentConfig(qubit_counts=(n,)))
+        graph_spin_states(graphs, n)  # caches the map and the bit counts
         tracemalloc.start()
         try:
-            run()
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            states = graph_spin_states(graphs, n)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert amps.shape == (50, 1 << n)
-    assert peaks[0] <= 4.2 * amps.nbytes
-    assert peaks[1] <= 5 * states.nbytes
+        # 4.2 MB + 2.9 MB at n = 14, against 13 MB of amplitudes; 4.2 MB +
+        # 4.2 MB at n = 16, against 52 MB
+        assert peaks[n] <= 16 * CHUNK_ENTRIES + 2 * states.nbytes
+    c = build_ansatz(AnsatzKind.PERMUTATION, n, default_layer_count(AnsatzKind.PERMUTATION, n))
+    params = np.random.default_rng(0).uniform(-2 * math.pi, 2 * math.pi, c.n_params)
+    loss_gradient_from_blocks(c, params, states, labels, [probe_slot(c)])
+    tracemalloc.start()
+    try:
+        loss_gradient_from_blocks(c, params, states, labels, [probe_slot(c)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * states.nbytes
 
 
 def test_gradient_memory_does_not_grow_with_rows():
