@@ -5,11 +5,20 @@ group G equals the number of G-orbits of length-N words over a 4-letter
 alphabet, minus one (the all-identity word is dropped).  The orbit count is
 Z[G](k, ..., k) with k = 4, where Z[G] is the cycle index of G.
 
-Z[G] is stored as integers: |G| and the number of elements of each cycle
-type lambda.  S_n has n!/z_lambda elements of type lambda, from cached tables
-of centralizer orders z_lambda = prod_l l^{m_l} m_l! (Harary and Palmer,
-*Graphical Enumeration*, 1973, ch. 2), and A_n its even types.  An evaluation
-is one integer sum divided exactly by |G|, so no float or fraction appears.
+With every a_i equal to k, an element with j cycles contributes k^j, so a
+dimension needs only c_j, the number of elements of G with j cycles: N + 1
+integers at most.  S_n has the unsigned Stirling numbers of the first kind,
+c(m + 1, j) = m c(m, j) + c(m, j - 1), cached per degree; A_n the entries
+with n - j even; C_n phi(d) elements with n/d cycles per divisor d; D_n those
+plus its reflections (Harary and Palmer, *Graphical Enumeration*, 1973,
+ch. 2).  The orbit count is sum_j c_j k^j, divided exactly by |G|, so no
+float or fraction appears.
+
+The full polynomial Z[G] is built as well, as integers: |G| and the number
+of elements of each cycle type lambda.  S_n has n!/z_lambda elements of type
+lambda, from cached tables of centralizer orders z_lambda = prod_l l^{m_l}
+m_l!, and A_n its even types.  It lists p(n) types for S_n, so the dimension
+route does not use it; the tests check the two against each other.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from .errors import DigitCapExceeded, NonIntegerCount, TermCapExceeded
 from .indexing import MAX_CYCLE_INDEX_TERMS, MAX_DIMENSION_DIGITS, max_partition_degree
@@ -175,25 +184,79 @@ def _alternating_counts(n: int) -> Dict[Partition, int]:
     return {part: c for part, c in _symmetric_counts(n).items() if (n - len(part)) % 2 == 0}
 
 
-def _cyclic_counts(n: int) -> Dict[Partition, int]:
-    # phi(d) rotations have order d and type d^(n/d); distinct d give distinct types.
-    # The divisors d <= sqrt(n) give the rest as n // d; keyed by ascending d.
+def _divisors(n: int) -> List[int]:
+    # the divisors d <= sqrt(n) give the rest as n // d; ascending
     low = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
-    divisors = low + [n // d for d in reversed(low) if d * d != n]
-    return {(d,) * (n // d): euler_totient(d) for d in divisors}
+    return low + [n // d for d in reversed(low) if d * d != n]
+
+
+def _reflections(n: int) -> List[Tuple[int, int, int]]:
+    # (2-cycles, fixed points, count) of the n reflections of an n-gon, n >= 3:
+    # one type for n odd, two types of n/2 reflections each for n even
+    if n % 2:
+        return [(n // 2, 1, n)]
+    return [(n // 2 - 1, 2, n // 2), (n // 2, 0, n // 2)]
+
+
+def _cyclic_counts(n: int) -> Dict[Partition, int]:
+    # phi(d) rotations have order d and type d^(n/d); distinct d give distinct
+    # types, keyed by ascending d
+    return {(d,) * (n // d): euler_totient(d) for d in _divisors(n)}
 
 
 def _dihedral_counts(n: int) -> Dict[Partition, int]:
-    # The n rotations plus the n reflections, which fall on one cycle type
-    # (n odd) or split evenly over two (n even).  For n <= 2 the reflections
+    # The n rotations plus the n reflections.  For n <= 2 the reflections
     # repeat rotations, so the faithful group is C_1 = {id} resp. C_2 = S_2.
     counts = _cyclic_counts(n)
     if n <= 2:
         return counts
-    flips = [(2,) * (n // 2) + (1,)] if n % 2 else [(2,) * (n // 2 - 1) + (1, 1), (2,) * (n // 2)]
-    for part in flips:
-        counts[part] = counts.get(part, 0) + n // len(flips)
+    for twos, ones, count in _reflections(n):
+        part = (2,) * twos + (1,) * ones
+        counts[part] = counts.get(part, 0) + count
     return counts
+
+
+_STIRLING_ROWS = [(1,)]  # row n at index n, extended on demand
+
+
+def _stirling_row(n: int) -> Tuple[int, ...]:
+    """Unsigned Stirling numbers c(n, j), j = 0..n: the number of elements
+    of S_n with j cycles.  Each row is built once, from the one before, by
+    c(m + 1, j) = m c(m, j) + c(m, j - 1), in a loop rather than a recursion
+    as deep as n."""
+    rows = _STIRLING_ROWS
+    while len(rows) <= n:
+        m, prev = len(rows) - 1, rows[-1]
+        rows.append(tuple(m * a + b for a, b in zip(prev + (0,), (0,) + prev)))
+    return rows[n]
+
+
+def _symmetric_cycles(n: int) -> Dict[int, int]:
+    return {j: c for j, c in enumerate(_stirling_row(n)) if c}
+
+
+def _alternating_cycles(n: int) -> Dict[int, int]:
+    # an element with j cycles is even iff n - j is; A_1 keeps the identity
+    return {j: c for j, c in _symmetric_cycles(n).items() if (n - j) % 2 == 0}
+
+
+def _cyclic_cycles(n: int) -> Dict[int, int]:
+    return {n // d: euler_totient(d) for d in _divisors(n)}
+
+
+def _dihedral_cycles(n: int) -> Dict[int, int]:
+    counts = _cyclic_cycles(n)
+    if n <= 2:
+        return counts
+    for twos, ones, count in _reflections(n):
+        counts[twos + ones] = counts.get(twos + ones, 0) + count
+    return counts
+
+
+def _check_order(spec: GroupSpec, counts: Dict, order: int) -> None:
+    # the counts and the order formula share no code, so this checks both
+    if sum(counts.values()) != order:
+        raise NonIntegerCount(f"cycle index coefficients of {spec} do not sum to 1")
 
 
 def check_term_cap(spec: AnySpec) -> None:
@@ -232,24 +295,44 @@ def cycle_index(spec: GroupSpec) -> CycleIndex:
     }
     ci = CycleIndex(degree=spec.size, order=group_order(spec),
                     counts=builders[spec.family](spec.size))
-    # the counts and the order formula share no code, so this checks both
-    if sum(ci.counts.values()) != ci.order:
-        raise NonIntegerCount(f"cycle index coefficients of {spec} do not sum to 1")
+    _check_order(spec, ci.counts, ci.order)
     return ci
+
+
+def _orbit_count(cycle_counts: Dict[int, int], order: int, k: int) -> int:
+    """sum_j c_j k^j / |G| for c_j elements with j cycles; a value that is
+    not a non-negative integer means corrupted counts and raises
+    NonIntegerCount."""
+    if k < 1:
+        raise ValueError(f"alphabet size must be >= 1, got {k}")
+    total = sum(c * k ** j for j, c in cycle_counts.items())
+    if total % order or total < 0:
+        raise NonIntegerCount(f"evaluation at k={k} gave non-integer {Fraction(total, order)}")
+    return total // order
+
+
+def _orbits(spec: GroupSpec, k: int) -> int:
+    """Z[G](k, ..., k) from the number of elements of G with j cycles."""
+    builders = {
+        Family.SYMMETRIC: _symmetric_cycles,
+        Family.ALTERNATING: _alternating_cycles,
+        Family.DIHEDRAL: _dihedral_cycles,
+        Family.CYCLIC: _cyclic_cycles,
+        Family.TRIVIAL: lambda m: {m: 1},
+    }
+    counts, order = builders[spec.family](spec.size), group_order(spec)
+    _check_order(spec, counts, order)
+    return _orbit_count(counts, order, k)
 
 
 def evaluate(ci: CycleIndex, k: int) -> int:
     """Substitute a_i = k for every i; the result is an exact orbit count.
     A value that is not a non-negative integer means a corrupted cycle index
     and raises NonIntegerCount."""
-    if k < 1:
-        raise ValueError(f"alphabet size must be >= 1, got {k}")
-    # one power per cycle count that occurs: a C:N index has one per divisor of N
-    powers = {m: k ** m for m in {len(part) for part in ci.counts}}
-    total = sum(c * powers[len(part)] for part, c in ci.counts.items())
-    if total % ci.order or total < 0:
-        raise NonIntegerCount(f"evaluation at k={k} gave non-integer {Fraction(total, ci.order)}")
-    return total // ci.order
+    by_cycles: Dict[int, int] = {}
+    for part, c in ci.counts.items():
+        by_cycles[len(part)] = by_cycles.get(len(part), 0) + c
+    return _orbit_count(by_cycles, ci.order, k)
 
 
 def group_order(spec: AnySpec) -> int:
@@ -272,9 +355,11 @@ def dim_invariant_algebra(spec: GroupSpec, alphabet: int = 4) -> int:
     """Dimension of the G-invariant subalgebra: Z[G](k, ..., k) - 1.
 
     The default alphabet of 4 counts orbits of Pauli words; other alphabets
-    count invariant tensors with indices ranging over k values.
+    count invariant tensors with indices ranging over k values.  It is
+    evaluated from the element counts by number of cycles, not from Z[G].
     """
-    return evaluate(cycle_index(spec), alphabet) - 1
+    check_term_cap(spec)
+    return _orbits(spec, alphabet) - 1
 
 
 def dim_product(spec: ProductGroupSpec, alphabet: int = 4) -> int:
@@ -285,7 +370,7 @@ def dim_product(spec: ProductGroupSpec, alphabet: int = 4) -> int:
     the full-length identity word is excluded.
     """
     check_term_cap(spec)
-    return math.prod(evaluate(cycle_index(part), alphabet) for part in spec.parts) - 1
+    return math.prod(_orbits(part, alphabet) for part in spec.parts) - 1
 
 
 def dimension(spec: AnySpec, alphabet: int = 4) -> int:

@@ -178,6 +178,13 @@ def _union(parent: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
             parent[:] = grand
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    # the sorted distinct values, as np.unique gives them; np.unique without a
+    # return flag imports numpy.ma (NumPy 2.4), which a fresh process pays for
+    ordered = np.sort(values)
+    return ordered[np.concatenate(([True], np.diff(ordered) != 0))]
+
+
 def _blocks(entries: np.ndarray, shape: Tuple[int, int]) -> Tuple[List[tuple], np.ndarray]:
     """The independent blocks of a matrix given by shape and `ENTRY` records,
     each as (rows, cols, records), plus its all-zero columns.
@@ -197,7 +204,7 @@ def _blocks(entries: np.ndarray, shape: Tuple[int, int]) -> Tuple[List[tuple], n
     block = np.unique(parent, return_inverse=True)[1][cols]  # numbered by ascending root
     order = np.argsort(block, kind="stable")
     parts = np.split(entries[order], np.cumsum(np.bincount(block, minlength=n_cols))[:-1])
-    blocks = [(np.unique(p["row"]), np.unique(p["col"]), p) for p in parts if p.size]
+    blocks = [(_distinct(p["row"]), _distinct(p["col"]), p) for p in parts if p.size]
     return blocks, np.flatnonzero(np.bincount(cols, minlength=n_cols) == 0)
 
 

@@ -138,9 +138,10 @@ class TestDigitCap:
         assert (code, out, err) == (0, "0\n", "")
 
     def test_oversized_spec_is_refused_before_its_cycle_index(self, capsys, monkeypatch):
-        def refuse(spec):
+        def refuse(spec, *_):
             raise AssertionError(f"built the cycle index of {spec}")
         monkeypatch.setattr(comb, "cycle_index", refuse)
+        monkeypatch.setattr(comb, "_orbits", refuse)
         code, out, err = run_cli(capsys, "dim", "C:1000000000")
         assert code == 2 and out == ""
         assert "the dimension of C:1000000000 has more than 4300 decimal digits" in err
@@ -158,6 +159,7 @@ class TestTermCap:
         def refuse(n):
             raise AssertionError(f"built the S_{n} table")
         monkeypatch.setattr(comb, "_symmetric_z", refuse)
+        monkeypatch.setattr(comb, "_stirling_row", refuse)
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert "exceeds term cap 100000" in err

@@ -1,7 +1,9 @@
 """Exact cycle-index construction, evaluation, and dimension formulas."""
 
+import inspect
 import itertools
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symlie.combinatorics as comb
+from symlie import cli
 from symlie.combinatorics import (
     CycleIndex,
     Family,
@@ -161,6 +164,63 @@ def test_cycle_index_counts_equal_burnside_counter(family, n):
     assert sum(ci.counts.values()) == ci.order == group_order(spec)
 
 
+DIFFERENTIAL_ALPHABETS = (1, 2, 3, 4, 9, 16)
+
+
+@pytest.mark.parametrize("family,n", [
+    *((f, n) for f in (Family.SYMMETRIC, Family.ALTERNATING) for n in range(1, 46)),
+    *((f, n) for f in (Family.CYCLIC, Family.DIHEDRAL) for n in range(1, 201)),
+    *((Family.TRIVIAL, n) for n in range(1, 21)),
+])
+def test_dimension_equals_cycle_index_evaluation(family, n):
+    # the counts by number of cycles share no table with Z[G], which lists
+    # every cycle type
+    spec = GroupSpec(family, n)
+    ci = cycle_index(spec)
+    for k in DIFFERENTIAL_ALPHABETS:
+        assert dimension(spec, k) == evaluate(ci, k) - 1
+
+
+@pytest.mark.parametrize("text", [
+    "S:20xA:12xC:6", "D:9xC:8xS:7xA:6xE:5", "A:45xS:45", "C:200xD:200xS:3xA:3xE:1",
+    "E:7xD:6xC:6xA:5xS:4xD:3xC:2xA:1xS:1",
+])
+def test_product_dimension_equals_cycle_index_evaluations(text):
+    spec = cli.parse_group_spec(text)
+    for k in DIFFERENTIAL_ALPHABETS:
+        assert dimension(spec, k) == \
+            math.prod(evaluate(cycle_index(part), k) for part in spec.parts) - 1
+
+
+def test_stirling_rows_need_no_deep_recursion(monkeypatch):
+    # rows are built in a loop, so a degree past the term cap, as a lifted
+    # cap would reach, needs no recursion as deep as the degree
+    monkeypatch.setattr(comb, "_STIRLING_ROWS", [(1,)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 50)
+    try:
+        row = comb._stirling_row(300)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(row) == 301 and row[0] == 0 and row[300] == 1
+    assert sum(row) == math.factorial(300)
+    assert sum(row[::2]) == sum(row[1::2])  # as many even as odd permutations
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (("dim", "S", "--sweep", "1..45", "--format", "csv"), 46),
+    (("dim", "A:45"), 1),
+    (("scaling-table", "--max-qubits", "45", "--format", "csv"), 46),
+])
+def test_dimensions_build_no_cycle_type_table(capsys, monkeypatch, argv, lines):
+    def refuse(arg):
+        raise AssertionError(f"listed the cycle types of {arg}")
+    monkeypatch.setattr(comb, "_symmetric_z", refuse)
+    monkeypatch.setattr(comb, "cycle_index", refuse)
+    assert cli.main(list(argv)) == 0
+    assert capsys.readouterr().out.count("\n") == lines
+
+
 class TestEvaluate:
     def test_cyclic_4_at_4_is_70(self):
         assert evaluate(cycle_index(GroupSpec(Family.CYCLIC, 4)), 4) == 70
@@ -186,6 +246,31 @@ class TestEvaluate:
         monkeypatch.setattr(comb, "_cyclic_counts", lambda n: {(1, 1): 2, (2,): 1})
         with pytest.raises(NonIntegerCount, match="do not sum to 1"):
             cycle_index(GroupSpec(Family.CYCLIC, 2))
+
+    @pytest.mark.parametrize("family, builder", [
+        (Family.SYMMETRIC, "_symmetric_cycles"),
+        (Family.ALTERNATING, "_alternating_cycles"),
+        (Family.CYCLIC, "_cyclic_cycles"),
+        (Family.DIHEDRAL, "_dihedral_cycles"),
+    ])
+    def test_count_table_off_by_one_rejected(self, monkeypatch, family, builder):
+        # one identity too many: the counts no longer sum to the group order
+        real = getattr(comb, builder)
+
+        def off_by_one(n):
+            counts = real(n)
+            counts[n] += 1
+            return counts
+        monkeypatch.setattr(comb, builder, off_by_one)
+        with pytest.raises(NonIntegerCount, match="do not sum to 1"):
+            dimension(GroupSpec(family, 6))
+
+    def test_count_table_not_divisible_rejected(self, monkeypatch):
+        # D_3 with a reflection counted as a rotation: still 6 elements, but
+        # 2^3 + 2 * 2^2 + 3 * 2^1 = 22 does not divide by 6
+        monkeypatch.setattr(comb, "_dihedral_cycles", lambda n: {3: 1, 2: 2, 1: 3})
+        with pytest.raises(NonIntegerCount, match="non-integer"):
+            dimension(GroupSpec(Family.DIHEDRAL, 3), 2)
 
     def test_bad_alphabet_rejected(self):
         ci = cycle_index(GroupSpec(Family.CYCLIC, 3))
@@ -272,6 +357,7 @@ class TestTermCap:
         def refuse(n):
             raise AssertionError(f"built the S_{n} table")
         monkeypatch.setattr(comb, "_symmetric_z", refuse)
+        monkeypatch.setattr(comb, "_stirling_row", refuse)
 
     @pytest.mark.parametrize("spec", [
         GroupSpec(Family.SYMMETRIC, 500),
@@ -284,6 +370,14 @@ class TestTermCap:
             dimension(spec)
         assert info.value.cap == MAX_CYCLE_INDEX_TERMS
         assert info.value.max_degree == 45
+
+    def test_dimension_routes_refuse_directly(self):
+        # the Stirling rows would be cheap, but the refusals stay those of Z[G]
+        with pytest.raises(TermCapExceeded):
+            dim_invariant_algebra(GroupSpec(Family.SYMMETRIC, 46))
+        with pytest.raises(TermCapExceeded):
+            dim_product(ProductGroupSpec((GroupSpec(Family.ALTERNATING, 46),
+                                          GroupSpec(Family.CYCLIC, 3))))
 
     def test_largest_allowed_degree_passes_the_check(self):
         check_term_cap(GroupSpec(Family.SYMMETRIC, 45))
@@ -324,9 +418,10 @@ class TestDigitCap:
         (ProductGroupSpec((GroupSpec(Family.TRIVIAL, 8000), GroupSpec(Family.SYMMETRIC, 3))), 4),
     ])
     def test_bound_refuses_before_any_cycle_index(self, monkeypatch, spec, alphabet):
-        def refuse(part):
+        def refuse(part, *_):
             raise AssertionError(f"built the cycle index of {part}")
         monkeypatch.setattr(comb, "cycle_index", refuse)
+        monkeypatch.setattr(comb, "_orbits", refuse)
         with pytest.raises(DigitCapExceeded):
             dimension(spec, alphabet)
 

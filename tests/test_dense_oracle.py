@@ -1,7 +1,11 @@
 """Commutant dimensions, energy Hamiltonian structure, exponential map."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import oracle_reference as reference
@@ -350,6 +354,23 @@ class TestBlockSplit:
 SMALL_SETS = [f"{f}:{n}" for n in range(1, 5) for f in "SACDE"] + [
     "S:2xS:2", "S:2xE:2", "S:3xE:1", "C:2xD:2", "A:3xC:1",
     "energy:1", "energy:2", "energy:3", "energy:4"]
+
+
+def test_oracle_does_not_import_numpy_ma():
+    # np.unique without a return flag imports numpy.ma (NumPy 2.4), about
+    # 10 ms of a fresh process; the block split finds distinct indices by a
+    # sort instead
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = ("import contextlib, io, sys\n"
+              "from symlie import cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = cli.main(['oracle', 'C:4'])\n"
+              "print(code, 'numpy.ma' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out == "0 False\n"
 
 
 def _assert_stored_form(entries, shape):
