@@ -8,16 +8,17 @@ of those gradients per ansatz family.  The permutation ansatz and the
 parity observable commute with S_n, so its gradients are computed on the
 spin blocks of each dataset state (`spin_blocks`), reduced from the state's
 graph once per chunk of samples; a run whose only ansatz is the permutation
-one draws the graphs and builds no amplitude.  The other ansatzes run on the
-statevector, and the gradients of a chunk reuse one workspace of free
-batches (`simulator.Workspace`) that is dropped when the chunk ends.
+one builds no amplitude.  The other ansatzes run on the statevector: a chunk
+writes its graph states by one sweep over their vertex subsets, and its
+gradients reuse one workspace of free batches (`simulator.Workspace`); both
+are dropped when the chunk ends.
 
-The points run in n-major order (for each qubit count, every ansatz), so each
-process draws each qubit count's dataset once and holds only the current
-one; a block of graphs is drawn and labelled at a time, and their
-amplitudes are written by one sweep over their vertex subsets.  With a pool
-every chunk is submitted before any is collected, and the rows come out in
-ansatz-major order.
+The run draws each qubit count's graphs once, before any gradient, a block
+of graphs drawn and labelled at a time, and hands them to every chunk at
+that qubit count, in this process or a pool worker; no dataset outlives the
+run.  The points run in n-major order (for each qubit count, every ansatz).
+With a pool every chunk is submitted before any is collected, and the rows
+come out in ansatz-major order.
 
 Randomness is fully pinned: all streams are PCG64 generators seeded from
 ``SeedSequence(entropy=seed, spawn_key=...)``, with key ``(0, n)`` for the
@@ -180,46 +181,18 @@ def generate_dataset(n: int, cfg: ExperimentConfig) -> Tuple[np.ndarray, np.ndar
     `_draw_graphs` keeps, one row each, and their labels.
 
     The amplitudes are written by one subset sweep per block of graphs
-    (`simulator.graph_amplitudes`) into one preallocated batch."""
+    (`simulator.graph_amplitudes`) into one preallocated batch.  The run
+    itself does not call this: it draws the graphs and builds the states
+    per chunk (`_gradient_samples`); the tests and the benchmark's
+    finite-difference check use it for a dataset's states."""
     graphs, labels = _draw_graphs(n, cfg)
     return graph_amplitudes(graphs, n), labels
-
-
-def _graphs_of(amps: np.ndarray, n: int) -> np.ndarray:
-    """Neighbour masks of graph states, read off their amplitudes on the
-    two-vertex subsets {a, b}, which are negative exactly where ab is an
-    edge (the singletons and the empty set are positive)."""
-    bits = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
-    return (amps[:, bits[:, None] | bits].real < 0) @ bits
 
 
 def _needs_amplitudes(cfg: ExperimentConfig) -> bool:
     """Whether an ansatz of `cfg` runs on the statevector; the permutation
     ansatz reads only the graphs."""
     return any(kind is not AnsatzKind.PERMUTATION for kind in cfg.ansatz_kinds)
-
-
-# The dataset of the qubit count being run, as ((n, cfg), graphs, states,
-# labels): every ansatz and every chunk at that n in this process share it,
-# and run_variance_experiment drops it when it returns.
-_current_dataset: Optional[tuple] = None
-
-
-def _point_dataset(n: int, cfg: ExperimentConfig
-                   ) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
-    """(graphs, states, labels) at n; no states are built when every ansatz
-    of the run reads only the graphs."""
-    global _current_dataset
-    entry = _current_dataset
-    if entry is None or entry[0] != (n, cfg):
-        _current_dataset = entry = None  # free the last batch before drawing the next
-        if _needs_amplitudes(cfg):
-            states, labels = generate_dataset(n, cfg)
-            graphs = _graphs_of(states, n)
-        else:
-            (graphs, labels), states = _draw_graphs(n, cfg), None
-        entry = _current_dataset = ((n, cfg), graphs, states, labels)
-    return entry[1:]
 
 
 def _build_circuit(kind: AnsatzKind, n: int, cfg: ExperimentConfig):
@@ -233,10 +206,11 @@ def _probed_slots(circuit: Circuit, cfg: ExperimentConfig) -> List[int]:
 
 
 def _gradient_samples(cfg: ExperimentConfig, kind: AnsatzKind, n: int,
+                      graphs: np.ndarray, labels: np.ndarray,
                       start: int, stop: int) -> np.ndarray:
-    """Gradients for samples [start, stop); shape (stop-start, n_probed_slots)."""
+    """Gradients for samples [start, stop) on the dataset of `graphs`
+    (`_draw_graphs`); shape (stop-start, n_probed_slots)."""
     circuit = _build_circuit(kind, n, cfg)
-    graphs, amps, labels = _point_dataset(n, cfg)
     slots = _probed_slots(circuit, cfg)
     if kind is AnsatzKind.PERMUTATION:
         # the ansatz and the parity commute with S_n: each state enters the
@@ -244,9 +218,9 @@ def _gradient_samples(cfg: ExperimentConfig, kind: AnsatzKind, n: int,
         # chunk
         amps, loss_gradient = graph_spin_states(graphs, n), loss_gradient_from_blocks
     else:
-        # the chunk's gradients sweep through one workspace's batches, which
-        # are dropped with the chunk
-        workspace = Workspace()
+        # the chunk builds its graph states, and its gradients sweep through
+        # one workspace's batches; both are dropped with the chunk
+        amps, workspace = graph_amplitudes(graphs, n), Workspace()
 
         def loss_gradient(*args):
             return _loss_gradient_from_arrays(*args, workspace)
@@ -301,16 +275,19 @@ def _usable_cores() -> int:
 
 def _collect_points(cfg: ExperimentConfig, pool: Optional[ProcessPoolExecutor]
                     ) -> Dict[Tuple[AnsatzKind, int], np.ndarray]:
-    """Gradients of every (ansatz, n) point, run in n-major order so that a
-    process draws each qubit count's dataset once."""
+    """Gradients of every (ansatz, n) point.  Each qubit count's graphs are
+    drawn once, before any gradient, and handed to every chunk at that n;
+    a dataset that cannot be balanced fails the run before any chunk runs."""
+    datasets = {n: _draw_graphs(n, cfg) for n in cfg.qubit_counts}
     points = [(kind, n) for n in cfg.qubit_counts for kind in cfg.ansatz_kinds]
     total = cfg.samples_per_point
     if pool is None:
-        return {(kind, n): _gradient_samples(cfg, kind, n, 0, total) for kind, n in points}
+        return {(kind, n): _gradient_samples(cfg, kind, n, *datasets[n], 0, total)
+                for kind, n in points}
     chunk = max(1, math.ceil(total / cfg.workers))
     # every chunk is submitted before any is collected, so no point waits
     # for the one before it
-    futures = {(kind, n): [pool.submit(_gradient_samples, cfg, kind, n, s,
+    futures = {(kind, n): [pool.submit(_gradient_samples, cfg, kind, n, *datasets[n], s,
                                        min(s + chunk, total))
                            for s in range(0, total, chunk)]
                for kind, n in points}
@@ -321,7 +298,6 @@ def _collect_points(cfg: ExperimentConfig, pool: Optional[ProcessPoolExecutor]
 def run_variance_experiment(cfg: ExperimentConfig) -> List[VarianceRow]:
     """One row per (qubit count, ansatz) in default mode; one row per slot
     when probe_all_slots is set.  Rows are ordered by ansatz, then n."""
-    global _current_dataset
     pool = None
     if cfg.workers > 1:
         threads = max(1, _usable_cores() // cfg.workers)
@@ -330,7 +306,6 @@ def run_variance_experiment(cfg: ExperimentConfig) -> List[VarianceRow]:
     try:
         grads = _collect_points(cfg, pool)
     finally:
-        _current_dataset = None
         if pool is not None:
             # after a failed chunk, the chunks not yet started never run
             pool.shutdown(cancel_futures=True)

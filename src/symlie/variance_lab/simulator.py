@@ -11,9 +11,10 @@ Circuits run as fused steps (`Circuit.steps`), not gate by gate.  A maximal
 run of single-qubit gates is one step: its gates multiply into one 2x2
 matrix per qubit, and the qubits, grouped in blocks of `BLOCK_QUBITS`
 counted from the least significant end, are applied one block at a time as
-the block's Kronecker product (a block with a single gated qubit keeps the
-2x2 kernel); the same kernel applies any product of per-qubit 2x2 matrices,
-which the gradient uses for the parity's image.  A maximal run of ZZ gates
+one matmul by the block's Kronecker product, identities on its ungated
+qubits, so a block of width one is a 2x2 matmul; the same kernel applies any
+product of per-qubit 2x2 matrices, which the gradient uses for the parity's
+image.  A maximal run of ZZ gates
 is one diagonal, a maximal run of CZ gates is one sign flip, and a maximal
 run of CNOT gates is one gather by the composed index permutation.  A
 step's adjoint is the per-qubit dagger, the conjugate phases, the same signs
@@ -334,33 +335,6 @@ class Workspace:
         self.free.append(batch)
 
 
-def _apply_1q(amps: np.ndarray, u: np.ndarray, q: int, n: int,
-              out: np.ndarray, workspace: Workspace) -> np.ndarray:
-    # scalar combination of the two sub-block views; uniform cost in q,
-    # unlike batched 2x2 matmuls which crawl when the trailing block is tiny.
-    # `out` (contiguous, amps' shape) is written through its blocked view,
-    # whatever the input layout was.
-    lo = 1 << (n - 1 - q)
-    x = amps.reshape(-1, 2, lo)
-    x0, x1 = x[:, 0, :], x[:, 1, :]
-    y = out.reshape(x.shape)
-    if u[0, 1] == 0 and u[1, 0] == 0:
-        np.multiply(x0, u[0, 0], out=y[:, 0, :])
-        np.multiply(x1, u[1, 1], out=y[:, 1, :])
-        return out
-    # u[r, 0] * x0 + u[r, 1] * x1 in that operand order, so the bits are those
-    # of the plain expression; the second product goes through a workspace
-    # batch of half the size
-    scratch = workspace.take((x0.size,))
-    half = scratch.reshape(x0.shape)
-    for r in range(2):
-        np.multiply(u[r, 0], x0, out=y[:, r, :])
-        np.multiply(u[r, 1], x1, out=half)
-        np.add(y[:, r, :], half, out=y[:, r, :])
-    workspace.give(scratch)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _summed_pair_signs(n: int, pairs: Tuple[Tuple[int, int], ...]) -> np.ndarray:
     total = np.zeros(1 << n, dtype=np.int16)
@@ -397,19 +371,16 @@ def _apply_local(amps: np.ndarray, mats: Dict[int, np.ndarray], n: int,
     work = amps
     for first, width, gated in _blocks(n, frozenset(mats)):
         out = workspace.take(amps.shape)
-        if len(gated) == 1:
-            _apply_1q(work, mats[gated[0]], gated[0], n, out, workspace)
+        k = _kron([mats.get(q, _IDENTITY) for q in range(first, first + width)])
+        lo = 1 << (n - first - width)
+        if lo == 1:
+            # one (rows x 2^w) @ (2^w x 2^w) product instead of a stack of
+            # matrix-vector products
+            np.matmul(work.reshape(-1, 1 << width), k.T,
+                      out=out.reshape(-1, 1 << width))
         else:
-            k = _kron([mats.get(q, _IDENTITY) for q in range(first, first + width)])
-            lo = 1 << (n - first - width)
-            if lo == 1:
-                # one (rows x 2^w) @ (2^w x 2^w) product instead of a stack of
-                # matrix-vector products
-                np.matmul(work.reshape(-1, 1 << width), k.T,
-                          out=out.reshape(-1, 1 << width))
-            else:
-                np.matmul(k, work.reshape(-1, 1 << width, lo),
-                          out=out.reshape(-1, 1 << width, lo))
+            np.matmul(k, work.reshape(-1, 1 << width, lo),
+                      out=out.reshape(-1, 1 << width, lo))
         if consume or work is not amps:
             workspace.give(work)
         work = out

@@ -28,7 +28,6 @@ from symlie.variance_lab import (
 )
 from symlie.variance_lab import experiment
 from symlie.variance_lab.experiment import ALL_ANSATZE, VarianceRow, _stream
-from symlie.variance_lab.simulator import graph_amplitudes
 
 PERMUTATION_ONLY = (AnsatzKind.PERMUTATION,)
 
@@ -243,12 +242,6 @@ class TestDatasetGeneration:
         mixed = run_variance_experiment(replace(cfg, ansatz_kinds=ALL_ANSATZE))
         assert rows == [row for row in mixed if row.ansatz == "permutation"]
 
-    @pytest.mark.parametrize("n", [2, 5, 9, 14])
-    def test_graphs_read_off_the_amplitudes(self, n):
-        cfg = ExperimentConfig(qubit_counts=(n,), dataset_size=10, seed=n)
-        graphs, _ = experiment._draw_graphs(n, cfg)
-        assert np.array_equal(experiment._graphs_of(graph_amplitudes(graphs, n), n), graphs)
-
 
 SMALL = dict(qubit_counts=(4,), samples_per_point=6, dataset_size=10, seed=12)
 
@@ -280,7 +273,6 @@ class TestExperiment:
                                    seed=4, probe_all_slots=all_slots, layers=2)
             serial = run_variance_experiment(cfg)
             assert run_variance_experiment(replace(cfg, workers=2)) == serial
-            assert experiment._current_dataset is None
 
     def test_all_ansatze_rows_equal_one_run_per_ansatz(self):
         cfg = ExperimentConfig(qubit_counts=(4, 5), samples_per_point=4, dataset_size=8,
@@ -290,38 +282,71 @@ class TestExperiment:
         assert run_variance_experiment(cfg) == separate
 
     def test_each_dataset_drawn_once_per_qubit_count(self, monkeypatch):
+        # the run draws the graphs and hands them to every chunk, so the
+        # pool workers draw none
         drawn = []
-        original = experiment.generate_dataset
+        original = experiment._draw_graphs
 
         def counting(n, cfg):
             drawn.append(n)
             return original(n, cfg)
 
-        monkeypatch.setattr(experiment, "generate_dataset", counting)
-        run_variance_experiment(ExperimentConfig(qubit_counts=(4, 5, 6), samples_per_point=2,
-                                                 dataset_size=4))
-        assert drawn == [4, 5, 6]  # n-major: every ansatz at n shares one draw
-        assert experiment._current_dataset is None
+        monkeypatch.setattr(experiment, "_draw_graphs", counting)
+        for workers in (1, 2):
+            drawn.clear()
+            run_variance_experiment(ExperimentConfig(qubit_counts=(4, 5, 6), samples_per_point=2,
+                                                     dataset_size=4, workers=workers))
+            assert drawn == [4, 5, 6], workers  # every ansatz and chunk at n shares one draw
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="the workers must inherit the patched dataset draw")
+                        reason="the workers must inherit the patched graph states")
     def test_worker_failure_cancels_the_chunks_not_started(self, monkeypatch, tmp_path):
         started = tmp_path / "started"
 
-        def failing(n, cfg):
+        def failing(graphs, n):
             with started.open("a") as log:
                 log.write(f"{n}\n")
             time.sleep(0.2)
             raise DatasetGenerationFailed(f"no dataset at n={n}")
 
-        monkeypatch.setattr(experiment, "generate_dataset", failing)
+        monkeypatch.setattr(experiment, "graph_amplitudes", failing)
         cfg = ExperimentConfig(qubit_counts=(4, 5, 6, 7, 8), samples_per_point=4,
                                dataset_size=4, workers=2)
         with pytest.raises(DatasetGenerationFailed, match="no dataset at n=4"):
             run_variance_experiment(cfg)
-        # 30 chunks were submitted; only those already handed to a worker run
+        # 30 chunks were submitted, 20 of them on the statevector; only
+        # those already handed to a worker run
         assert len(started.read_text().split()) < 20
-        assert experiment._current_dataset is None
+
+    def test_unbalanced_dataset_fails_before_any_chunk(self, monkeypatch):
+        # every qubit count's graphs are drawn before the first chunk is
+        # submitted: at n = 12 a cap of 100 draws finds too few disconnected
+        # graphs (seed 1 needs 134, n = 4 needs 11), and the pool receives
+        # no work, not even n = 4's
+        submitted = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer, initargs):
+                pass
+
+            def submit(self, fn, *args):
+                submitted.append(args[:3])
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+        cfg = ExperimentConfig(qubit_counts=(4, 12), samples_per_point=2, dataset_size=10,
+                               seed=1, dataset_retry_cap=100, workers=2)
+        with pytest.raises(DatasetGenerationFailed, match="n=12"):
+            run_variance_experiment(cfg)
+        assert submitted == []
+        # the same pool runs every chunk once the datasets can be balanced
+        rows = run_variance_experiment(replace(cfg, qubit_counts=(4,)))
+        assert len(submitted) == 3 * 2 and len(rows) == 3
 
     @pytest.mark.parametrize("affinity, threads", [({0}, 1), ({0, 1, 2, 3}, 2)])
     def test_blas_threads_follow_the_cpu_affinity(self, monkeypatch, affinity, threads):

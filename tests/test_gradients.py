@@ -447,12 +447,11 @@ class TestWorkspace:
         assert len(workspace.free) <= 5
 
     def test_warm_single_qubit_blocks_allocate_no_batch(self):
-        # at n = 9 the top Kronecker block holds qubit 0 alone, so its
-        # passes run the 2x2 kernel, whose products now go through a
-        # workspace batch (about 1.1 batches a gradient when they were
-        # temporaries).  What is left is NumPy's ufunc buffering of the
-        # strided half-batch views, three 8192-entry buffers (384 KiB)
-        # whatever the batch, so 200 rows keep it apart from a batch.
+        # at n = 9 the top Kronecker block holds qubit 0 alone; it is one
+        # 2x2 matmul written straight into a workspace batch, like every
+        # other block, so a warm gradient allocates only its small matrices
+        # and vectors: well under 64 KiB against a 1.6 MB batch of 200 rows,
+        # and the workspace holds only its four full batches.
         # Strongly-entangling: a cyclic probe's overlap matrices, rows x
         # 16 x 16, are themselves half a batch at n = 9.
         n = 9
@@ -473,7 +472,8 @@ class TestWorkspace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 0.5 * amps.nbytes
+        assert peak < 64 << 10
+        assert len(workspace.free) == 4
         fresh = _loss_gradient_from_arrays(c, params, amps, labels, slots, NoReuse())
         assert np.array_equal(warm.view(np.int64), fresh.view(np.int64))
 

@@ -18,7 +18,6 @@ from symlie.variance_lab.simulator import (
     GateKind,
     StateVector,
     Workspace,
-    _apply_1q,
     _run_batch,
     apply_gate,
     circuit_unitary,
@@ -172,23 +171,6 @@ class TestSingleGates:
                 out = apply_gate(state, gate, params)
                 want = apply_gate_reference(state.amplitudes, gate, [params[s] for s in slots], n)
                 assert np.max(np.abs(out.amplitudes - want)) <= 1e-14
-
-
-def test_general_1q_bits_equal_the_plain_expression():
-    # the general 2x2 branch writes its products into a workspace batch;
-    # the bits are those of u[r, 0] * x0 + u[r, 1] * x1
-    rng = np.random.default_rng(4)
-    n = 5
-    workspace = Workspace()
-    for q in range(n):
-        for _ in range(10):
-            u = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            amps = rng.normal(size=(3, 1 << n)) + 1j * rng.normal(size=(3, 1 << n))
-            x = amps.reshape(-1, 2, 1 << (n - 1 - q))
-            want = np.stack([u[r, 0] * x[:, 0] + u[r, 1] * x[:, 1] for r in range(2)], axis=1)
-            out = _apply_1q(amps, u, q, n, np.empty_like(amps), workspace)
-            assert np.array_equal(out.reshape(x.shape).view(np.int64), want.view(np.int64))
-    assert len(workspace.free) == 1
 
 
 class TestGraphStates:

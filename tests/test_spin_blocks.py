@@ -267,7 +267,8 @@ class TestReducedGradients:
         cfg = ExperimentConfig(qubit_counts=(n,), samples_per_point=2,
                                probe_all_slots=mode != "probe",
                                layers=3 if mode == "layers" else None)
-        reduced = experiment._gradient_samples(cfg, AnsatzKind.PERMUTATION, n, 0, 2)
+        reduced = experiment._gradient_samples(cfg, AnsatzKind.PERMUTATION, n,
+                                               *experiment._draw_graphs(n, cfg), 0, 2)
         reference = statevector_samples(cfg, n, 2)
         assert reduced.shape == reference.shape
         assert np.abs(reduced - reference).max() <= 1e-12 * np.abs(reference).max()
@@ -278,7 +279,8 @@ class TestReducedGradients:
         # row prints 0.0 on the blocks too
         n = 6
         cfg = ExperimentConfig(qubit_counts=(n,), samples_per_point=2, probe_all_slots=True)
-        reduced = experiment._gradient_samples(cfg, AnsatzKind.PERMUTATION, n, 0, 2)
+        reduced = experiment._gradient_samples(cfg, AnsatzKind.PERMUTATION, n,
+                                               *experiment._draw_graphs(n, cfg), 0, 2)
         assert not statevector_samples(cfg, n, 2)[:, -1].any()
         assert not reduced[:, -1].any()
         assert reduced[:, :-1].all()
@@ -289,9 +291,11 @@ class TestReducedGradients:
 
         monkeypatch.setattr(experiment, "_loss_gradient_from_arrays", refuse)
         cfg = ExperimentConfig(qubit_counts=(4,), samples_per_point=2)
-        assert experiment._gradient_samples(cfg, AnsatzKind.PERMUTATION, 4, 0, 2).shape == (2, 1)
+        dataset = experiment._draw_graphs(4, cfg)
+        reduced = experiment._gradient_samples(cfg, AnsatzKind.PERMUTATION, 4, *dataset, 0, 2)
+        assert reduced.shape == (2, 1)
         with pytest.raises(AssertionError, match="statevector gradient called"):
-            experiment._gradient_samples(cfg, AnsatzKind.CYCLIC, 4, 0, 2)
+            experiment._gradient_samples(cfg, AnsatzKind.CYCLIC, 4, *dataset, 0, 2)
 
     @pytest.mark.parametrize("kind", [AnsatzKind.CYCLIC, AnsatzKind.STRONGLY_ENTANGLING])
     def test_other_ansatzes_refused(self, kind):
