@@ -216,19 +216,23 @@ def _dihedral_counts(n: int) -> Dict[Partition, int]:
     return counts
 
 
-_STIRLING_ROWS = [(1,)]  # row n at index n, extended on demand
+_STIRLING_ROW = [(1,)]  # the last row built; row n has n + 1 entries
 
 
 def _stirling_row(n: int) -> Tuple[int, ...]:
     """Unsigned Stirling numbers c(n, j), j = 0..n: the number of elements
-    of S_n with j cycles.  Each row is built once, from the one before, by
+    of S_n with j cycles.  Rows come from the one before, by
     c(m + 1, j) = m c(m, j) + c(m, j - 1), in a loop rather than a recursion
-    as deep as n."""
-    rows = _STIRLING_ROWS
-    while len(rows) <= n:
-        m, prev = len(rows) - 1, rows[-1]
-        rows.append(tuple(m * a + b for a, b in zip(prev + (0,), (0,) + prev)))
-    return rows[n]
+    as deep as n.  Only the last row built is kept: a larger degree goes on
+    from it, a smaller one starts again from row 0, since the rows up to n
+    hold about n^3 log n bits."""
+    row = _STIRLING_ROW[0]
+    if len(row) > n + 1:
+        row = (1,)
+    for m in range(len(row) - 1, n):
+        row = tuple(m * a + b for a, b in zip(row + (0,), (0,) + row))
+    _STIRLING_ROW[0] = row
+    return row
 
 
 def _symmetric_cycles(n: int) -> Dict[int, int]:

@@ -38,13 +38,17 @@ MAX_STATE_BATCH_BYTES = 2**30
 # batch cap first.
 MAX_GRAPH_SUBSETS = 2**28
 # Forward states an adjoint gradient keeps at its probed steps, so that only
-# the costate is swept back; 2^27 holds one 50-state batch up to n = 17.
+# the costate is swept back, counted per row chunk of the dataset (see
+# CHUNK_ENTRIES): 2^27 holds 40 batches of 50 states at n = 12 and 32 row
+# chunks of 4 MB from n = 13 to 18.
 MAX_STORED_STATE_BYTES = 2**27
 MAX_CYCLE_INDEX_TERMS = 10**5  # cycle types of S_n or A_n: p(45) = 89,134 < cap < p(46)
 MAX_DIMENSION_DIGITS = 4300  # Python prints an int of at most this many digits by default
 # Entries per chunk of a chunked array build (Pauli columns, the oracle's
-# candidate entries per chunk of words and its union-find passes): bounds
-# their temporaries to a few MB whatever the matrix size.
+# candidate entries per chunk of words and its union-find passes), and
+# amplitudes per row chunk of an adjoint gradient's batches (at least one
+# row): bounds their temporaries to a few MB whatever the matrix or dataset
+# size.
 CHUNK_ENTRIES = 2**18
 
 

@@ -11,21 +11,28 @@ unprobed tail: CNOT runs map the Z-string to a Z-string, ZZ and CZ runs
 commute with it, and a single-qubit step V before them turns it into the
 product operator A = V^dagger Z_S V, one 2x2 matrix per qubit.  The forward
 pass keeps psi at the output of each probed step, up to
-`MAX_STORED_STATE_BYTES`, and stops at the boundary b before that tail,
-where mu_b = A psi_b and p = <psi_b|A|psi_b>; the reverse sweep then undoes
-the fused steps before b on mu alone and collects every occurrence of every
-probed slot (Griewank and Walther's stored checkpoints, one per probed
+`MAX_STORED_STATE_BYTES` per row chunk (below), and stops at the boundary
+b before that tail, where mu_b = A psi_b and p = <psi_b|A|psi_b>; the
+reverse sweep then undoes the fused steps before b on mu alone and
+collects every occurrence of every probed slot (Griewank and Walther's stored checkpoints, one per probed
 step).  Only a probed step whose state did not fit is reached by sweeping
 psi back from psi_b as well, and that second batch is given back once no
 such step is left.
 
-Every batch the gradient writes (stored states, psi, mu, and the overlaps'
-conjugate and products) is taken from one `simulator.Workspace` and given
-back as soon as nothing reads it.  In default mode the workspace peaks at
-four batches beside the dataset: the stored state, psi_b or mu, and the
-two batches a kernel pass reads and writes.  A caller that keeps the
-workspace over many gradients, as the experiment does over a chunk of
-samples, allocates no new batch for them after the first gradient.
+A row's prediction and prediction gradient depend on no other row, so
+the passes run over a row chunk of the dataset at a time, at most
+max(1, CHUNK_ENTRIES >> n) rows: a 50-row dataset is one row chunk up to
+n = 12, and from n = 13 on a row chunk's batch holds at most 2^18
+amplitudes (4 MB).  Every batch a row chunk writes (stored states, psi,
+mu, and the overlaps' conjugate and products) is taken from one
+`simulator.Workspace` and given back as soon as nothing reads it; a short
+last row chunk takes the leading rows of the others' batches.  In default
+mode the workspace peaks at four row-chunk batches beside the dataset: the
+stored state, psi_b or mu, and the two batches a kernel pass reads and
+writes.  A caller that keeps the workspace over many gradients, as the
+experiment does over a chunk of samples, allocates no new batch for them
+after the first gradient.  With several row chunks, each step's Kronecker
+blocks or ZZ phases are built once per gradient, not once per row chunk.
 
 The sweep measures only at step boundaries, so one pass serves any set of
 probed slots.  A ZZ generator is diagonal and commutes
@@ -45,10 +52,10 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..indexing import MAX_STORED_STATE_BYTES
+from ..indexing import CHUNK_ENTRIES, MAX_STORED_STATE_BYTES
 from ..pauli_orbits import SIGMA
 from .simulator import (_IDENTITY, _LOCAL, Circuit, GateKind, StateVector, Step,
-                        Workspace, _apply_local, _check_arguments, _factor,
+                        Workspace, _apply_local, _check_arguments, _factor, _local_blocks,
                         _parity_batch, _parity_signs, _run_batch, _summed_pair_signs,
                         _wire_matrix)
 
@@ -160,12 +167,18 @@ def _step_overlaps(step: Step, params: Sequence[float], mu: np.ndarray,
             if block is None:
                 block = _block_overlaps(mu, psi, first, width, n, workspace)
             d = _qubit_overlaps(block, q - first, width)
+            if len(d) == 1:
+                # NumPy takes a one-row matrix times a vector as a dot
+                # product, which sums in another order than the
+                # matrix-vector kernel; a doubled row keeps a row's bits
+                # independent of its row chunk's size
+                d = np.concatenate([d, d])
             for slot, g in generators.items():
-                pred_grad[slot] += (d @ g.reshape(4)).imag
+                pred_grad[slot] += (d @ g.reshape(4)).imag[:len(mu)]
 
 
 def _tail_observable(circuit: Circuit, params: Sequence[float], stop: int
-                     ) -> Tuple[int, Union[np.ndarray, Dict[int, np.ndarray]]]:
+                     ) -> Tuple[int, Union[np.ndarray, tuple]]:
     """The parity swept back through the circuit's steps from `stop` on,
     as far as it keeps a closed form: (b, A).
 
@@ -176,7 +189,8 @@ def _tail_observable(circuit: Circuit, params: Sequence[float], stop: int
     V^dagger Z_S V, one 2x2 matrix v_q^dagger Z v_q per qubit q of S
     (v_q = I where V does not gate q).  A is the parity's image at
     boundary b, so <P> = <psi_b|A|psi_b>: the diagonal's +-1 vector, or the
-    dict of per-qubit matrices when a single-qubit step was absorbed."""
+    Kronecker blocks of the per-qubit matrices (`_local_blocks`) when a
+    single-qubit step was absorbed."""
     steps, n = circuit.steps, circuit.n_qubits
     diagonal = _parity_signs(n)
     b = len(steps)
@@ -193,7 +207,7 @@ def _tail_observable(circuit: Circuit, params: Sequence[float], stop: int
         if diagonal[1 << (n - 1 - q)] < 0:  # q is in the Z-string
             v = _wire_matrix(wires[q], params) if q in wires else _IDENTITY
             mats[q] = v.conj().T @ _PAULI["Z"] @ v
-    return b, mats
+    return b, _local_blocks(mats, n)
 
 
 def _loss_gradient_from_arrays(circuit: Circuit, params: Sequence[float],
@@ -201,15 +215,15 @@ def _loss_gradient_from_arrays(circuit: Circuit, params: Sequence[float],
                                slots: Sequence[int],
                                workspace: Optional[Workspace] = None) -> np.ndarray:
     """d(loss)/d(theta_s) for every s in `slots` from one forward pass and
-    one reverse sweep of the costate.
+    one reverse sweep of the costate per row chunk.
 
-    The forward pass stores the state at the earliest probed steps, as many
-    batches as `MAX_STORED_STATE_BYTES` holds, and stops at the boundary b
-    of `_tail_observable`, at or after the last probed step; there
-    mu_b = A psi_b and p = Re<psi_b|mu_b>.  The sweep undoes steps before
-    b on mu and stops at the earliest probed step.  psi is swept back
-    beside it, as a second batch, only down to the earliest probed step
-    left unstored, so with nothing stored this is the sweep of both.
+    A row's prediction and prediction gradient depend on no other row, so
+    the rows are swept a row chunk of at most max(1, CHUNK_ENTRIES >> n)
+    rows at a time (`_row_chunk_sweep`), each row's results written into
+    full-length arrays, and the loss gradient is the mean over all rows of
+    2 (p - y) dp/dtheta_s.  Every row chunk stores the states at the same
+    probed steps: as many as `MAX_STORED_STATE_BYTES` holds of a row
+    chunk's batches.
 
     Batches come from `workspace` and go back to it (see the module
     docstring); without one a throwaway workspace is used.  `amps` is never
@@ -218,17 +232,46 @@ def _loss_gradient_from_arrays(circuit: Circuit, params: Sequence[float],
     _check_arguments(circuit, params, slots)
     if workspace is None:
         workspace = Workspace()
-    n = circuit.n_qubits
-    steps = circuit.steps
+    steps, n = circuit.steps, circuit.n_qubits
+    preds = np.empty(amps.shape[0])
     pred_grad: Dict[int, np.ndarray] = {slot: np.zeros(amps.shape[0]) for slot in slots}
     probed = [k for k, step in enumerate(steps) if not step.slots.isdisjoint(pred_grad)]
     boundary, observable = _tail_observable(circuit, params,
                                             probed[-1] + 1 if probed else len(steps))
-    kept = probed[:MAX_STORED_STATE_BYTES // max(1, 16 * amps.size)]
+    rows = max(1, min(amps.shape[0], CHUNK_ENTRIES >> n))
+    kept = probed[:MAX_STORED_STATE_BYTES // (16 * rows << n)]
+    # with several row chunks each step's operator is built once, by the
+    # first row chunk that applies it (`simulator._step_operator`); one row
+    # chunk builds each where it applies it and holds no ZZ phases beside
+    # its batches, as a sweep of the whole dataset always did
+    operators = {} if rows < amps.shape[0] else None
+    for lo in range(0, amps.shape[0], rows):
+        chunk = slice(lo, lo + rows)
+        preds[chunk] = _row_chunk_sweep(
+            circuit, params, amps[chunk], probed, kept, boundary, observable,
+            {slot: g[chunk] for slot, g in pred_grad.items()}, workspace, operators)
+    return np.array([np.mean(2.0 * (preds - labels) * pred_grad[slot]) for slot in slots])
+
+
+def _row_chunk_sweep(circuit: Circuit, params: Sequence[float], amps: np.ndarray,
+                     probed: Sequence[int], kept: Sequence[int], boundary: int,
+                     observable: Union[np.ndarray, tuple], pred_grad: Dict[int, np.ndarray],
+                     workspace: Workspace, operators: Optional[dict]) -> np.ndarray:
+    """The predictions of the rows of `amps`, adding each probed slot's
+    prediction gradient into `pred_grad`.
+
+    The forward pass stores the state at the `kept` steps, the earliest
+    probed ones, and stops at the boundary b of `_tail_observable`, at or
+    after the last probed step; there mu_b = A psi_b and p = Re<psi_b|mu_b>.
+    The sweep undoes steps before b on mu and stops at the earliest probed
+    step.  psi is swept back beside it, as a second batch, only down to the
+    earliest probed step left unstored, so with nothing stored this is the
+    sweep of both."""
+    n, steps = circuit.n_qubits, circuit.steps
     stored: Dict[int, np.ndarray] = {}
 
     def release(batch: Optional[np.ndarray]) -> None:
-        # give back a batch of this gradient's that nothing reads any more
+        # give back a batch of this sweep's that nothing reads any more
         if (batch is not None and batch is not amps
                 and all(batch is not state for state in stored.values())):
             workspace.give(batch)
@@ -236,12 +279,12 @@ def _loss_gradient_from_arrays(circuit: Circuit, params: Sequence[float],
     psi, cursor = amps, 0
     for k in kept:
         psi = stored[k] = _run_batch(circuit, params, psi, start=cursor, stop=k + 1,
-                                     workspace=workspace)
+                                     workspace=workspace, operators=operators)
         cursor = k + 1
     if cursor < boundary:
         psi = _run_batch(circuit, params, psi, start=cursor, stop=boundary,
-                         workspace=workspace)
-    if isinstance(observable, dict):
+                         workspace=workspace, operators=operators)
+    if isinstance(observable, tuple):
         mu = _apply_local(psi, observable, n, workspace)
     else:
         mu = np.multiply(psi, observable, out=workspace.take(psi.shape))
@@ -256,11 +299,11 @@ def _loss_gradient_from_arrays(circuit: Circuit, params: Sequence[float],
         if cursor > k + 1:
             if psi is not None:
                 back = _run_batch(circuit, params, psi, start=k + 1, stop=cursor,
-                                  adjoint=True, workspace=workspace)
+                                  adjoint=True, workspace=workspace, operators=operators)
                 release(psi)
                 psi = back
             back = _run_batch(circuit, params, mu, start=k + 1, stop=cursor,
-                              adjoint=True, workspace=workspace)
+                              adjoint=True, workspace=workspace, operators=operators)
             workspace.give(mu)
             mu = back
             cursor = k + 1
@@ -272,7 +315,7 @@ def _loss_gradient_from_arrays(circuit: Circuit, params: Sequence[float],
             release(psi)
             psi = None
     workspace.give(mu)
-    return np.array([np.mean(2.0 * (preds - labels) * pred_grad[slot]) for slot in slots])
+    return preds
 
 
 def gradient(circuit: Circuit, params: Sequence[float], dataset: Dataset,

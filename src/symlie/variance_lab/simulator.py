@@ -24,7 +24,9 @@ short list of free batches, and a stretch of steps gives each intermediate
 batch back as soon as the next step has read it; the input is never written.
 A caller that passes no workspace gets a new array, and one that keeps a
 workspace over many stretches (the gradient's sweeps) reuses its batches
-instead of allocating one per pass.
+instead of allocating one per pass; one that runs stretches again at the
+same parameters (the gradient's row chunks) can keep each step's Kronecker
+blocks and ZZ phases as well (`_step_operator`).
 `apply_gate` runs a one-gate circuit, so every gate is applied by the same
 step kernels.  Graph states are not built by CZ gates: one doubling sweep
 over the vertex subsets (`subset_codes`) gives each amplitude's sign.
@@ -318,9 +320,12 @@ def _kron(factors: Sequence[np.ndarray]) -> np.ndarray:
 class Workspace:
     """Free complex batches for kernel passes to write into.
 
-    `take` hands out a free batch of the requested shape, or a new one when
-    none is free; `give` returns a batch whose contents are no longer
-    needed.  A batch is either free or held by one caller, never both."""
+    `take` hands out a free batch of the requested shape, else the leading
+    rows of a free batch with more rows of the same length (the short last
+    row chunk of a gradient), or a new batch when none fits; `give` returns
+    a batch whose contents are no longer needed, a batch of leading rows by
+    the batch it was cut from.  A batch is either free or held by one
+    caller, never both."""
 
     def __init__(self):
         self.free: list = []
@@ -329,10 +334,13 @@ class Workspace:
         for i, batch in enumerate(self.free):
             if batch.shape == shape:
                 return self.free.pop(i)
+        for i, batch in enumerate(self.free):
+            if len(shape) > 1 and batch.shape[1:] == shape[1:] and batch.shape[0] > shape[0]:
+                return self.free.pop(i)[:shape[0]]
         return np.empty(shape, dtype=np.complex128)
 
     def give(self, batch: np.ndarray) -> None:
-        self.free.append(batch)
+        self.free.append(batch if batch.base is None else batch.base)
 
 
 @lru_cache(maxsize=None)
@@ -360,18 +368,27 @@ def _blocks(n: int, qubits: frozenset) -> Tuple[Tuple[int, int, Tuple[int, ...]]
     return tuple(out)
 
 
-def _apply_local(amps: np.ndarray, mats: Dict[int, np.ndarray], n: int,
+def _local_blocks(mats: Dict[int, np.ndarray], n: int
+                  ) -> Tuple[Tuple[int, int, np.ndarray], ...]:
+    """(first qubit, width, Kronecker product) of each block (`_blocks`)
+    holding a qubit of `mats`, one 2x2 matrix per qubit: the product of
+    those on the block's qubits, identities on the others."""
+    return tuple((first, width, _kron([mats.get(q, _IDENTITY)
+                                       for q in range(first, first + width)]))
+                 for first, width, _ in _blocks(n, frozenset(mats)))
+
+
+def _apply_local(amps: np.ndarray, blocks: Sequence[Tuple[int, int, np.ndarray]], n: int,
                  workspace: Workspace, consume: bool = False) -> np.ndarray:
-    """Apply the product of one 2x2 matrix per qubit of `mats`, one
-    Kronecker block at a time; qubits not in `mats` are left alone.
+    """Apply a product of one 2x2 matrix per qubit, given as its Kronecker
+    blocks (`_local_blocks`), one block at a time.
 
     Each block writes into a batch taken from `workspace` and gives the
     batch it read back to it, `amps` only with `consume`; `amps` is never
     written.  Returns the last block's batch."""
     work = amps
-    for first, width, gated in _blocks(n, frozenset(mats)):
+    for first, width, k in blocks:
         out = workspace.take(amps.shape)
-        k = _kron([mats.get(q, _IDENTITY) for q in range(first, first + width)])
         lo = 1 << (n - first - width)
         if lo == 1:
             # one (rows x 2^w) @ (2^w x 2^w) product instead of a stack of
@@ -387,21 +404,42 @@ def _apply_local(amps: np.ndarray, mats: Dict[int, np.ndarray], n: int,
     return work
 
 
-def _apply_step(amps: np.ndarray, step: Step, params: Sequence[float], n: int,
-                workspace: Workspace, adjoint: bool = False,
-                consume: bool = False) -> np.ndarray:
-    """Apply one step, or its adjoint, into a batch taken from `workspace`;
-    with `consume`, `amps` is given back to it once read."""
+def _step_operator(step: Step, params: Sequence[float], adjoint: bool,
+                   operators: Optional[dict]):
+    """The Kronecker blocks of a single-qubit step, or of its adjoint, or
+    the phases of a ZZ step (whose adjoint conjugates them), at `params`.
+
+    `operators`, when given, is a dict its caller keeps for one parameter
+    vector: each operator is built on first use and kept there under
+    (step, adjoint), so a stretch of steps run again reuses it."""
+    key = (step, adjoint)
+    if operators is not None and key in operators:
+        return operators[key]
     if step.kind == _LOCAL:
         mats = {q: _wire_matrix(rotations, params) for q, rotations in step.wires.items()}
         if adjoint:
             mats = {q: u.conj().T for q, u in mats.items()}
-        return _apply_local(amps, mats, n, workspace, consume)
+        operator = _local_blocks(mats, step.n_qubits)
+    else:
+        operator = np.exp(sum((-0.5j * params[slot]) * _summed_pair_signs(step.n_qubits, pairs)
+                              for slot, pairs in step.phase_groups))
+    if operators is not None:
+        operators[key] = operator
+    return operator
+
+
+def _apply_step(amps: np.ndarray, step: Step, params: Sequence[float], n: int,
+                workspace: Workspace, adjoint: bool = False,
+                consume: bool = False, operators: Optional[dict] = None) -> np.ndarray:
+    """Apply one step, or its adjoint, into a batch taken from `workspace`;
+    with `consume`, `amps` is given back to it once read.  `operators` is
+    passed to `_step_operator`."""
+    if step.kind == _LOCAL:
+        return _apply_local(amps, _step_operator(step, params, adjoint, operators), n,
+                            workspace, consume)
     out = workspace.take(amps.shape)
     if step.kind is GateKind.ZZ:
-        exponent = sum((-0.5j * params[slot]) * _summed_pair_signs(n, pairs)
-                       for slot, pairs in step.phase_groups)
-        phases = np.exp(exponent)
+        phases = _step_operator(step, params, False, operators)
         np.multiply(amps, phases.conj() if adjoint else phases, out=out)
     elif step.kind is GateKind.CNOT:
         # mode="clip" gathers straight into `out`; the default "raise"
@@ -430,9 +468,12 @@ def _check_arguments(circuit: Circuit, params: Sequence[float],
 
 def _run_batch(circuit: Circuit, params: Sequence[float], amps: np.ndarray,
                start: int = 0, stop: Optional[int] = None,
-               adjoint: bool = False, workspace: Optional[Workspace] = None) -> np.ndarray:
+               adjoint: bool = False, workspace: Optional[Workspace] = None,
+               operators: Optional[dict] = None) -> np.ndarray:
     """Apply steps [start, stop) of `circuit.steps` to a batch of states
     (last axis is the state), or with `adjoint` undo them, last step first.
+    A caller that runs several stretches at the same `params` may keep the
+    steps' operators in one `operators` dict (`_step_operator`).
 
     Every step writes into a batch taken from `workspace` and gives the
     batch it read back to it.  `amps` belongs to the caller: it is never
@@ -448,7 +489,7 @@ def _run_batch(circuit: Circuit, params: Sequence[float], amps: np.ndarray,
     steps = circuit.steps[start:stop]
     for step in (reversed(steps) if adjoint else steps):
         work = _apply_step(work, step, params, n, workspace, adjoint,
-                           consume=work is not amps)
+                           consume=work is not amps, operators=operators)
     if work is amps:
         work = workspace.take(amps.shape)
         np.copyto(work, amps)

@@ -195,7 +195,7 @@ def test_product_dimension_equals_cycle_index_evaluations(text):
 def test_stirling_rows_need_no_deep_recursion(monkeypatch):
     # rows are built in a loop, so a degree past the term cap, as a lifted
     # cap would reach, needs no recursion as deep as the degree
-    monkeypatch.setattr(comb, "_STIRLING_ROWS", [(1,)])
+    monkeypatch.setattr(comb, "_STIRLING_ROW", [(1,)])
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 50)
     try:
@@ -205,6 +205,21 @@ def test_stirling_rows_need_no_deep_recursion(monkeypatch):
     assert len(row) == 301 and row[0] == 0 and row[300] == 1
     assert sum(row) == math.factorial(300)
     assert sum(row[::2]) == sum(row[1::2])  # as many even as odd permutations
+
+
+def test_stirling_cache_holds_one_row(monkeypatch):
+    # only the last row built is kept, so the cache stays one row however
+    # large the degree; a smaller degree starts again from row 0
+    monkeypatch.setattr(comb, "_STIRLING_ROW", [(1,)])
+    rows = [(1,)]
+    for m in range(200):
+        prev = rows[-1]
+        rows.append(tuple(m * a + b for a, b in zip(prev + (0,), (0,) + prev)))
+    assert comb._stirling_row(200) == rows[200]
+    assert comb._STIRLING_ROW == [rows[200]]
+    assert [comb._stirling_row(m) for m in range(201)] == rows
+    assert comb._stirling_row(7) == rows[7] == (0, 720, 1764, 1624, 735, 175, 21, 1)
+    assert comb._STIRLING_ROW == [rows[7]]
 
 
 @pytest.mark.parametrize("argv, lines", [

@@ -478,6 +478,104 @@ class TestWorkspace:
         assert np.array_equal(warm.view(np.int64), fresh.view(np.int64))
 
 
+def row_chunk_problem(kind, n, dataset_size=50, seed=0):
+    """The ansatz at its default depth, a dataset of `dataset_size` graph
+    states and a parameter stream."""
+    c = build_ansatz(kind, n, default_layer_count(kind, n))
+    amps, labels = generate_dataset(n, ExperimentConfig(qubit_counts=(n,),
+                                                        dataset_size=dataset_size))
+    return c, amps, labels, np.random.default_rng([seed, n, list(AnsatzKind).index(kind)])
+
+
+def force_row_chunks(monkeypatch, n, rows):
+    """Patch the gradient's row chunks to `rows` rows of 2^n amplitudes."""
+    monkeypatch.setattr(gradients, "CHUNK_ENTRIES", rows << n)
+
+
+class TestRowChunks:
+    @pytest.mark.parametrize("all_slots", [False, True])
+    @pytest.mark.parametrize("kind", list(AnsatzKind))
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_row_chunks_change_no_bit(self, monkeypatch, n, kind, all_slots):
+        # a row's prediction and prediction gradient depend on no other row:
+        # 50 rows swept as 16 + 16 + 16 + 2 or one at a time give the unsplit
+        # gradients bit for bit (the permutation ansatz on the statevector)
+        c, amps, labels, rng = row_chunk_problem(kind, n)
+        slots = range(c.n_params) if all_slots else [probe_slot(c)]
+        params = rng.uniform(-2 * math.pi, 2 * math.pi, c.n_params)
+        unsplit = _loss_gradient_from_arrays(c, params, amps, labels, slots)
+        for rows in (16, 1):
+            force_row_chunks(monkeypatch, n, rows)
+            split = _loss_gradient_from_arrays(c, params, amps, labels, slots)
+            assert np.array_equal(split.view(np.int64), unsplit.view(np.int64))
+
+    @pytest.mark.parametrize("batches", [None, 0, 1])
+    @pytest.mark.parametrize("all_slots", [False, True])
+    @pytest.mark.parametrize("kind", [AnsatzKind.CYCLIC, AnsatzKind.STRONGLY_ENTANGLING])
+    def test_reused_workspace_over_row_chunks(self, monkeypatch, kind, all_slots, batches):
+        # three samples of 50 rows in chunks of 16 + 16 + 16 + 2 through one
+        # poisoned workspace: the short chunk's batches are leading rows of
+        # the others', and the gradients equal both a workspace that never
+        # reuses a batch and the unsplit run that stores the same states.
+        # `batches` caps the stored states at none or one row chunk's batch
+        # (None: unpatched)
+        n = 6
+        c, amps, labels, rng = row_chunk_problem(kind, n, seed=1)
+        slots = range(c.n_params) if all_slots else [probe_slot(c)]
+        chunk_bytes = 16 * amps.itemsize << n
+        original = amps.copy()
+        workspace = Poisoning()
+        for _ in range(3):
+            params = rng.uniform(-2 * math.pi, 2 * math.pi, c.n_params)
+            if batches is not None:
+                monkeypatch.setattr(gradients, "MAX_STORED_STATE_BYTES", batches * amps.nbytes)
+            unsplit = _loss_gradient_from_arrays(c, params, amps, labels, slots)
+            force_row_chunks(monkeypatch, n, 16)
+            if batches is not None:
+                monkeypatch.setattr(gradients, "MAX_STORED_STATE_BYTES", batches * chunk_bytes)
+            reused = _loss_gradient_from_arrays(c, params, amps, labels, slots, workspace)
+            fresh = _loss_gradient_from_arrays(c, params, amps, labels, slots, NoReuse())
+            monkeypatch.undo()
+            assert np.array_equal(reused, fresh)
+            assert np.array_equal(reused, unsplit)
+            assert np.array_equal(amps, original)
+            free = workspace.free
+            assert all(b.base is None and b.shape == (16, 1 << n) for b in free)
+            assert len({id(b) for b in free}) == len(free)
+            assert not any(np.shares_memory(b, amps) for b in free)
+
+    def test_row_chunk_memory(self, monkeypatch):
+        # 50 rows at n = 10 in row chunks of 8 rows (128 KiB each, the last
+        # of 2 rows): a cold gradient peaks at a few row-chunk batches, where
+        # one sweep of the whole dataset holds four dataset batches (3.2 MB);
+        # a warm one allocates no batch, and the workspace keeps at most five
+        # batches of at most CHUNK_ENTRIES amplitudes
+        n = 10
+        kind = AnsatzKind.STRONGLY_ENTANGLING
+        c, amps, labels, rng = row_chunk_problem(kind, n, seed=2)
+        slots = [probe_slot(c)]
+        force_row_chunks(monkeypatch, n, 8)
+        chunk_bytes = 8 * amps.itemsize << n
+        # fused steps and cached tables first
+        _loss_gradient_from_arrays(c, rng.uniform(-2 * math.pi, 2 * math.pi, c.n_params),
+                                   amps, labels, slots)
+        workspace = Workspace()
+        peaks = []
+        for _ in range(2):
+            params = rng.uniform(-2 * math.pi, 2 * math.pi, c.n_params)
+            tracemalloc.start()
+            try:
+                _loss_gradient_from_arrays(c, params, amps, labels, slots, workspace)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        cold, warm = peaks
+        assert cold <= 5 * chunk_bytes < amps.nbytes
+        assert warm < 0.5 * chunk_bytes
+        assert len(workspace.free) <= 5
+        assert all(b.size <= gradients.CHUNK_ENTRIES for b in workspace.free)
+
+
 TAIL_RUNS = {
     "empty": (),
     "cnot": (GateKind.CNOT,),

@@ -442,6 +442,43 @@ class TestFusedSteps:
                     workspace.give(out)
         assert len({id(b) for b in workspace.free}) == len(workspace.free)
 
+    def test_workspace_hands_out_leading_rows(self):
+        # a short batch is cut from a free batch with more rows of the same
+        # length and goes back whole; an exact shape is preferred, and a
+        # batch of another row length is never cut
+        workspace = Workspace()
+        wide, long = np.empty((4, 8), complex), np.empty((3, 16), complex)
+        workspace.give(long)
+        workspace.give(wide)
+        short = workspace.take((2, 8))
+        assert short.base is wide and short.shape == (2, 8) and short.flags.c_contiguous
+        assert workspace.free == [long]
+        assert workspace.take((4, 8)) is not wide
+        workspace.give(short)
+        assert workspace.free[-1] is wide
+        assert workspace.take((4, 8)) is wide
+        assert workspace.take((3, 16)) is long
+
+    @pytest.mark.parametrize("kind", list(AnsatzKind))
+    def test_kept_operators_change_no_bit(self, kind):
+        # stretches run forward and back at one parameter vector through one
+        # dict of kept step operators equal stretches that build their own
+        rng = np.random.default_rng(14)
+        n = 6
+        circuit = build_ansatz(kind, n, 3)
+        params = rng.uniform(-3, 3, circuit.n_params)
+        states = np.stack([random_state(rng, n).amplitudes for _ in range(4)])
+        operators = {}
+        for _ in range(2):
+            for adjoint in (False, True):
+                for start, stop in ((0, None), (1, 4)):
+                    kept = _run_batch(circuit, params, states, start, stop, adjoint=adjoint,
+                                      operators=operators)
+                    built = _run_batch(circuit, params, states, start, stop, adjoint=adjoint)
+                    assert np.array_equal(kept, built)
+        parametrized = [step for step in circuit.steps if step.kind in ("1q", GateKind.ZZ)]
+        assert 0 < len(operators) <= 2 * len(parametrized)
+
     def test_run_circuit_and_circuit_unitary_return_new_arrays(self):
         rng = np.random.default_rng(13)
         circuit = build_ansatz(AnsatzKind.STRONGLY_ENTANGLING, 3, 2)
