@@ -66,6 +66,18 @@ class SubsetCapExceeded(SymlieError):
                          f"above the subset cap of {cap}")
 
 
+class GateCapExceeded(SymlieError):
+    """A variance experiment's circuit would have more gates than the cap."""
+
+    def __init__(self, ansatz: str, qubits: int, gates: int, cap: int):
+        self.ansatz = ansatz
+        self.qubits = qubits
+        self.gates = gates
+        self.cap = cap
+        super().__init__(f"the {ansatz} circuit on {qubits} qubits has {gates} gates, "
+                         f"above the gate cap of {cap}")
+
+
 class TermCapExceeded(SymlieError):
     """An S or A cycle index would have more terms (cycle types) than the cap."""
 

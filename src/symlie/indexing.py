@@ -42,6 +42,11 @@ MAX_GRAPH_SUBSETS = 2**28
 # CHUNK_ENTRIES): 2^27 holds 40 batches of 50 states at n = 12 and 32 row
 # chunks of 4 MB from n = 13 to 18.
 MAX_STORED_STATE_BYTES = 2**27
+# Gates of one variance-experiment circuit, whose gate list and fused steps
+# are held as Python objects: 2^17 admits the largest default circuit
+# (permutation at n = 22, 44 layers of 275 gates: 12,100) and refuses a
+# --layers value that would fill memory before the first gradient.
+MAX_CIRCUIT_GATES = 2**17
 MAX_CYCLE_INDEX_TERMS = 10**5  # cycle types of S_n or A_n: p(45) = 89,134 < cap < p(46)
 MAX_DIMENSION_DIGITS = 4300  # Python prints an int of at most this many digits by default
 # Entries per chunk of a chunked array build (Pauli columns, the oracle's

@@ -22,8 +22,8 @@ from typing import List, Tuple
 
 from .simulator import Circuit, Gate, GateKind
 
-__all__ = ["AnsatzKind", "build_ansatz", "default_layer_count", "probe_slot",
-           "ring_pairs", "all_pairs"]
+__all__ = ["AnsatzKind", "build_ansatz", "default_layer_count", "gate_count",
+           "probe_slot", "ring_pairs", "all_pairs"]
 
 TARGET_SLOTS_PER_QUBIT = 6  # the common slot budget that default layer counts aim at
 
@@ -69,6 +69,18 @@ def default_layer_count(kind: AnsatzKind, n: int, cyclic_distance2: bool = True)
     """Layer count bringing the slot total closest to TARGET_SLOTS_PER_QUBIT*n."""
     per = _slots_per_layer(kind, n, cyclic_distance2)
     return max(1, round(TARGET_SLOTS_PER_QUBIT * n / per))
+
+
+def gate_count(kind: AnsatzKind, n: int, layers: int, cyclic_distance2: bool = True) -> int:
+    """The number of gates `build_ansatz` makes, counted without making them."""
+    kind = AnsatzKind(kind)
+    if kind is AnsatzKind.PERMUTATION:
+        return layers * (2 * n + len(all_pairs(n)))
+    if kind is AnsatzKind.CYCLIC:
+        ring2 = ring_pairs(n, 2) if cyclic_distance2 else []
+        return layers * (2 * n + len(ring_pairs(n, 1)) + len(ring2))
+    # a rotation and a CNOT per qubit, but no CNOT ring at offset 2 on 2 qubits
+    return 2 * n * layers - (n * (layers // 2) if n == 2 else 0)
 
 
 def build_ansatz(kind: AnsatzKind, n: int, layers: int, *,

@@ -39,9 +39,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import DatasetGenerationFailed, StateBatchCapExceeded, SubsetCapExceeded
-from ..indexing import MAX_GRAPH_SUBSETS, MAX_STATE_BATCH_BYTES
-from .circuits import AnsatzKind, build_ansatz, default_layer_count, probe_slot
+from ..errors import (DatasetGenerationFailed, GateCapExceeded, StateBatchCapExceeded,
+                      SubsetCapExceeded)
+from ..indexing import MAX_CIRCUIT_GATES, MAX_GRAPH_SUBSETS, MAX_STATE_BATCH_BYTES
+from .circuits import AnsatzKind, build_ansatz, default_layer_count, gate_count, probe_slot
 from .gradients import _loss_gradient_from_arrays
 from .simulator import Circuit, Workspace, graph_amplitudes
 from .spin_blocks import graph_spin_states, loss_gradient_from_blocks
@@ -103,6 +104,12 @@ class ExperimentConfig:
         elif self.dataset_size << n > MAX_GRAPH_SUBSETS:
             raise SubsetCapExceeded(n, self.dataset_size, self.dataset_size << n,
                                     MAX_GRAPH_SUBSETS)
+        # the largest circuit, refused here so that a pool worker never
+        # builds it
+        for kind in self.ansatz_kinds:
+            gates = gate_count(kind, n, _layer_count(kind, n, self), self.cyclic_distance2)
+            if gates > MAX_CIRCUIT_GATES:
+                raise GateCapExceeded(kind.value, n, gates, MAX_CIRCUIT_GATES)
 
 
 @dataclass(frozen=True)
@@ -195,10 +202,14 @@ def _needs_amplitudes(cfg: ExperimentConfig) -> bool:
     return any(kind is not AnsatzKind.PERMUTATION for kind in cfg.ansatz_kinds)
 
 
-def _build_circuit(kind: AnsatzKind, n: int, cfg: ExperimentConfig):
-    layers = cfg.layers if cfg.layers is not None else default_layer_count(
+def _layer_count(kind: AnsatzKind, n: int, cfg: ExperimentConfig) -> int:
+    return cfg.layers if cfg.layers is not None else default_layer_count(
         kind, n, cfg.cyclic_distance2)
-    return build_ansatz(kind, n, layers, cyclic_distance2=cfg.cyclic_distance2)
+
+
+def _build_circuit(kind: AnsatzKind, n: int, cfg: ExperimentConfig):
+    return build_ansatz(kind, n, _layer_count(kind, n, cfg),
+                        cyclic_distance2=cfg.cyclic_distance2)
 
 
 def _probed_slots(circuit: Circuit, cfg: ExperimentConfig) -> List[int]:

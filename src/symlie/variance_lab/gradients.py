@@ -7,9 +7,9 @@ gate here is exp(-i*theta/2 * G), so an occurrence of a slot contributes
 dp/dtheta = Im<mu|G|psi>, where psi is the state just after the gate and
 mu the costate U_after^dagger P U_after psi with the suffix U_after of the
 circuit.  The parity needs no pass over the batch through the circuit's
-unprobed tail: CNOT runs map the Z-string to a Z-string, ZZ and CZ runs
-commute with it, and a single-qubit step V before them turns it into the
-product operator A = V^dagger Z_S V, one 2x2 matrix per qubit.  The forward
+unprobed tail: CNOT runs map the Z-string to a Z-string, ZZ runs commute
+with it, and a single-qubit step V before them turns it into the product
+operator A = V^dagger Z_S V, one 2x2 matrix per qubit.  The forward
 pass keeps psi at the output of each probed step, up to
 `MAX_STORED_STATE_BYTES` per row chunk (below), and stops at the boundary
 b before that tail, where mu_b = A psi_b and p = <psi_b|A|psi_b>; the
@@ -31,8 +31,9 @@ mode the workspace peaks at four row-chunk batches beside the dataset: the
 stored state, psi_b or mu, and the two batches a kernel pass reads and
 writes.  A caller that keeps the workspace over many gradients, as the
 experiment does over a chunk of samples, allocates no new batch for them
-after the first gradient.  With several row chunks, each step's Kronecker
-blocks or ZZ phases are built once per gradient, not once per row chunk.
+after the first gradient.  Each step's Kronecker blocks or ZZ phases are
+built once per gradient, for the forward pass, the reverse sweep and every
+row chunk.
 
 The sweep measures only at step boundaries, so one pass serves any set of
 probed slots.  A ZZ generator is diagonal and commutes
@@ -48,16 +49,15 @@ spin blocks instead (`spin_blocks`).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..indexing import CHUNK_ENTRIES, MAX_STORED_STATE_BYTES
 from ..pauli_orbits import SIGMA
-from .simulator import (_IDENTITY, _LOCAL, Circuit, GateKind, StateVector, Step,
-                        Workspace, _apply_local, _check_arguments, _factor, _local_blocks,
-                        _parity_batch, _parity_signs, _run_batch, _summed_pair_signs,
-                        _wire_matrix)
+from .simulator import (_LOCAL, Circuit, GateKind, StateVector, Step, Workspace,
+                        _apply_local, _check_arguments, _factor, _local_blocks,
+                        _parity_batch, _run_batch, _summed_pair_signs, _wire_matrix)
 
 __all__ = ["mse_loss", "predictions", "gradient", "gradient_finite_difference",
            "stack_dataset"]
@@ -94,12 +94,12 @@ def mse_loss(circuit: Circuit, params: Sequence[float], dataset: Dataset) -> flo
 
 
 _PAULI = dict(zip("XYZ", SIGMA[1:]))
-# step kinds that keep a Z-string diagonal: CNOT runs permute it, ZZ and CZ
-# runs commute with it
-_DIAGONAL_ON_Z_STRINGS = (GateKind.CNOT, GateKind.ZZ, GateKind.CZ)
+# step kinds that keep a Z-string diagonal: CNOT runs permute it, ZZ runs
+# commute with it
+_DIAGONAL_ON_Z_STRINGS = (GateKind.CNOT, GateKind.ZZ)
 
 
-def _conjugated_generators(rotations: Sequence[Tuple[str, Optional[int]]],
+def _conjugated_generators(rotations: Sequence[Tuple[str, int]],
                            params: Sequence[float],
                            probed: Dict[int, np.ndarray]) -> Dict[int, np.ndarray]:
     """Per probed slot on one qubit of a step: the sum of V G V^dagger over
@@ -178,35 +178,36 @@ def _step_overlaps(step: Step, params: Sequence[float], mu: np.ndarray,
 
 
 def _tail_observable(circuit: Circuit, params: Sequence[float], stop: int
-                     ) -> Tuple[int, Union[np.ndarray, tuple]]:
+                     ) -> Tuple[int, tuple]:
     """The parity swept back through the circuit's steps from `stop` on,
     as far as it keeps a closed form: (b, A).
 
-    A CNOT run maps a Z-string to a Z-string, and ZZ and CZ runs commute
-    with it, so over those steps the parity stays a +-1 diagonal, reindexed
-    by each CNOT run's inverse gather.  If the step before that is a
-    single-qubit step V, the Z-string Z_S becomes the product operator
-    V^dagger Z_S V, one 2x2 matrix v_q^dagger Z v_q per qubit q of S
-    (v_q = I where V does not gate q).  A is the parity's image at
-    boundary b, so <P> = <psi_b|A|psi_b>: the diagonal's +-1 vector, or the
-    Kronecker blocks of the per-qubit matrices (`_local_blocks`) when a
-    single-qubit step was absorbed."""
+    A CNOT run maps a Z-string Z_S to a Z-string, and ZZ runs commute with
+    it; S is tracked as a set of qubits, and undoing CNOT(c, t), last gate
+    first, toggles c in S when t is in S.  If the step before that is a
+    single-qubit step V, Z_S becomes the product operator V^dagger Z_S V,
+    one 2x2 matrix v_q^dagger Z v_q per qubit q of S; q keeps Z where no
+    step was absorbed or V does not gate q.  A is the parity's image at
+    boundary b, so <P> = <psi_b|A|psi_b>, given as the Kronecker blocks of
+    the per-qubit matrices (`_local_blocks`); blocks of Z alone have
+    entries 0 and +-1 and give the signed amplitudes exactly."""
     steps, n = circuit.steps, circuit.n_qubits
-    diagonal = _parity_signs(n)
+    string = set(range(n))
     b = len(steps)
     while b > stop and steps[b - 1].kind in _DIAGONAL_ON_Z_STRINGS:
         b -= 1
         if steps[b].kind is GateKind.CNOT:
-            diagonal = diagonal[steps[b].inverse_gather]
-    if b == stop or steps[b - 1].kind != _LOCAL:
-        return b, diagonal
-    b -= 1
-    wires = steps[b].wires
-    mats = {}
-    for q in range(n):
-        if diagonal[1 << (n - 1 - q)] < 0:  # q is in the Z-string
-            v = _wire_matrix(wires[q], params) if q in wires else _IDENTITY
-            mats[q] = v.conj().T @ _PAULI["Z"] @ v
+            for gate in reversed(steps[b].gates):
+                control, target = gate.targets
+                if target in string:
+                    string ^= {control}
+    mats = {q: _PAULI["Z"] for q in string}
+    if b > stop and steps[b - 1].kind == _LOCAL:
+        b -= 1
+        wires = steps[b].wires
+        for q in string & wires.keys():
+            v = _wire_matrix(wires[q], params)
+            mats[q] = v.conj().T @ mats[q] @ v
     return b, _local_blocks(mats, n)
 
 
@@ -240,11 +241,9 @@ def _loss_gradient_from_arrays(circuit: Circuit, params: Sequence[float],
                                             probed[-1] + 1 if probed else len(steps))
     rows = max(1, min(amps.shape[0], CHUNK_ENTRIES >> n))
     kept = probed[:MAX_STORED_STATE_BYTES // (16 * rows << n)]
-    # with several row chunks each step's operator is built once, by the
-    # first row chunk that applies it (`simulator._step_operator`); one row
-    # chunk builds each where it applies it and holds no ZZ phases beside
-    # its batches, as a sweep of the whole dataset always did
-    operators = {} if rows < amps.shape[0] else None
+    # each step's operator is built once, by the first pass that applies it
+    # (`simulator._step_operator`)
+    operators: dict = {}
     for lo in range(0, amps.shape[0], rows):
         chunk = slice(lo, lo + rows)
         preds[chunk] = _row_chunk_sweep(
@@ -255,8 +254,8 @@ def _loss_gradient_from_arrays(circuit: Circuit, params: Sequence[float],
 
 def _row_chunk_sweep(circuit: Circuit, params: Sequence[float], amps: np.ndarray,
                      probed: Sequence[int], kept: Sequence[int], boundary: int,
-                     observable: Union[np.ndarray, tuple], pred_grad: Dict[int, np.ndarray],
-                     workspace: Workspace, operators: Optional[dict]) -> np.ndarray:
+                     observable: tuple, pred_grad: Dict[int, np.ndarray],
+                     workspace: Workspace, operators: dict) -> np.ndarray:
     """The predictions of the rows of `amps`, adding each probed slot's
     prediction gradient into `pred_grad`.
 
@@ -284,10 +283,7 @@ def _row_chunk_sweep(circuit: Circuit, params: Sequence[float], amps: np.ndarray
     if cursor < boundary:
         psi = _run_batch(circuit, params, psi, start=cursor, stop=boundary,
                          workspace=workspace, operators=operators)
-    if isinstance(observable, tuple):
-        mu = _apply_local(psi, observable, n, workspace)
-    else:
-        mu = np.multiply(psi, observable, out=workspace.take(psi.shape))
+    mu = _apply_local(psi, observable, n, workspace)
     # Re<psi|mu>: the real dot product of the interleaved (re, im) pairs
     preds = np.einsum("bx,bx->b", psi.view(np.float64), mu.view(np.float64))
     swept = probed[len(kept):]  # steps reached by sweeping psi back

@@ -15,18 +15,18 @@ one matmul by the block's Kronecker product, identities on its ungated
 qubits, so a block of width one is a 2x2 matmul; the same kernel applies any
 product of per-qubit 2x2 matrices, which the gradient uses for the parity's
 image.  A maximal run of ZZ gates
-is one diagonal, a maximal run of CZ gates is one sign flip, and a maximal
-run of CNOT gates is one gather by the composed index permutation.  A
-step's adjoint is the per-qubit dagger, the conjugate phases, the same signs
-or the inverse gather, so `_run_batch` runs any stretch of steps forward or
-backward.  Every kernel pass writes into a batch taken from a `Workspace`, a
-short list of free batches, and a stretch of steps gives each intermediate
-batch back as soon as the next step has read it; the input is never written.
-A caller that passes no workspace gets a new array, and one that keeps a
-workspace over many stretches (the gradient's sweeps) reuses its batches
-instead of allocating one per pass; one that runs stretches again at the
-same parameters (the gradient's row chunks) can keep each step's Kronecker
-blocks and ZZ phases as well (`_step_operator`).
+is one diagonal, and a maximal run of CNOT gates is one gather by the
+composed index permutation.  A step's adjoint is the per-qubit dagger, the
+conjugate phases or the inverse gather, so `_run_batch` runs any stretch of
+steps forward or backward.  Every kernel pass writes into a batch taken from
+a `Workspace`, a short list of free batches, and a stretch of steps gives
+each intermediate batch back as soon as the next step has read it; the
+input is never written.  A caller that passes no workspace gets a new array,
+and one that keeps a workspace over many stretches (the gradient's sweeps)
+reuses its batches instead of allocating one per pass.  Likewise each
+step's Kronecker blocks or ZZ phases are built once per dict of operators
+(`_step_operator`), which a caller that runs several stretches at the same
+parameters (the gradient's sweeps and row chunks) keeps over all of them.
 `apply_gate` runs a one-gate circuit, so every gate is applied by the same
 step kernels.  Graph states are not built by CZ gates: one doubling sweep
 over the vertex subsets (`subset_codes`) gives each amplitude's sign.
@@ -50,7 +50,6 @@ __all__ = [
     "Circuit",
     "StateVector",
     "zero_state",
-    "plus_state",
     "apply_gate",
     "run_circuit",
     "circuit_unitary",
@@ -65,19 +64,17 @@ class GateKind(str, Enum):
     RY = "RY"
     RZ = "RZ"
     ZZ = "ZZ"
-    CZ = "CZ"
     CNOT = "CNOT"
-    H = "H"
     ROT3 = "ROT3"
 
 
 _N_TARGETS = {
-    GateKind.RX: 1, GateKind.RY: 1, GateKind.RZ: 1, GateKind.H: 1,
-    GateKind.ROT3: 1, GateKind.ZZ: 2, GateKind.CZ: 2, GateKind.CNOT: 2,
+    GateKind.RX: 1, GateKind.RY: 1, GateKind.RZ: 1,
+    GateKind.ROT3: 1, GateKind.ZZ: 2, GateKind.CNOT: 2,
 }
 _N_SLOTS = {
     GateKind.RX: 1, GateKind.RY: 1, GateKind.RZ: 1, GateKind.ZZ: 1,
-    GateKind.ROT3: 3, GateKind.CZ: 0, GateKind.CNOT: 0, GateKind.H: 0,
+    GateKind.ROT3: 3, GateKind.CNOT: 0,
 }
 
 
@@ -151,20 +148,18 @@ _LOCAL = "1q"  # the kind of a step made of single-qubit gates
 BLOCK_QUBITS = 4
 
 
-def _rotations(gate: Gate) -> Tuple[Tuple[str, Optional[int]], ...]:
+def _rotations(gate: Gate) -> Tuple[Tuple[str, int], ...]:
     """(axis, slot) of each rotation of a single-qubit gate in application
-    order; the Hadamard is ("H", None)."""
+    order."""
     if gate.kind is GateKind.ROT3:
         return tuple(zip("ZYZ", gate.slots))
-    if gate.kind is GateKind.H:
-        return (("H", None),)
     return ((gate.kind.value[1], gate.slots[0]),)
 
 
 class Step:
     """One fused step of a circuit (see the module docstring).
 
-    `kind` is "1q", GateKind.ZZ, GateKind.CZ or GateKind.CNOT.
+    `kind` is "1q", GateKind.ZZ or GateKind.CNOT.
     """
 
     def __init__(self, kind, gates: Tuple[Gate, ...], n_qubits: int):
@@ -175,7 +170,7 @@ class Step:
         return frozenset(s for g in self.gates for s in g.slots)
 
     @cached_property
-    def wires(self) -> Dict[int, Tuple[Tuple[str, Optional[int]], ...]]:
+    def wires(self) -> Dict[int, Tuple[Tuple[str, int], ...]]:
         """Per gated qubit, ascending: its rotations in application order."""
         wires: Dict[int, tuple] = {}
         for gate in self.gates:
@@ -215,11 +210,6 @@ class Step:
         inverse[self.gather] = np.arange(self.gather.size)
         return inverse
 
-    @cached_property
-    def signs(self) -> np.ndarray:
-        """Diagonal of a CZ step; the step is its own adjoint."""
-        return _cz_signs(self.n_qubits, (gate.targets for gate in self.gates))
-
 
 @dataclass
 class StateVector:
@@ -241,11 +231,6 @@ def zero_state(n: int) -> StateVector:
     return StateVector(n, amps)
 
 
-def plus_state(n: int) -> StateVector:
-    amps = np.full(1 << n, 2.0 ** (-n / 2), dtype=np.complex128)
-    return StateVector(n, amps)
-
-
 @lru_cache(maxsize=None)
 def _bit(n: int, q: int) -> np.ndarray:
     return ((np.arange(1 << n) >> (n - 1 - q)) & 1).astype(np.int8)
@@ -256,17 +241,6 @@ def _cnot_permutation(n: int, control: int, target: int) -> np.ndarray:
     idx = np.arange(1 << n)
     flip = _bit(n, control).astype(np.int64) << (n - 1 - target)
     return idx ^ flip
-
-
-def _cz_signs(n: int, pairs: Iterable[Tuple[int, int]]) -> np.ndarray:
-    """+1 or -1 per basis state: the CZ gates on `pairs` each flip the sign
-    where both their bits are set, and the flips compose to one parity.
-
-    Not cached: every dataset graph has its own pairs."""
-    odd = np.zeros(1 << n, dtype=np.int8)
-    for a, b in pairs:
-        odd ^= _bit(n, a) & _bit(n, b)
-    return np.where(odd, -1.0, 1.0)
 
 
 @lru_cache(maxsize=None)
@@ -289,18 +263,16 @@ def _rz(theta: float) -> np.ndarray:
                     dtype=np.complex128)
 
 
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
 _ROTATION = {"X": _rx, "Y": _ry, "Z": _rz}
 _IDENTITY = np.eye(2, dtype=np.complex128)
 
 
-def _factor(axis: str, slot: Optional[int], params: Sequence[float]) -> np.ndarray:
-    """The 2x2 matrix of one rotation, its angle read from `params` by slot;
-    the Hadamard has no slot."""
-    return _HADAMARD if slot is None else _ROTATION[axis](params[slot])
+def _factor(axis: str, slot: int, params: Sequence[float]) -> np.ndarray:
+    """The 2x2 matrix of one rotation, its angle read from `params` by slot."""
+    return _ROTATION[axis](params[slot])
 
 
-def _wire_matrix(rotations: Sequence[Tuple[str, Optional[int]]],
+def _wire_matrix(rotations: Sequence[Tuple[str, int]],
                  params: Sequence[float]) -> np.ndarray:
     """Product of one qubit's rotations, the first applied rightmost."""
     u = _IDENTITY
@@ -404,16 +376,15 @@ def _apply_local(amps: np.ndarray, blocks: Sequence[Tuple[int, int, np.ndarray]]
     return work
 
 
-def _step_operator(step: Step, params: Sequence[float], adjoint: bool,
-                   operators: Optional[dict]):
+def _step_operator(step: Step, params: Sequence[float], adjoint: bool, operators: dict):
     """The Kronecker blocks of a single-qubit step, or of its adjoint, or
     the phases of a ZZ step (whose adjoint conjugates them), at `params`.
 
-    `operators`, when given, is a dict its caller keeps for one parameter
-    vector: each operator is built on first use and kept there under
-    (step, adjoint), so a stretch of steps run again reuses it."""
+    `operators` is a dict its caller keeps for one parameter vector: each
+    operator is built on first use and kept there under (step, adjoint), so
+    a stretch of steps run again reuses it."""
     key = (step, adjoint)
-    if operators is not None and key in operators:
+    if key in operators:
         return operators[key]
     if step.kind == _LOCAL:
         mats = {q: _wire_matrix(rotations, params) for q, rotations in step.wires.items()}
@@ -423,14 +394,13 @@ def _step_operator(step: Step, params: Sequence[float], adjoint: bool,
     else:
         operator = np.exp(sum((-0.5j * params[slot]) * _summed_pair_signs(step.n_qubits, pairs)
                               for slot, pairs in step.phase_groups))
-    if operators is not None:
-        operators[key] = operator
+    operators[key] = operator
     return operator
 
 
 def _apply_step(amps: np.ndarray, step: Step, params: Sequence[float], n: int,
-                workspace: Workspace, adjoint: bool = False,
-                consume: bool = False, operators: Optional[dict] = None) -> np.ndarray:
+                workspace: Workspace, operators: dict, adjoint: bool = False,
+                consume: bool = False) -> np.ndarray:
     """Apply one step, or its adjoint, into a batch taken from `workspace`;
     with `consume`, `amps` is given back to it once read.  `operators` is
     passed to `_step_operator`."""
@@ -446,8 +416,6 @@ def _apply_step(amps: np.ndarray, step: Step, params: Sequence[float], n: int,
         # gathers into a buffer first (the indices are always in range)
         np.take(amps, step.inverse_gather if adjoint else step.gather, axis=-1,
                 out=out, mode="clip")
-    elif step.kind is GateKind.CZ:
-        np.multiply(amps, step.signs, out=out)
     else:
         raise ValueError(f"unhandled step kind {step.kind}")
     if consume:
@@ -473,7 +441,8 @@ def _run_batch(circuit: Circuit, params: Sequence[float], amps: np.ndarray,
     """Apply steps [start, stop) of `circuit.steps` to a batch of states
     (last axis is the state), or with `adjoint` undo them, last step first.
     A caller that runs several stretches at the same `params` may keep the
-    steps' operators in one `operators` dict (`_step_operator`).
+    steps' operators in one `operators` dict (`_step_operator`); without
+    one a new dict serves this stretch.
 
     Every step writes into a batch taken from `workspace` and gives the
     batch it read back to it.  `amps` belongs to the caller: it is never
@@ -484,12 +453,14 @@ def _run_batch(circuit: Circuit, params: Sequence[float], amps: np.ndarray,
     _check_arguments(circuit, params)
     if workspace is None:
         workspace = Workspace()
+    if operators is None:
+        operators = {}
     n = circuit.n_qubits
     amps = work = np.asarray(amps, dtype=np.complex128)
     steps = circuit.steps[start:stop]
     for step in (reversed(steps) if adjoint else steps):
-        work = _apply_step(work, step, params, n, workspace, adjoint,
-                           consume=work is not amps, operators=operators)
+        work = _apply_step(work, step, params, n, workspace, operators, adjoint,
+                           consume=work is not amps)
     if work is amps:
         work = workspace.take(amps.shape)
         np.copyto(work, amps)

@@ -279,9 +279,7 @@ def _check_symmetric(circuit: Circuit) -> None:
         if step.kind is GateKind.ZZ:
             ok = all(_covers_all_pairs(n, pairs) for _, pairs in step.phase_groups)
         elif step.kind == _LOCAL:
-            wires = set(step.wires.values())
-            ok = (len(step.wires) == n and len(wires) == 1
-                  and all(axis in "XYZ" for axis, _ in wires.pop()))
+            ok = len(step.wires) == n and len(set(step.wires.values())) == 1
         else:
             ok = False
         if not ok:

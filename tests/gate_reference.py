@@ -30,9 +30,6 @@ def _rz(theta):
                     dtype=np.complex128)
 
 
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
-
-
 def _bit(n, q):
     return (np.arange(1 << n) >> (n - 1 - q)) & 1
 
@@ -55,8 +52,6 @@ def apply_gate_reference(amps, gate, angles, n):
         return _apply_1q(amps, _ry(angles[0]), gate.targets[0], n)
     if kind is GateKind.RZ:
         return _apply_1q(amps, _rz(angles[0]), gate.targets[0], n)
-    if kind is GateKind.H:
-        return _apply_1q(amps, _HADAMARD, gate.targets[0], n)
     if kind is GateKind.ROT3:
         # RZ-RY-RZ Euler rotation; slots are in application order
         u = _rz(angles[2]) @ _ry(angles[1]) @ _rz(angles[0])
@@ -65,17 +60,21 @@ def apply_gate_reference(amps, gate, angles, n):
         i, j = gate.targets
         half = 0.5j * angles[0]
         return amps * np.where(_bit(n, i) ^ _bit(n, j), np.exp(half), np.exp(-half))
-    if kind is GateKind.CZ:
-        i, j = gate.targets
-        out = np.array(amps, dtype=np.complex128)
-        out[..., (_bit(n, i) & _bit(n, j)).astype(bool)] *= -1.0
-        return out
     if kind is GateKind.CNOT:
         control, target = gate.targets
         # out[x] = in[x with the target bit flipped when the control is set]
         perm = np.arange(1 << n) ^ (_bit(n, control) << (n - 1 - target))
         return np.take(amps, perm, axis=-1)
     raise ValueError(f"unhandled gate kind {kind}")
+
+
+def apply_cz_reference(amps, pair, n):
+    """A CZ gate on qubits `pair`, which no ansatz uses but graph states are
+    defined by: the sign flips where both bits are set."""
+    i, j = pair
+    out = np.array(amps, dtype=np.complex128)
+    out[..., (_bit(n, i) & _bit(n, j)).astype(bool)] *= -1.0
+    return out
 
 
 def gate_by_gate(circuit, params, amps):

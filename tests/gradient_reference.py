@@ -8,6 +8,9 @@ the observable.  The state at probed steps is stored up to the package's
 changes only the gradient under test.  The overlaps at each probed step are
 the package's, so a test that compares `_loss_gradient_from_arrays` with
 `reference_loss_gradient` checks where the sweep starts and what it skips.
+
+`diagonal_tail_observable` is the parity's image at the tail boundary as a
+sweep of the +-1 diagonal through each CNOT run's inverse gather gives it.
 """
 
 from typing import Dict, Sequence
@@ -16,8 +19,11 @@ import numpy as np
 
 from symlie.indexing import MAX_STORED_STATE_BYTES
 from symlie.variance_lab.gradients import _step_overlaps
-from symlie.variance_lab.simulator import (Circuit, Workspace, _check_arguments,
-                                           _parity_batch, _parity_signs, _run_batch)
+from symlie.variance_lab.simulator import (_LOCAL, Circuit, GateKind, Workspace,
+                                           _check_arguments, _local_blocks, _parity_batch,
+                                           _parity_signs, _run_batch, _wire_matrix)
+
+_Z = np.diag([1.0, -1.0]).astype(np.complex128)
 
 
 def reference_loss_gradient(circuit: Circuit, params: Sequence[float], amps: np.ndarray,
@@ -53,3 +59,28 @@ def reference_loss_gradient(circuit: Circuit, params: Sequence[float], amps: np.
         if swept and k == swept[0]:
             psi = None
     return np.array([np.mean(2.0 * (preds - labels) * pred_grad[slot]) for slot in slots])
+
+
+def diagonal_tail_observable(circuit: Circuit, params: Sequence[float], stop: int):
+    """(b, A) with b the boundary before the circuit's unprobed tail, from
+    `stop` on, and A the parity's image there: the +-1 diagonal reindexed by
+    each CNOT run's inverse gather and left alone by ZZ runs, or, when a
+    single-qubit step V is absorbed, the Kronecker blocks of v_q^dagger Z v_q
+    on each qubit q where that diagonal is -1 on the basis state 2^(n-1-q)."""
+    steps, n = circuit.steps, circuit.n_qubits
+    diagonal = _parity_signs(n)
+    b = len(steps)
+    while b > stop and steps[b - 1].kind in (GateKind.CNOT, GateKind.ZZ):
+        b -= 1
+        if steps[b].kind is GateKind.CNOT:
+            diagonal = diagonal[steps[b].inverse_gather]
+    if b == stop or steps[b - 1].kind != _LOCAL:
+        return b, diagonal
+    b -= 1
+    wires = steps[b].wires
+    mats = {}
+    for q in range(n):
+        if diagonal[1 << (n - 1 - q)] < 0:
+            v = _wire_matrix(wires[q], params) if q in wires else np.eye(2, dtype=np.complex128)
+            mats[q] = v.conj().T @ _Z @ v
+    return b, _local_blocks(mats, n)

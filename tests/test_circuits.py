@@ -11,6 +11,7 @@ from symlie.variance_lab.circuits import (
     all_pairs,
     build_ansatz,
     default_layer_count,
+    gate_count,
     probe_slot,
     ring_pairs,
 )
@@ -50,6 +51,14 @@ class TestSlotBudgets:
         circuit = build_ansatz(kind, n, layers)
         per_layer = circuit.n_params / layers
         assert abs(circuit.n_params - 6 * n) <= per_layer
+
+    @pytest.mark.parametrize("kind", list(AnsatzKind))
+    def test_gate_count_counts_the_built_gates(self, kind):
+        for n in range(2, 10):
+            for layers in range(1, 6):
+                for distance2 in (True, False):
+                    circuit = build_ansatz(kind, n, layers, cyclic_distance2=distance2)
+                    assert gate_count(kind, n, layers, distance2) == len(circuit.gates)
 
     def test_layer_metadata(self):
         c = build_ansatz(AnsatzKind.PERMUTATION, 4, 5)

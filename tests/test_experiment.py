@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 from dataset_reference import is_connected, random_graph, reference_dataset
 
-from symlie.errors import (DatasetGenerationFailed, StateBatchCapExceeded, SubsetCapExceeded,
-                           SymlieError)
-from symlie.indexing import MAX_GRAPH_SUBSETS, MAX_STATE_BATCH_BYTES
+from symlie.errors import (DatasetGenerationFailed, GateCapExceeded, StateBatchCapExceeded,
+                           SubsetCapExceeded, SymlieError)
+from symlie.indexing import MAX_CIRCUIT_GATES, MAX_GRAPH_SUBSETS, MAX_STATE_BATCH_BYTES
 from symlie.variance_lab import (
     AnsatzKind,
     ExperimentConfig,
@@ -204,6 +204,44 @@ class TestDatasetGeneration:
         with pytest.raises(SubsetCapExceeded):
             ExperimentConfig(qubit_counts=(20,), dataset_size=size + 2,
                              ansatz_kinds=PERMUTATION_ONLY)
+
+    def test_gate_cap(self):
+        # 14 gates per permutation layer at n = 4; the largest default
+        # circuit, permutation at n = 22, has 12,100
+        layers = MAX_CIRCUIT_GATES // 14
+        ExperimentConfig(qubit_counts=(4,), layers=layers)
+        ExperimentConfig(qubit_counts=(4, 22), ansatz_kinds=PERMUTATION_ONLY)
+        with pytest.raises(GateCapExceeded) as info:
+            ExperimentConfig(qubit_counts=(4,), layers=layers + 1)
+        assert isinstance(info.value, SymlieError)
+        assert (info.value.ansatz, info.value.qubits) == ("permutation", 4)
+        assert info.value.gates == 14 * (layers + 1)
+        assert info.value.cap == MAX_CIRCUIT_GATES
+        # the largest qubit count counts, and every ansatz: 14 and 24 gates
+        # per cyclic layer at n = 4 and 6, 8 and 12 per strongly-entangling one
+        layers = MAX_CIRCUIT_GATES // 20
+        kinds = (AnsatzKind.STRONGLY_ENTANGLING, AnsatzKind.CYCLIC)
+        ExperimentConfig(qubit_counts=(4,), layers=layers, ansatz_kinds=kinds)
+        with pytest.raises(GateCapExceeded, match="cyclic circuit on 6 qubits"):
+            ExperimentConfig(qubit_counts=(6, 4), layers=layers, ansatz_kinds=kinds)
+
+    def test_gate_cap_refuses_before_any_circuit(self, monkeypatch):
+        # the refusal comes from the config, in the calling process, so no
+        # pool worker is started and no circuit is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("circuit built")
+
+        monkeypatch.setattr(experiment, "build_ansatz", refuse)
+        for workers in (1, 2):
+            tracemalloc.start()
+            try:
+                with pytest.raises(GateCapExceeded):
+                    run_variance_experiment(ExperimentConfig(
+                        qubit_counts=(4,), samples_per_point=2, layers=10**9, workers=workers))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 100_000
 
     def test_subset_cap_refuses_before_any_allocation(self, monkeypatch):
         # both sides of a lowered cap end to end; a refused run draws no

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gate_reference import apply_gate_reference, gate_by_gate
+from gate_reference import apply_cz_reference, apply_gate_reference, gate_by_gate
 from symlie.variance_lab.circuits import AnsatzKind, build_ansatz
 from symlie.variance_lab.simulator import (
     _N_SLOTS,
@@ -23,7 +23,6 @@ from symlie.variance_lab.simulator import (
     circuit_unitary,
     expectation_parity,
     graph_state,
-    plus_state,
     run_circuit,
     zero_state,
 )
@@ -83,16 +82,18 @@ class TestGateValidation:
         assert np.allclose(out.amplitudes, [0, 0, 0, -1j], atol=1e-12)
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="GateKind"):
-            Gate("RW", (0,), (0,))
+        # no ansatz uses CZ or H, so neither is a gate kind
+        for kind, targets, slots in (("RW", (0,), (0,)), ("CZ", (0, 1), ()), ("H", (0,), ())):
+            with pytest.raises(ValueError, match="GateKind"):
+                Gate(kind, targets, slots)
 
     @pytest.mark.parametrize("kind, targets, slots, message", [
         (GateKind.ZZ, (1, 1), (0,), "targets must be distinct: \\(1, 1\\)"),
-        ("CZ", (2, 2), (), "targets must be distinct"),
+        ("ZZ", (2, 2), (0,), "targets must be distinct"),
         (GateKind.CNOT, (0, 1, 0), (), "targets must be distinct"),
         (GateKind.RX, (0, 1), (0,), "RX takes 1 targets"),
-        (GateKind.CZ, (0, 1, 2), (), "CZ takes 2 targets"),
-        (GateKind.H, (), (), "H takes 1 targets"),
+        (GateKind.ZZ, (0, 1, 2), (0,), "ZZ takes 2 targets"),
+        (GateKind.ROT3, (), (0, 1, 2), "ROT3 takes 1 targets"),
         (GateKind.ROT3, (0,), (0,), "ROT3 carries 3 parameter slots"),
         ("CNOT", (0, 1), (0,), "CNOT carries 0 parameter slots"),
         ("RW", (0, 0), (0,), "'RW' is not a valid GateKind"),
@@ -114,10 +115,6 @@ class TestSingleGates:
         expected = np.zeros(4, dtype=complex)
         expected[0] = np.exp(-0.5j * theta)
         assert np.allclose(out.amplitudes, expected, atol=1e-14)
-
-    def test_hadamard(self):
-        out = apply_gate(zero_state(1), Gate(GateKind.H, (0,)))
-        assert np.allclose(out.amplitudes, [1 / math.sqrt(2)] * 2)
 
     def test_cnot_on_basis_states(self):
         state = StateVector(2, np.array([0, 0, 1, 0], dtype=complex))  # |10>
@@ -148,10 +145,8 @@ class TestSingleGates:
            st.floats(-6.3, 6.3))
     @settings(max_examples=100, deadline=None)
     def test_norm_preserved_by_every_gate(self, state, kind, theta):
-        targets = (0,) if kind in (GateKind.RX, GateKind.RY, GateKind.RZ,
-                                   GateKind.H, GateKind.ROT3) else (0, 1)
-        n_slots = {GateKind.ROT3: 3, GateKind.CZ: 0, GateKind.CNOT: 0,
-                   GateKind.H: 0}.get(kind, 1)
+        targets = (0, 1)[:_N_TARGETS[kind]]
+        n_slots = _N_SLOTS[kind]
         gate = Gate(kind, targets, tuple(range(n_slots)))
         out = apply_gate(state, gate, [theta] * n_slots)
         assert abs(out.norm() - 1.0) < 1e-10
@@ -206,9 +201,9 @@ class TestGraphStates:
             for _ in range(10):
                 edges = [(i, j) for i in range(n) for j in range(i + 1, n)
                          if rng.random() < rng.uniform(0.1, 0.9)]
-                chain = plus_state(n).amplitudes
+                chain = graph_state((), n).amplitudes
                 for edge in edges:
-                    chain = apply_gate_reference(chain, Gate(GateKind.CZ, edge), (), n)
+                    chain = apply_cz_reference(chain, edge, n)
                 assert np.array_equal(graph_state(edges, n).amplitudes, chain)
 
     def test_rejects_self_loop(self):
@@ -225,7 +220,7 @@ class TestParityExpectation:
         assert expectation_parity(zero_state(3)) == 1.0
 
     def test_plus_state_is_balanced(self):
-        assert abs(expectation_parity(plus_state(4))) < 1e-14
+        assert abs(expectation_parity(graph_state((), 4))) < 1e-14
 
     def test_single_edge_graph_state(self):
         assert abs(expectation_parity(graph_state([(0, 1)], 2))) < 1e-14
@@ -256,10 +251,10 @@ class TestCircuitRunner:
     def test_circuit_unitary_is_unitary(self):
         rng = np.random.default_rng(5)
         gates = (
-            Gate(GateKind.H, (0,)),
+            Gate(GateKind.RX, (0,), (0,)),
             Gate(GateKind.CNOT, (0, 1)),
             Gate(GateKind.RY, (1,), (0,)),
-            Gate(GateKind.CZ, (0, 1)),
+            Gate(GateKind.ZZ, (0, 1), (0,)),
         )
         circuit = Circuit(n_qubits=2, gates=gates, n_params=1)
         u = circuit_unitary(circuit, [0.321])
@@ -280,8 +275,8 @@ class TestCircuitRunner:
 def fused_circuits(draw):
     """A random circuit over every gate kind on 1..7 qubits (below the block
     size and across block edges), with single-qubit runs that leave some
-    qubits of a block ungated and are broken by CZ, CNOT and ZZ gates, and
-    CZs and CNOTs drawn in runs; plus parameters and a batch of two random
+    qubits of a block ungated and are broken by CNOT and ZZ gates, and
+    CNOTs drawn in runs; plus parameters and a batch of two random
     states."""
     n = draw(st.integers(min_value=1, max_value=7))
     kinds = [k for k in GateKind if _N_TARGETS[k] <= n]
@@ -295,9 +290,9 @@ def fused_circuits(draw):
             gates += [Gate(kind, (q,), tuple(range(len(gates) * 3, len(gates) * 3
                                                     + _N_SLOTS[kind])))
                       for q in qubits]
-        elif kind in (GateKind.CZ, GateKind.CNOT):
-            # a run of 1..n gates on random ordered pairs, fused into one sign
-            # flip or one gather
+        elif kind is GateKind.CNOT:
+            # a run of 1..n gates on random ordered pairs, fused into one
+            # gather
             for _ in range(draw(st.integers(min_value=1, max_value=n))):
                 gates.append(Gate(kind, tuple(draw(st.permutations(range(n)))[:2])))
         else:
@@ -328,18 +323,16 @@ class TestFusedSteps:
     def test_step_boundaries(self):
         gates = (
             Gate(GateKind.RX, (0,), (0,)), Gate(GateKind.ROT3, (2,), (1, 2, 3)),
-            Gate(GateKind.H, (0,)), Gate(GateKind.ZZ, (0, 1), (0,)),
-            Gate(GateKind.ZZ, (1, 2), (4,)), Gate(GateKind.CZ, (0, 2)),
-            Gate(GateKind.CZ, (1, 2)), Gate(GateKind.CNOT, (1, 0)),
-            Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.RY, (1,), (4,)),
+            Gate(GateKind.RZ, (0,), (4,)), Gate(GateKind.ZZ, (0, 1), (0,)),
+            Gate(GateKind.ZZ, (1, 2), (4,)), Gate(GateKind.CNOT, (0, 2)),
+            Gate(GateKind.CNOT, (1, 2)), Gate(GateKind.RY, (1,), (4,)),
         )
         steps = Circuit(3, gates, 5).steps
-        assert [s.kind for s in steps] == ["1q", GateKind.ZZ, GateKind.CZ, GateKind.CNOT,
-                                           "1q"]
+        assert [s.kind for s in steps] == ["1q", GateKind.ZZ, GateKind.CNOT, "1q"]
         assert [g.targets for g in steps[2].gates] == [(0, 2), (1, 2)]
-        # CZ(0,2) CZ(1,2) flips |011> and |101>, and |111> twice
-        assert steps[2].signs.tolist() == [1, 1, 1, -1, 1, -1, 1, 1]
-        assert steps[0].wires == {0: (("X", 0), ("H", None)),
+        # CNOT(0,2) CNOT(1,2) flips qubit 2 where qubits 0 and 1 differ
+        assert steps[2].gather.tolist() == [0, 1, 3, 2, 5, 4, 6, 7]
+        assert steps[0].wires == {0: (("X", 0), ("Z", 4)),
                                   2: (("Z", 1), ("Y", 2), ("Z", 3))}
         assert steps[1].phase_groups == ((0, ((0, 1),)), (4, ((1, 2),)))
         assert steps[0].blocks == ((0, 3, (0, 2)),)
@@ -402,8 +395,8 @@ class TestFusedSteps:
         n = 5
         gates = (
             Gate(GateKind.ROT3, (0,), (0, 1, 2)), Gate(GateKind.RX, (4,), (3,)),
-            Gate(GateKind.ZZ, (1, 3), (3,)), Gate(GateKind.CZ, (0, 4)),
-            Gate(GateKind.H, (2,)), Gate(GateKind.RY, (1,), (1,)),
+            Gate(GateKind.ZZ, (1, 3), (3,)), Gate(GateKind.CNOT, (0, 4)),
+            Gate(GateKind.RX, (2,), (2,)), Gate(GateKind.RY, (1,), (1,)),
             Gate(GateKind.CNOT, (3, 2)), Gate(GateKind.RZ, (3,), (0,)),
         )
         circuit = Circuit(n, gates, 4)

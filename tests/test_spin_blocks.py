@@ -307,12 +307,12 @@ class TestReducedGradients:
 
     @pytest.mark.parametrize("gates", [
         # a rotation missing on one qubit, a rotation that differs on one
-        # qubit, ZZ on all but one pair, and a CZ step
+        # qubit, ZZ on all but one pair, and a CNOT step
         [Gate(GateKind.RX, (q,), (0,)) for q in range(2)],
         [Gate(GateKind.RX, (0,), (0,)), Gate(GateKind.RY, (1,), (0,)),
          Gate(GateKind.RX, (2,), (0,))],
         [Gate(GateKind.ZZ, (0, 1), (0,)), Gate(GateKind.ZZ, (1, 2), (0,))],
-        [Gate(GateKind.RX, (q,), (0,)) for q in range(3)] + [Gate(GateKind.CZ, (0, 2))],
+        [Gate(GateKind.RX, (q,), (0,)) for q in range(3)] + [Gate(GateKind.CNOT, (0, 2))],
     ])
     def test_asymmetric_steps_refused(self, gates):
         c = Circuit(3, tuple(gates), 1)
