@@ -24,6 +24,8 @@ import os
 import sys
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import combinatorics as comb
 from .combinatorics import AnySpec, Family, GroupSpec, ProductGroupSpec
 from .dense_oracle import (
@@ -33,7 +35,7 @@ from .dense_oracle import (
 )
 from .errors import SymlieError
 from .indexing import DEFAULT_SPACE_CAP
-from .pauli_orbits import enumerate_invariant_basis
+from .pauli_orbits import OrbitListing, enumerate_invariant_basis
 from .permutation_rep import count_orbits_bruteforce
 from .variance_lab import (
     AnsatzKind,
@@ -164,16 +166,57 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
         else:
             print(count)
         return 0
-    orbits = enumerate_invariant_basis(spec, space_cap=args.cap_space).member_strings()
-    if args.format == "json":
-        # the words are digit strings, which JSON does not escape, so this is
-        # json.dumps of each orbit's {representative, weight, members}, joined by ", "
-        print("[" + ", ".join(['{"representative": "%s", "weight": %d, "members": ["%s"]}'
-                               % (m[0], len(m), '", "'.join(m)) for m in orbits]) + "]")
-    else:
-        _emit_rows(args.format, ["representative", "weight", "members"],
-                   ((m[0], len(m), ",".join(m)) for m in orbits))
+    # every check, the listing cap included, runs before the first byte
+    separator = '", "' if args.format == "json" else ","
+    _write_orbits(enumerate_invariant_basis(spec, args.cap_space, separator), args.format)
     return 0
+
+
+# bytes of listing text gathered before one write to stdout
+_WRITE_BYTES = 1 << 16
+
+
+def _write_orbits(listing: OrbitListing, fmt: str) -> None:
+    """Write an orbit listing as JSON, semicolon CSV or an aligned table.
+
+    Each orbit's members are one slice of the listing's table, whose rows
+    already end in the format's separator, so the text is written a few
+    orbits' rows at a time and no string is made per word.  JSON is each
+    orbit's json.dumps of {representative, weight, members} joined by ", "
+    (digit strings need no escaping); the table pads the representative
+    and weight columns, and the members column is last, so its padding
+    would be stripped.
+    """
+    n, table, bounds = listing.degree, listing.table, listing.bounds
+    row = table.shape[1]
+    trim = row - n  # the separator after an orbit's last word
+    weights = np.diff(bounds)
+    if fmt == "json":
+        sys.stdout.write("[")
+        head = b'{"representative": "%s", "weight": %d, "members": ["'
+        tail, between = b'"]}', b", "
+    else:
+        headers = ("representative", "weight", "members")
+        if fmt == "csv":
+            head = b"%s;%d;"
+            sys.stdout.write(";".join(headers) + "\n")
+        else:
+            widths = (max(len(headers[0]), n),
+                      max(len(headers[1]), len(str(weights.max()))))
+            head = b"%%-%ds  %%-%dd  " % widths
+            sys.stdout.write("%-*s  %-*s  %s\n" % (widths[0], headers[0], widths[1],
+                                                    headers[1], headers[2]))
+        tail, between = b"\n", b""
+    flat = memoryview(table).cast("B")
+    pieces, size = [], 0
+    for i, (start, weight) in enumerate(zip(bounds[:-1].tolist(), weights.tolist())):
+        members = flat[start * row:(start + weight) * row - trim]
+        pieces += [between if i else b"", head % (members[:n], weight), members, tail]
+        size += members.nbytes
+        if size >= _WRITE_BYTES:
+            sys.stdout.write(b"".join(pieces).decode("ascii"))
+            pieces, size = [], 0
+    sys.stdout.write(b"".join(pieces).decode("ascii") + ("]\n" if fmt == "json" else ""))
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:

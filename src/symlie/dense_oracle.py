@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -137,7 +137,9 @@ def _constraint_matrix(generators: Sequence[np.ndarray], n_qubits: int) -> np.nd
     g, a, c = np.nonzero(stacked)
     b = stacked[g, a, c]
     parts = []
-    chunk = max(1, CHUNK_ENTRIES // per_word)
+    # a candidate entry costs 40-60 bytes across its key, term, value and the
+    # unique/inverse sort, so CHUNK_ENTRIES // 4 of them keep a chunk to 3-4 MB
+    chunk = max(1, CHUNK_ENTRIES // 4 // per_word)
     for start in range(0, n_basis, chunk):
         words = np.arange(start, min(start + chunk, n_basis))
         targets, values = pauli_columns(word_digits(words + 1, n_qubits))
@@ -185,14 +187,16 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return ordered[np.concatenate(([True], np.diff(ordered) != 0))]
 
 
-def _blocks(entries: np.ndarray, shape: Tuple[int, int]) -> Tuple[List[tuple], np.ndarray]:
+def _blocks(entries: np.ndarray, shape: Tuple[int, int]) -> Tuple[Iterator[tuple], np.ndarray]:
     """The independent blocks of a matrix given by shape and `ENTRY` records,
     each as (rows, cols, records), plus its all-zero columns.
 
     Two columns share a block when a row has a nonzero entry in both,
     directly or through a chain of rows: the connected components of the
     bipartite row/column graph.  All-zero rows belong to no block.  Indices
-    are ascending within each block.
+    are ascending within each block.  One argsort orders the records by
+    block, and the blocks are yielded one at a time, each gathering only
+    its own records, so no sorted copy of all of them is made.
     """
     n_rows, n_cols = shape
     rows, cols = entries["row"], entries["col"]
@@ -203,9 +207,16 @@ def _blocks(entries: np.ndarray, shape: Tuple[int, int]) -> Tuple[List[tuple], n
         _union(parent, first[rows[start:start + CHUNK_ENTRIES]], cols[start:start + CHUNK_ENTRIES])
     block = np.unique(parent, return_inverse=True)[1][cols]  # numbered by ascending root
     order = np.argsort(block, kind="stable")
-    parts = np.split(entries[order], np.cumsum(np.bincount(block, minlength=n_cols))[:-1])
-    blocks = [(_distinct(p["row"]), _distinct(p["col"]), p) for p in parts if p.size]
-    return blocks, np.flatnonzero(np.bincount(cols, minlength=n_cols) == 0)
+    stops = np.cumsum(np.bincount(block, minlength=n_cols)).tolist()
+    del block
+
+    def gather() -> Iterator[tuple]:
+        for start, stop in zip([0, *stops], stops):
+            if stop > start:
+                records = entries[order[start:stop]]
+                yield _distinct(records["row"]), _distinct(records["col"]), records
+
+    return gather(), np.flatnonzero(np.bincount(cols, minlength=n_cols) == 0)
 
 
 def _block_svds(entries: np.ndarray, shape: Tuple[int, int], compute_uv: bool):

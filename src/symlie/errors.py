@@ -2,11 +2,26 @@
 
 
 class SymlieError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    A subclass whose constructor takes the fields its message is built from
+    names them in `_fields`; it pickles as its type and those fields, so
+    it survives the trip from a process-pool worker with its type, message
+    and attributes.
+    """
+
+    _fields: tuple = ()
+
+    def __reduce__(self):
+        if not self._fields:
+            return super().__reduce__()
+        return type(self), tuple(getattr(self, f) for f in self._fields)
 
 
 class OrderCapExceeded(SymlieError):
     """A group is too large to enumerate element by element."""
+
+    _fields = ("order", "cap")
 
     def __init__(self, order: int, cap: int):
         self.order = order
@@ -17,6 +32,8 @@ class OrderCapExceeded(SymlieError):
 class StateSpaceCapExceeded(SymlieError):
     """A tuple scan over k^N states would exceed the configured cap."""
 
+    _fields = ("size", "cap")
+
     def __init__(self, size: int, cap: int):
         self.size = size
         self.cap = cap
@@ -25,6 +42,8 @@ class StateSpaceCapExceeded(SymlieError):
 
 class MatrixSizeCapExceeded(SymlieError):
     """A dense 2^N x 2^N matrix would exceed the configured cap."""
+
+    _fields = ("dim", "cap")
 
     def __init__(self, dim: int, cap: int):
         self.dim = dim
@@ -35,6 +54,8 @@ class MatrixSizeCapExceeded(SymlieError):
 class ConstraintCapExceeded(SymlieError):
     """The oracle's constraint matrix could store more entries than the cap."""
 
+    _fields = ("entries", "cap")
+
     def __init__(self, entries: int, cap: int):
         self.entries = entries
         self.cap = cap
@@ -43,6 +64,8 @@ class ConstraintCapExceeded(SymlieError):
 
 class StateBatchCapExceeded(SymlieError):
     """A variance experiment's batch of dataset states would exceed the cap."""
+
+    _fields = ("qubits", "size", "nbytes", "cap")
 
     def __init__(self, qubits: int, size: int, nbytes: int, cap: int):
         self.qubits = qubits
@@ -57,6 +80,8 @@ class SubsetCapExceeded(SymlieError):
     """A variance experiment's sweep over its graphs' vertex subsets would
     exceed the cap."""
 
+    _fields = ("qubits", "size", "subsets", "cap")
+
     def __init__(self, qubits: int, size: int, subsets: int, cap: int):
         self.qubits = qubits
         self.size = size
@@ -68,6 +93,8 @@ class SubsetCapExceeded(SymlieError):
 
 class GateCapExceeded(SymlieError):
     """A variance experiment's circuit would have more gates than the cap."""
+
+    _fields = ("ansatz", "qubits", "gates", "cap")
 
     def __init__(self, ansatz: str, qubits: int, gates: int, cap: int):
         self.ansatz = ansatz
@@ -81,6 +108,8 @@ class GateCapExceeded(SymlieError):
 class TermCapExceeded(SymlieError):
     """An S or A cycle index would have more terms (cycle types) than the cap."""
 
+    _fields = ("spec", "cap", "max_degree")
+
     def __init__(self, spec: str, cap: int, max_degree: int):
         self.spec = spec
         self.cap = cap
@@ -91,6 +120,8 @@ class TermCapExceeded(SymlieError):
 
 class DigitCapExceeded(SymlieError):
     """A dimension would have more decimal digits than can be printed."""
+
+    _fields = ("spec", "cap")
 
     def __init__(self, spec: str, cap: int):
         self.spec = spec

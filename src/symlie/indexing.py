@@ -13,7 +13,7 @@ bounds is made.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,7 +21,9 @@ from .errors import MatrixSizeCapExceeded
 
 DEFAULT_ORDER_CAP = 10**6  # group elements listed one by one
 DEFAULT_SPACE_CAP = 4**12  # words in an orbit-label scan
-MAX_LISTED_WORDS = 4**10  # words held as strings by an orbit listing
+# words of an orbit listing, held as one table row of N digit characters
+# and a separator each (14.7 MB of JSON rows at the cap), not as strings
+MAX_LISTED_WORDS = 4**10
 DEFAULT_MATRIX_CAP = 2**12  # side of a dense 2^N x 2^N matrix
 MAX_ORACLE_QUBITS = 6  # 64x64 matrices over a 4095-element basis
 # Stored (row, col, value) entries of the oracle's constraint matrix, 24 bytes
@@ -49,11 +51,13 @@ MAX_STORED_STATE_BYTES = 2**27
 MAX_CIRCUIT_GATES = 2**17
 MAX_CYCLE_INDEX_TERMS = 10**5  # cycle types of S_n or A_n: p(45) = 89,134 < cap < p(46)
 MAX_DIMENSION_DIGITS = 4300  # Python prints an int of at most this many digits by default
-# Entries per chunk of a chunked array build (Pauli columns, the oracle's
-# candidate entries per chunk of words and its union-find passes), and
-# amplitudes per row chunk of an adjoint gradient's batches (at least one
-# row): bounds their temporaries to a few MB whatever the matrix or dataset
-# size.
+# Entries per chunk of a chunked array build (Pauli columns, orbit-listing
+# rows, the oracle's union-find passes), and amplitudes per row chunk of an
+# adjoint gradient's batches (at least one row): bounds their temporaries to
+# a few MB whatever the matrix or dataset size.  The oracle's chunks of
+# words hold CHUNK_ENTRIES // 4 candidate entries, since each costs 40-60
+# bytes of temporaries (key, term, value and the unique/inverse sort): 3-4 MB
+# per chunk.
 CHUNK_ENTRIES = 2**18
 
 
@@ -77,9 +81,11 @@ def matrix_side(n_qubits: int) -> int:
     return dim
 
 
-def word_digits(words: np.ndarray, n: int) -> np.ndarray:
-    """The base-4 digits of each word index as one uint8 row, qubit 0 first."""
-    out = np.empty((words.size, n), dtype=np.uint8)
+def word_digits(words: np.ndarray, n: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The base-4 digits of each word index as one uint8 row, qubit 0 first,
+    written into `out` (words.size x n, any strides) when it is given."""
+    if out is None:
+        out = np.empty((words.size, n), dtype=np.uint8)
     for j in range(n):  # a column at a time keeps the temporaries one word wide
         out[:, j] = (words >> (2 * (n - 1 - j))) & 3
     return out

@@ -344,10 +344,17 @@ def _local_blocks(mats: Dict[int, np.ndarray], n: int
                   ) -> Tuple[Tuple[int, int, np.ndarray], ...]:
     """(first qubit, width, Kronecker product) of each block (`_blocks`)
     holding a qubit of `mats`, one 2x2 matrix per qubit: the product of
-    those on the block's qubits, identities on the others."""
-    return tuple((first, width, _kron([mats.get(q, _IDENTITY)
-                                       for q in range(first, first + width)]))
-                 for first, width, _ in _blocks(n, frozenset(mats)))
+    those on the block's qubits, identities on the others.  Blocks whose
+    qubits hold the same matrix objects share one product."""
+    products: Dict[tuple, np.ndarray] = {}
+    out = []
+    for first, width, _ in _blocks(n, frozenset(mats)):
+        factors = [mats.get(q, _IDENTITY) for q in range(first, first + width)]
+        key = tuple(map(id, factors))
+        if key not in products:
+            products[key] = _kron(factors)
+        out.append((first, width, products[key]))
+    return tuple(out)
 
 
 def _apply_local(amps: np.ndarray, blocks: Sequence[Tuple[int, int, np.ndarray]], n: int,
@@ -386,11 +393,19 @@ def _step_operator(step: Step, params: Sequence[float], adjoint: bool, operators
     key = (step, adjoint)
     if key in operators:
         return operators[key]
-    if step.kind == _LOCAL:
-        mats = {q: _wire_matrix(rotations, params) for q, rotations in step.wires.items()}
-        if adjoint:
-            mats = {q: u.conj().T for q, u in mats.items()}
-        operator = _local_blocks(mats, step.n_qubits)
+    if step.kind == _LOCAL and adjoint:
+        # the daggered blocks of the forward operator, each distinct one once
+        # and laid out as the forward one was built
+        forward = _step_operator(step, params, False, operators)
+        daggers = {id(k): np.ascontiguousarray(k.conj().T) for _, _, k in forward}
+        operator = tuple((first, width, daggers[id(k)]) for first, width, k in forward)
+    elif step.kind == _LOCAL:
+        # one 2x2 matrix per distinct rotation tuple, so that wires with the
+        # same rotations share it and their blocks share one product
+        mats = {rotations: _wire_matrix(rotations, params)
+                for rotations in set(step.wires.values())}
+        operator = _local_blocks({q: mats[rotations] for q, rotations in step.wires.items()},
+                                 step.n_qubits)
     else:
         operator = np.exp(sum((-0.5j * params[slot]) * _summed_pair_signs(step.n_qubits, pairs)
                               for slot, pairs in step.phase_groups))

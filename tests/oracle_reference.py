@@ -7,7 +7,8 @@ the package's stored entries with this module compares two independent
 constructions.  The layout is the package's: column j belongs to word
 index j + 1 (digits most significant first, qubit 0 first), and each
 generator contributes the real and then the imaginary parts of its
-commutator, flattened row-major.
+commutator, flattened row-major.  `blocks_from_sorted_copy` is the
+block split that sorted a copy of every record before splitting it.
 """
 
 import functools
@@ -15,7 +16,7 @@ import itertools
 
 import numpy as np
 
-from symlie.dense_oracle import ENTRY
+from symlie.dense_oracle import ENTRY, _union
 from symlie.pauli_orbits import SIGMA
 
 
@@ -50,3 +51,19 @@ def scatter(entries, shape):
     out = np.zeros(shape)
     out[entries["row"], entries["col"]] = entries["value"]
     return out
+
+
+def blocks_from_sorted_copy(entries, shape):
+    """`dense_oracle._blocks` as it was before it gathered one block at a
+    time: the same components, split from one sorted copy of all records."""
+    n_rows, n_cols = shape
+    rows, cols = entries["row"], entries["col"]
+    first = np.full(n_rows, n_cols)
+    np.minimum.at(first, rows, cols)
+    parent = np.arange(n_cols)
+    _union(parent, first[rows], cols)
+    block = np.unique(parent, return_inverse=True)[1][cols]
+    order = np.argsort(block, kind="stable")
+    parts = np.split(entries[order], np.cumsum(np.bincount(block, minlength=n_cols))[:-1])
+    blocks = [(np.unique(p["row"]), np.unique(p["col"]), p) for p in parts if p.size]
+    return blocks, np.flatnonzero(np.bincount(cols, minlength=n_cols) == 0)

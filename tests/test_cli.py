@@ -10,6 +10,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from pauli_reference import listing_text
 
 import symlie.combinatorics as comb
 from symlie import cli, pauli_orbits
@@ -279,12 +280,51 @@ def _listing_from_orbits(spec, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
-@pytest.mark.parametrize("spec", [f"{f.value}:{n}" for f in Family for n in range(1, 7)]
-                         + ["S:3xE:2"])
+@pytest.mark.parametrize("spec", [f"{f.value}:{n}" for f in Family for n in range(1, 9)]
+                         + ["S:3xE:2", "C:4xD:3", "A:3xS:2xE:1"])
 def test_listing_matches_per_orbit_codec(capsys, spec, fmt):
+    # the writer joins table slices; the references join one string per word
     code, out, err = run_cli(capsys, "orbits", spec, "--format", fmt)
     assert code == 0 and err == ""
-    assert out == _listing_from_orbits(parse_group_spec(spec), fmt)
+    spec = parse_group_spec(spec)
+    assert out == _listing_from_orbits(spec, fmt) == listing_text(spec, fmt)
+
+
+class _Md5Writer:
+    """A stdout that keeps only the md5 of what is written to it."""
+
+    def __init__(self):
+        self.md5 = hashlib.md5()
+
+    def write(self, text):
+        self.md5.update(text.encode())
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_listing_peak_memory(monkeypatch):
+    # 262,143 words and 5.1 MB of JSON: a string per word and whole copies
+    # of the text held 27 MB here
+    out = _Md5Writer()
+    monkeypatch.setattr(sys, "stdout", out)
+    tracemalloc.start()
+    try:
+        code = main(["orbits", "C:9", "--format", "json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert out.md5.hexdigest() == "590412f7b96d11b6fff257d265b0bc62"
+    assert peak <= 15 * 2**20
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_refused_listing_prints_nothing(capsys, fmt):
+    code, out, err = run_cli(capsys, "orbits", "C:11", "--format", fmt)
+    assert code == 2 and out == ""
+    assert f"exceeds cap {MAX_LISTED_WORDS}" in err
 
 
 # argv -> exit code and the md5 of stdout, for outputs that are exact on any
@@ -305,10 +345,10 @@ def test_output_matches_golden_corpus(capsys, line):
         assert hashlib.md5(out.encode()).hexdigest() == expected["md5"]
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
 def test_closed_pipe_exits_quietly(fmt):
     # 1.3 MB of output, far more than a pipe buffer holds, so the writer
-    # meets the closed pipe while it still has data to write
+    # meets the closed pipe mid-stream, with orbits still to write
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

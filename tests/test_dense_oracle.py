@@ -218,6 +218,16 @@ def _oracle_generators(label):
     return group_constraint_matrices(spec), spec.degree, dimension(spec)
 
 
+def _assert_blocks_match_the_sorted_copy_split(entries, shape):
+    """`_blocks` gathers the same rows, columns and records per block as a
+    split of one sorted copy of all records."""
+    blocks, empty = _blocks(entries, shape)
+    expected, expected_empty = reference.blocks_from_sorted_copy(entries, shape)
+    assert [tuple(x.tobytes() for x in b) for b in blocks] == [
+        tuple(x.tobytes() for x in b) for b in expected]
+    assert np.array_equal(empty, expected_empty)
+
+
 def _random_unitary(dim, rng):
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(z)
@@ -270,6 +280,7 @@ class TestBlockSplit:
     def test_blocks_partition_the_nonzero_pattern(self, case):
         matrix, _ = case
         blocks, empty = _blocks(reference.entries_of(matrix), matrix.shape)
+        blocks = list(blocks)
         row_of = np.full(matrix.shape[0], -1)
         col_of = np.full(matrix.shape[1], -1)
         for k, (rows, cols, part) in enumerate(blocks):
@@ -285,6 +296,13 @@ class TestBlockSplit:
         assert np.array_equal(np.flatnonzero(row_of < 0),
                               np.flatnonzero(~matrix.any(axis=1)))
         assert np.array_equal(empty, np.flatnonzero(~matrix.any(axis=0)))
+        _assert_blocks_match_the_sorted_copy_split(reference.entries_of(matrix), matrix.shape)
+
+    @pytest.mark.parametrize("label", ["D:5", "S:2xE:2", "energy:4"])
+    def test_oracle_blocks_match_the_sorted_copy_split(self, label):
+        generators, n, _ = _oracle_generators(label)
+        entries, shape = _constraint_matrix(generators, n), _shape(generators, n)
+        _assert_blocks_match_the_sorted_copy_split(entries, shape)
 
     @given(planted_block_matrices())
     @example((np.diag([2.0, 1.5, 1.0]), np.array([2.0, 1.5, 1.0])))
@@ -310,6 +328,7 @@ class TestBlockSplit:
         u = _random_unitary(8, np.random.default_rng(5))
         entries, shape = _constraint_matrix([u], 3), _shape([u], 3)
         blocks, empty = _blocks(entries, shape)
+        blocks = list(blocks)
         assert len(blocks) == 1 and empty.size == 0
         assert blocks[0][0].size == shape[0] and blocks[0][2].size == entries.size
         matrix = reference.scatter(entries, shape)
@@ -411,6 +430,27 @@ class TestConstraintEntries:
         monkeypatch.setattr(dense_oracle, "CHUNK_ENTRIES", 7)
         assert _constraint_matrix(generators, n).tobytes() == whole.tobytes()
         assert commutant_dimension(generators, n) == report
+
+    @pytest.mark.parametrize("label", ["S:4", "D:4", "S:2xE:2", "energy:4"])
+    @pytest.mark.parametrize("chunk_entries", [2**9, 2**12, 2**18])
+    def test_chunks_hold_a_quarter_of_chunk_entries(self, monkeypatch, label, chunk_entries):
+        # each chunk of words holds at most CHUNK_ENTRIES // 4 candidate
+        # entries (about 60 bytes each), as many words as fit, and the
+        # stored entries do not depend on the split
+        generators, n, _ = _oracle_generators(label)
+        whole = _constraint_matrix(generators, n)
+        per_word = 4 * sum(int(np.count_nonzero(b)) for b in generators)
+        chunks = []
+
+        def recording(digits):
+            chunks.append(len(digits))
+            return pauli_columns(digits)
+        monkeypatch.setattr(dense_oracle, "CHUNK_ENTRIES", chunk_entries)
+        monkeypatch.setattr(dense_oracle, "pauli_columns", recording)
+        assert _constraint_matrix(generators, n).tobytes() == whole.tobytes()
+        words = max(1, chunk_entries // 4 // per_word)
+        assert sum(chunks) == 4**n - 1
+        assert chunks[:-1] == [words] * (len(chunks) - 1) and chunks[-1] <= words
 
     @pytest.mark.parametrize("label", ["S:6", "S:3xS:3"])
     def test_six_qubit_oracle_stays_small(self, label):

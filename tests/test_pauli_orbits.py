@@ -95,10 +95,22 @@ class TestInvariantBasis:
             assert sorted(m) == m
 
     def test_listing_words_are_member_strings(self):
-        basis = enumerate_invariant_basis(GroupSpec(Family.DIHEDRAL, 4))
+        # each table row is a member string and the separator
+        basis = enumerate_invariant_basis(GroupSpec(Family.DIHEDRAL, 4), separator='", "')
         strings = list(basis.member_strings())
         assert len(strings) == len(basis)
-        assert [w for m in strings for w in m] == basis.words
+        assert basis.table.shape == (4**4 - 1, 4 + 4)
+        assert basis.table.tobytes().decode("ascii") == "".join(
+            w + '", "' for m in strings for w in m)
+        assert np.array_equal(np.diff(basis.bounds), [len(m) for m in strings])
+
+    @pytest.mark.parametrize("separator", ["", ",", '", "'])
+    def test_separator_leaves_the_orbits_unchanged(self, separator):
+        spec = GroupSpec(Family.CYCLIC, 5)
+        basis = enumerate_invariant_basis(spec, separator=separator)
+        assert basis.table.shape == (4**5 - 1, 5 + len(separator))
+        assert list(basis.member_strings()) == list(
+            enumerate_invariant_basis(spec).member_strings())
 
 
 class TestSymmetrizedGenerators:

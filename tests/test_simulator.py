@@ -1,5 +1,6 @@
 """Gate semantics, graph states, and the parity observable."""
 
+import functools
 import math
 
 import numpy as np
@@ -19,6 +20,8 @@ from symlie.variance_lab.simulator import (
     StateVector,
     Workspace,
     _run_batch,
+    _step_operator,
+    _wire_matrix,
     apply_gate,
     circuit_unitary,
     expectation_parity,
@@ -471,6 +474,33 @@ class TestFusedSteps:
                     assert np.array_equal(kept, built)
         parametrized = [step for step in circuit.steps if step.kind in ("1q", GateKind.ZZ)]
         assert 0 < len(operators) <= 2 * len(parametrized)
+
+    @pytest.mark.parametrize("kind", list(AnsatzKind))
+    def test_step_operators_are_built_once_per_distinct_block(self, kind):
+        # wires with the same rotations share one 2x2 matrix, blocks with the
+        # same matrices one Kronecker product, and an adjoint's blocks are
+        # the forward ones daggered: each bit-equal to the product of its
+        # own 2x2 matrices, daggered for the adjoint
+        rng = np.random.default_rng(15)
+        n = 9  # blocks of 4, 4 and 1 qubits
+        circuit = build_ansatz(kind, n, 2)
+        params = rng.uniform(-3, 3, circuit.n_params)
+        operators = {}
+        for step in (s for s in circuit.steps if s.kind == "1q"):
+            forward = _step_operator(step, params, False, operators)
+            adjoint = _step_operator(step, params, True, operators)
+            eye = np.eye(2, dtype=complex)
+            for (first, width, k), (_, _, k_adj) in zip(forward, adjoint):
+                factors = [_wire_matrix(step.wires[q], params) if q in step.wires else eye
+                           for q in range(first, first + width)]
+                assert np.array_equal(k, functools.reduce(np.kron, factors))
+                assert np.array_equal(k_adj, functools.reduce(
+                    np.kron, [f.conj().T for f in factors]))
+                assert k_adj.flags.c_contiguous
+            patterns = {(width, tuple(step.wires.get(q) for q in range(first, first + width)))
+                        for first, width, _ in forward}
+            assert len({id(k) for _, _, k in forward}) == len(patterns)
+            assert len({id(k) for _, _, k in adjoint}) == len(patterns)
 
     def test_run_circuit_and_circuit_unitary_return_new_arrays(self):
         rng = np.random.default_rng(13)
