@@ -34,16 +34,9 @@ from .dense_oracle import (
     group_constraint_matrices,
 )
 from .errors import SymlieError
-from .indexing import DEFAULT_SPACE_CAP
 from .pauli_orbits import OrbitListing, enumerate_invariant_basis
 from .permutation_rep import count_orbits_bruteforce
-from .variance_lab import (
-    AnsatzKind,
-    ExperimentConfig,
-    rows_to_csv,
-    rows_to_json,
-    run_variance_experiment,
-)
+from .variance_lab import AnsatzKind, ExperimentConfig, run_variance_experiment
 
 _FAMILIES = {f.value: f for f in Family}
 
@@ -160,7 +153,7 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
     spec = parse_group_spec(args.spec)
     if args.count_only:
         # one orbit per label-scan representative, less the identity word's
-        count = count_orbits_bruteforce(spec, 4, args.cap_space) - 1
+        count = count_orbits_bruteforce(spec, 4) - 1
         if args.format == "json":
             print(json.dumps({"spec": str(spec), "count": count}))
         else:
@@ -168,7 +161,7 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
         return 0
     # every check, the listing cap included, runs before the first byte
     separator = '", "' if args.format == "json" else ","
-    _write_orbits(enumerate_invariant_basis(spec, args.cap_space, separator), args.format)
+    _write_orbits(enumerate_invariant_basis(spec, separator), args.format)
     return 0
 
 
@@ -314,10 +307,11 @@ def _cmd_variance(args: argparse.Namespace) -> int:
         workers=_resolve_workers(args.workers),
     )
     rows = run_variance_experiment(cfg)
-    if args.format == "json":
-        print(json.dumps(rows_to_json(rows)))
-    else:
-        sys.stdout.write(rows_to_csv(rows))
+    fields = ["qubits", "ansatz", "variance", "samples", "seed"]
+    if args.all_slots:
+        # the slot is the third column of the CSV and the last key of the JSON
+        fields.insert(2 if args.format == "csv" else len(fields), "slot")
+    _emit_rows(args.format, fields, [[getattr(r, f) for f in fields] for r in rows])
     return 0
 
 
@@ -344,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_orb = sub.add_parser("orbits", help="list the symmetrized Pauli-orbit basis")
     p_orb.add_argument("spec")
     p_orb.add_argument("--count-only", action="store_true")
-    p_orb.add_argument("--cap-space", type=int, default=DEFAULT_SPACE_CAP)
     add_format(p_orb)
     p_orb.set_defaults(func=_cmd_orbits)
 

@@ -14,6 +14,11 @@ plus its reflections (Harary and Palmer, *Graphical Enumeration*, 1973,
 ch. 2).  The orbit count is sum_j c_j k^j, divided exactly by |G|, so no
 float or fraction appears.
 
+A named group is a product of one part (`GroupSpec.parts`), so the
+order, the caps and the dimension run one loop over the parts of any spec:
+the orbits of a product on disjoint blocks are products of its parts'
+orbits.
+
 The full polynomial Z[G] is built as well, as integers: |G| and the number
 of elements of each cycle type lambda.  S_n has n!/z_lambda elements of type
 lambda, from cached tables of centralizer orders z_lambda = prod_l l^{m_l}
@@ -88,6 +93,11 @@ class GroupSpec:
     @property
     def degree(self) -> int:
         return self.size
+
+    @property
+    def parts(self) -> Tuple[GroupSpec]:
+        """The group as a product of one part, so that every spec has parts."""
+        return (self,)
 
     def __str__(self) -> str:
         return f"{self.family.value}:{self.size}"
@@ -267,7 +277,7 @@ def check_term_cap(spec: AnySpec) -> None:
     """Refuse, before any table is built, an S or A part whose cycle index would
     have more than MAX_CYCLE_INDEX_TERMS terms (one per partition of its degree)."""
     max_degree = max_partition_degree(MAX_CYCLE_INDEX_TERMS)
-    for part in spec.parts if isinstance(spec, ProductGroupSpec) else (spec,):
+    for part in spec.parts:
         if part.family in (Family.SYMMETRIC, Family.ALTERNATING) and part.size > max_degree:
             raise TermCapExceeded(str(part), MAX_CYCLE_INDEX_TERMS, max_degree)
 
@@ -339,50 +349,44 @@ def evaluate(ci: CycleIndex, k: int) -> int:
     return _orbit_count(by_cycles, ci.order, k)
 
 
+# |G| of each family on n symbols, D_1 and D_2 collapsed to C_1 and C_2
+_ORDERS = {
+    Family.SYMMETRIC: math.factorial,
+    Family.ALTERNATING: lambda n: max(1, math.factorial(n) // 2),
+    Family.DIHEDRAL: lambda n: n if n <= 2 else 2 * n,
+    Family.CYCLIC: lambda n: n,
+    Family.TRIVIAL: lambda n: 1,
+}
+
+
 def group_order(spec: AnySpec) -> int:
-    """Order of the (faithfully represented) group."""
-    if isinstance(spec, ProductGroupSpec):
-        return math.prod(group_order(part) for part in spec.parts)
-    n = spec.size
-    if spec.family is Family.SYMMETRIC:
-        return math.factorial(n)
-    if spec.family is Family.ALTERNATING:
-        return max(1, math.factorial(n) // 2)
-    if spec.family is Family.DIHEDRAL:
-        return n if n <= 2 else 2 * n
-    if spec.family is Family.CYCLIC:
-        return n
-    return 1
+    """Order of the (faithfully represented) group: the product of its parts'."""
+    return math.prod(_ORDERS[part.family](part.size) for part in spec.parts)
 
 
-def dim_invariant_algebra(spec: GroupSpec, alphabet: int = 4) -> int:
+def dim_invariant_algebra(spec: AnySpec, alphabet: int = 4) -> int:
     """Dimension of the G-invariant subalgebra: Z[G](k, ..., k) - 1.
 
     The default alphabet of 4 counts orbits of Pauli words; other alphabets
     count invariant tensors with indices ranging over k values.  It is
     evaluated from the element counts by number of cycles, not from Z[G].
-    """
-    check_term_cap(spec)
-    return _orbits(spec, alphabet) - 1
-
-
-def dim_product(spec: ProductGroupSpec, alphabet: int = 4) -> int:
-    """Dimension for a product group over a partition of the qubits.
-
-    The per-part evaluations are multiplied first and the single global -1
-    is applied at the end: identity chains inside a block are allowed, only
-    the full-length identity word is excluded.
+    A product's orbits are the products of its parts' orbits, so their
+    counts are multiplied and the single -1 comes last: identity chains
+    inside a block are allowed, only the full-length identity word is
+    excluded.
     """
     check_term_cap(spec)
     return math.prod(_orbits(part, alphabet) for part in spec.parts) - 1
+
+
+dim_product = dim_invariant_algebra  # a public name: the product examples are stated with it
 
 
 def dimension(spec: AnySpec, alphabet: int = 4) -> int:
     """Invariant-subalgebra dimension of a named group or a product of them;
     one of more than MAX_DIMENSION_DIGITS digits raises DigitCapExceeded."""
     check_digit_cap(spec, alphabet)
-    dim = (dim_product(spec, alphabet) if isinstance(spec, ProductGroupSpec)
-           else dim_invariant_algebra(spec, alphabet))
+    dim = dim_invariant_algebra(spec, alphabet)
     if dim >= _LEAST_UNPRINTABLE:
         raise DigitCapExceeded(str(spec), MAX_DIMENSION_DIGITS)
     return dim

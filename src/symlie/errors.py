@@ -30,7 +30,7 @@ class OrderCapExceeded(SymlieError):
 
 
 class StateSpaceCapExceeded(SymlieError):
-    """A tuple scan over k^N states would exceed the configured cap."""
+    """A tuple scan or listing over k^N states would exceed its cap."""
 
     _fields = ("size", "cap")
 

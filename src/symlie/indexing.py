@@ -3,17 +3,19 @@ cycle index and the simulator.
 
 A word of n base-k digits is encoded most-significant-digit first, so index
 order is lexicographic order (for k = 2, qubit 0 is the most significant
-bit).  A Pauli word has digits 0, 1, 2, 3 = I, X, Y, Z; only this module
-derives how it acts on basis states (`pauli_columns`), and every dense Pauli
-operator is built from those columns.  Nothing here computes a dimension, so
-the routes stay independent.  Each cap is checked where the allocation it
-bounds is made.
+bit).  A Pauli word has digits 0, 1, 2, 3 = I, X, Y, Z, whose 2x2 matrices
+are `SIGMA`; only this module derives how a word acts on basis states
+(`pauli_columns`), and every dense Pauli operator is built from those
+columns.  Bit counts (`hamming_weights`, `popcount`) live here too.  Nothing
+here computes a dimension or imports a module that does, so the routes stay
+independent and the variance lab loads none of them.  Each cap is checked
+where the allocation it bounds is made.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -61,18 +63,6 @@ MAX_DIMENSION_DIGITS = 4300  # Python prints an int of at most this many digits 
 CHUNK_ENTRIES = 2**18
 
 
-def digit_action(p: Sequence[int], k: int) -> np.ndarray:
-    """``apply_to_tuple(p, .)`` on every base-k index: digit j of out[i] is
-    digit p[j] of i."""
-    n = len(p)
-    idx = np.arange(k**n, dtype=np.int64)
-    out = np.zeros_like(idx)
-    for j in range(n):
-        digit = (idx // k ** (n - 1 - p[j])) % k
-        out += digit * k ** (n - 1 - j)
-    return out
-
-
 def matrix_side(n_qubits: int) -> int:
     """2^N, the side of a dense N-qubit matrix; refused above DEFAULT_MATRIX_CAP."""
     dim = 1 << n_qubits
@@ -90,6 +80,14 @@ def word_digits(words: np.ndarray, n: int, out: Optional[np.ndarray] = None) -> 
         out[:, j] = (words >> (2 * (n - 1 - j))) & 3
     return out
 
+
+# the Pauli matrices I, X, Y, Z, indexed by their digits
+SIGMA = (
+    np.array([[1, 0], [0, 1]], dtype=np.complex128),
+    np.array([[0, 1], [1, 0]], dtype=np.complex128),
+    np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
+    np.array([[1, 0], [0, -1]], dtype=np.complex128),
+)
 
 # [Y count mod 4, sign parity] -> i^(Y count) * (-1)^parity, from exact powers of i
 _COLUMN_VALUES = np.array([1j**k for k in range(4)])[:, None] * np.array([1.0, -1.0])
@@ -131,6 +129,25 @@ def hamming_weights(n: int) -> np.ndarray:
         weights = np.concatenate([weights, weights + 1])
     weights.flags.writeable = False
     return weights
+
+
+@lru_cache(maxsize=None)
+def _word_weights() -> np.ndarray:
+    """Set bits of every 16-bit word."""
+    return hamming_weights(16).astype(np.uint8)
+
+
+def _popcount_by_table(x: np.ndarray) -> np.ndarray:
+    """Set bits of each entry of a uint16 or uint32 array, as uint8."""
+    weights = _word_weights()
+    if x.dtype == np.uint16:
+        return np.take(weights, x)
+    return np.take(weights, x & 0xFFFF) + np.take(weights, x >> 16)
+
+
+# set bits of each entry of a uint16 or uint32 array, as uint8; NumPy 2
+# counts them without the table's index copies
+popcount = getattr(np, "bitwise_count", _popcount_by_table)
 
 
 @lru_cache(maxsize=None)

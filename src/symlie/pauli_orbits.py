@@ -5,9 +5,10 @@ matrix sigma_{d1} (x) ... (x) sigma_{dN} (qubit 0 is the leftmost factor /
 most significant bit).  The invariant subalgebra for a permutation group has
 one basis element per orbit of nonzero words: i times the sum of the orbit's
 matrices.  An orbit is held only as the digit characters of its words, such
-as "0312", so that dimension counting never needs 2^N memory; a word's dense
-matrix is built from `indexing.pauli_columns`, and an orbit's generator is
-`indexing.pauli_sum` of its members' digits, each weighted 1j.
+as "0312", so that dimension counting never needs 2^N memory.  The Pauli
+matrices themselves live in `indexing` (`SIGMA`), with the encodings: a
+word's dense matrix is built from `indexing.pauli_columns`, and an orbit's
+generator is `indexing.pauli_sum` of its members' digits, each weighted 1j.
 """
 
 from __future__ import annotations
@@ -18,17 +19,10 @@ import numpy as np
 
 from .combinatorics import AnySpec
 from .errors import StateSpaceCapExceeded
-from .indexing import CHUNK_ENTRIES, DEFAULT_SPACE_CAP, MAX_LISTED_WORDS, word_digits
+from .indexing import CHUNK_ENTRIES, MAX_LISTED_WORDS, word_digits
 from .permutation_rep import orbit_canonical_labels
 
-__all__ = ["SIGMA", "OrbitListing", "enumerate_invariant_basis"]
-
-SIGMA = (
-    np.array([[1, 0], [0, 1]], dtype=np.complex128),
-    np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    np.array([[1, 0], [0, -1]], dtype=np.complex128),
-)
+__all__ = ["OrbitListing", "enumerate_invariant_basis"]
 
 
 class OrbitListing:
@@ -60,8 +54,7 @@ class OrbitListing:
             yield [text[i:i + n] for i in range(0, len(text), n)]
 
 
-def enumerate_invariant_basis(spec: AnySpec, space_cap: int = DEFAULT_SPACE_CAP,
-                              separator: str = ",") -> OrbitListing:
+def enumerate_invariant_basis(spec: AnySpec, separator: str = ",") -> OrbitListing:
     """All orbits of nonzero Pauli strings, sorted by representative.
 
     Returns an `OrbitListing`: the words of every orbit as rows of digit
@@ -80,7 +73,7 @@ def enumerate_invariant_basis(spec: AnySpec, space_cap: int = DEFAULT_SPACE_CAP,
     n = spec.degree
     if 4**n > MAX_LISTED_WORDS:
         raise StateSpaceCapExceeded(4**n, MAX_LISTED_WORDS)
-    labels = orbit_canonical_labels(spec, 4, space_cap)
+    labels = orbit_canonical_labels(spec, 4)
     # the all-identity word 0 is alone in the lowest orbit and not an
     # algebra element
     order = np.argsort(labels, kind="stable")[1:]

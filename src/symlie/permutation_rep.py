@@ -22,9 +22,9 @@ from typing import Callable, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .combinatorics import AnySpec, Family, GroupSpec, ProductGroupSpec, group_order
+from .combinatorics import AnySpec, Family, GroupSpec, group_order
 from .errors import OrderCapExceeded, StateSpaceCapExceeded
-from .indexing import DEFAULT_ORDER_CAP, DEFAULT_SPACE_CAP, digit_action, matrix_side
+from .indexing import DEFAULT_ORDER_CAP, DEFAULT_SPACE_CAP, matrix_side
 
 __all__ = [
     "Permutation",
@@ -95,7 +95,7 @@ def _embed(p: Permutation, offset: int, total: int) -> Permutation:
     return tuple(out)
 
 
-def _embedded_parts(spec: ProductGroupSpec, perms_of: Callable[[GroupSpec], Iterable[Permutation]]
+def _embedded_parts(spec: AnySpec, perms_of: Callable[[GroupSpec], Iterable[Permutation]]
                     ) -> List[List[Permutation]]:
     """perms_of(part) for every part, each moved onto its part's block of points."""
     blocks, offset = [], 0
@@ -105,25 +105,15 @@ def _embedded_parts(spec: ProductGroupSpec, perms_of: Callable[[GroupSpec], Iter
     return blocks
 
 
-def group_generators(spec: AnySpec) -> List[Permutation]:
-    """A small generating set for the group (empty for trivial groups).
-
-    Alternating groups use a chain of overlapping 3-cycles: (0 1 2),
-    (2 3 4), ... plus a final (N-3 N-2 N-1) when N is even, so that the
-    supports cover all points.  For N = 4 and 5 this is exactly two
-    3-cycles.
-    """
-    if isinstance(spec, ProductGroupSpec):
-        return [g for block in _embedded_parts(spec, group_generators) for g in block]
-
-    n = spec.size
-    if spec.family is Family.SYMMETRIC:
+def _part_generators(part: GroupSpec) -> List[Permutation]:
+    n = part.size
+    if part.family is Family.SYMMETRIC:
         if n == 1:
             return []
         if n == 2:
             return [(1, 0)]
         return [_cycle(n, (0, 1)), _rotation(n)]
-    if spec.family is Family.ALTERNATING:
+    if part.family is Family.ALTERNATING:
         if n <= 2:
             return []
         if n == 3:
@@ -132,15 +122,27 @@ def group_generators(spec: AnySpec) -> List[Permutation]:
         if n % 2 == 0:
             gens.append(_cycle(n, (n - 3, n - 2, n - 1)))
         return gens
-    if spec.family is Family.DIHEDRAL:
+    if part.family is Family.DIHEDRAL:
         if n == 1:
             return []
         if n == 2:
             return [(1, 0)]
         return [_rotation(n), _reversal(n)]
-    if spec.family is Family.CYCLIC:
+    if part.family is Family.CYCLIC:
         return [] if n == 1 else [_rotation(n)]
     return []
+
+
+def group_generators(spec: AnySpec) -> List[Permutation]:
+    """A small generating set for the group (empty for trivial groups): the
+    generators of each part, on its block of points.
+
+    Alternating groups use a chain of overlapping 3-cycles: (0 1 2),
+    (2 3 4), ... plus a final (N-3 N-2 N-1) when N is even, so that the
+    supports cover all points.  For N = 4 and 5 this is exactly two
+    3-cycles.
+    """
+    return [g for block in _embedded_parts(spec, _part_generators) for g in block]
 
 
 @dataclass(frozen=True)
@@ -155,51 +157,49 @@ class GroupElements:
         return len(self.elements)
 
 
+def _part_elements(part: GroupSpec) -> Iterable[Permutation]:
+    n = part.size
+    if part.family is Family.SYMMETRIC:
+        return itertools.permutations(range(n))
+    if part.family is Family.ALTERNATING:
+        return (p for p in itertools.permutations(range(n)) if sign(p) == 1)
+    if part.family is Family.DIHEDRAL:
+        rotations = {tuple((i + k) % n for i in range(n)) for k in range(n)}
+        return rotations | {tuple((k - i) % n for i in range(n)) for k in range(n)}
+    if part.family is Family.CYCLIC:
+        return (tuple((i + k) % n for i in range(n)) for k in range(n))
+    return [identity(n)]
+
+
 def enumerate_elements(spec: AnySpec) -> GroupElements:
-    """List every group element, refusing groups larger than DEFAULT_ORDER_CAP."""
+    """List every group element, refusing groups larger than DEFAULT_ORDER_CAP:
+    each a product of one element per part, sorted."""
     order = group_order(spec)
     if order > DEFAULT_ORDER_CAP:
         raise OrderCapExceeded(order, DEFAULT_ORDER_CAP)
-
-    if isinstance(spec, ProductGroupSpec):
-        factors = _embedded_parts(spec, lambda part: enumerate_elements(part).elements)
-        elements = [functools.reduce(compose, combo) for combo in itertools.product(*factors)]
-        return GroupElements(spec, tuple(sorted(elements)))
-
-    n = spec.size
-    if spec.family is Family.SYMMETRIC:
-        elems: Iterable[Permutation] = itertools.permutations(range(n))
-    elif spec.family is Family.ALTERNATING:
-        elems = (p for p in itertools.permutations(range(n)) if sign(p) == 1)
-    elif spec.family is Family.DIHEDRAL:
-        rotations = {tuple((i + k) % n for i in range(n)) for k in range(n)}
-        reflections = {tuple((k - i) % n for i in range(n)) for k in range(n)}
-        elems = rotations | reflections
-    elif spec.family is Family.CYCLIC:
-        elems = (tuple((i + k) % n for i in range(n)) for k in range(n))
-    else:
-        elems = [identity(n)]
-    result = GroupElements(spec, tuple(sorted(elems)))
+    factors = _embedded_parts(spec, _part_elements)
+    elements = [functools.reduce(compose, combo) for combo in itertools.product(*factors)]
+    result = GroupElements(spec, tuple(sorted(elements)))
     assert result.order == order
     return result
 
 
 def _digit_permuted(values: np.ndarray, q: Permutation, k: int) -> np.ndarray:
-    """``values[digit_action(q, k)]`` as a strided view of shape [k] * N:
-    entry i of the result, read in C order, is the value at the index of
-    ``apply_to_tuple(q, word_i)``.  Digit j of that word is digit q[j] of
-    word_i, so output axis m reads input axis inverse(q)[m]."""
+    """``apply_to_tuple(q, .)`` on base-k words, as a strided view of shape
+    [k] * N: entry i of the result, read in C order, is the value at the
+    index of ``apply_to_tuple(q, word_i)``.  Digit j of that word is digit
+    q[j] of word_i, so output axis m reads input axis inverse(q)[m]."""
     return values.reshape([k] * len(q)).transpose(inverse(q))
 
 
-def orbit_canonical_labels(spec: AnySpec, alphabet: int = 4,
-                           space_cap: int = DEFAULT_SPACE_CAP) -> np.ndarray:
+def orbit_canonical_labels(spec: AnySpec, alphabet: int = 4) -> np.ndarray:
     """Scan all alphabet^N tuples and label each with its orbit's lexicographic
     minimum.
 
-    Returns one label per tuple, in index order: uint32 while alphabet^N <=
-    2^32, int64 above that.  A tuple is an orbit representative exactly when
-    its label equals its own index.
+    Returns one uint32 label per tuple, in index order: alphabet^N is at
+    most DEFAULT_SPACE_CAP < 2^32, checked before any buffer is made.  A
+    tuple is an orbit representative exactly when its label equals its own
+    index.
 
     Labels are propagated along generator edges until a fixed point, which
     avoids enumerating group elements.  A generator acts on the label array
@@ -210,14 +210,14 @@ def orbit_canonical_labels(spec: AnySpec, alphabet: int = 4,
     """
     n = spec.degree
     size = alphabet**n
-    if size > space_cap:
-        raise StateSpaceCapExceeded(size, space_cap)
+    if size > DEFAULT_SPACE_CAP:
+        raise StateSpaceCapExceeded(size, DEFAULT_SPACE_CAP)
     moves = []
     for g in group_generators(spec):
         for q in (g, inverse(g)):
             if q not in moves and q != identity(n):
                 moves.append(q)
-    labels = np.arange(size, dtype=np.uint32 if size <= 2**32 else np.int64)
+    labels = np.arange(size, dtype=np.uint32)
     if not moves:
         return labels
     image, before = np.empty_like(labels), np.empty_like(labels)
@@ -237,14 +237,13 @@ def orbit_canonical_labels(spec: AnySpec, alphabet: int = 4,
             return labels
 
 
-def count_orbits_bruteforce(spec: AnySpec, alphabet: int = 4,
-                            space_cap: int = DEFAULT_SPACE_CAP) -> int:
+def count_orbits_bruteforce(spec: AnySpec, alphabet: int = 4) -> int:
     """Number of orbits of {0..k-1}^N under the group, by exhaustive scan.
 
     Independent of the cycle-index route: only the generators' action on
     tuples is used, never Burnside averaging.
     """
-    labels = orbit_canonical_labels(spec, alphabet, space_cap)
+    labels = orbit_canonical_labels(spec, alphabet)
     return int(np.count_nonzero(labels == np.arange(labels.size, dtype=labels.dtype)))
 
 
@@ -253,7 +252,7 @@ def qubit_index_permutation(p: Permutation) -> np.ndarray:
 
     Bit j of out[c] is bit p[j] of c, with qubit 0 the most significant bit.
     """
-    return digit_action(p, 2)
+    return _digit_permuted(np.arange(1 << len(p)), p, 2).ravel()
 
 
 def qubit_permutation_matrix(p: Permutation) -> np.ndarray:

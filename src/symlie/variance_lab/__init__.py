@@ -17,8 +17,6 @@ from .experiment import (
     ExperimentConfig,
     VarianceRow,
     generate_dataset,
-    rows_to_csv,
-    rows_to_json,
     run_variance_experiment,
 )
 
@@ -43,7 +41,5 @@ __all__ = [
     "ExperimentConfig",
     "VarianceRow",
     "generate_dataset",
-    "rows_to_csv",
-    "rows_to_json",
     "run_variance_experiment",
 ]

@@ -57,30 +57,20 @@ def ring_pairs(n: int, distance: int) -> List[Tuple[int, int]]:
     return out
 
 
-def _slots_per_layer(kind: AnsatzKind, n: int, cyclic_distance2: bool) -> int:
-    if kind is AnsatzKind.PERMUTATION:
-        return 3
-    if kind is AnsatzKind.CYCLIC:
-        return 4 if cyclic_distance2 and ring_pairs(n, 2) else 3
-    return 3 * n
-
-
 def default_layer_count(kind: AnsatzKind, n: int, cyclic_distance2: bool = True) -> int:
-    """Layer count bringing the slot total closest to TARGET_SLOTS_PER_QUBIT*n."""
-    per = _slots_per_layer(kind, n, cyclic_distance2)
+    """Layer count bringing the slot total closest to TARGET_SLOTS_PER_QUBIT*n;
+    every layer has as many slots as the first one built."""
+    per = build_ansatz(kind, n, 1, cyclic_distance2=cyclic_distance2).n_params
     return max(1, round(TARGET_SLOTS_PER_QUBIT * n / per))
 
 
 def gate_count(kind: AnsatzKind, n: int, layers: int, cyclic_distance2: bool = True) -> int:
-    """The number of gates `build_ansatz` makes, counted without making them."""
-    kind = AnsatzKind(kind)
-    if kind is AnsatzKind.PERMUTATION:
-        return layers * (2 * n + len(all_pairs(n)))
-    if kind is AnsatzKind.CYCLIC:
-        ring2 = ring_pairs(n, 2) if cyclic_distance2 else []
-        return layers * (2 * n + len(ring_pairs(n, 1)) + len(ring2))
-    # a rotation and a CNOT per qubit, but no CNOT ring at offset 2 on 2 qubits
-    return 2 * n * layers - (n * (layers // 2) if n == 2 else 0)
+    """The number of gates `build_ansatz` makes for `layers` layers, counted
+    from its first two: the layers repeat with period two (the CNOT ring's
+    offset alternates), so the count is whole pairs plus one first layer."""
+    first, pair = (len(build_ansatz(kind, n, count, cyclic_distance2=cyclic_distance2).gates)
+                   for count in (1, 2))
+    return layers // 2 * pair + layers % 2 * first
 
 
 def build_ansatz(kind: AnsatzKind, n: int, layers: int, *,

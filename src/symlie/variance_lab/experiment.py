@@ -17,8 +17,10 @@ The run draws each qubit count's graphs once, before any gradient, a block
 of graphs drawn and labelled at a time, and hands them to every chunk at
 that qubit count, in this process or a pool worker; no dataset outlives the
 run.  The points run in n-major order (for each qubit count, every ansatz).
-With a pool every chunk is submitted before any is collected, and the rows
-come out in ansatz-major order.
+A pool has one process per requested worker up to the usable cores, and
+as many chunks of samples per point; every chunk is submitted before any
+is collected, and the rows come out in ansatz-major order.  The rows are
+written out by the CLI.
 
 Randomness is fully pinned: all streams are PCG64 generators seeded from
 ``SeedSequence(entropy=seed, spawn_key=...)``, with key ``(0, n)`` for the
@@ -35,7 +37,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -52,8 +54,6 @@ __all__ = [
     "VarianceRow",
     "generate_dataset",
     "run_variance_experiment",
-    "rows_to_csv",
-    "rows_to_json",
 ]
 
 ALL_ANSATZE = (AnsatzKind.PERMUTATION, AnsatzKind.CYCLIC, AnsatzKind.STRONGLY_ENTANGLING)
@@ -284,18 +284,19 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _collect_points(cfg: ExperimentConfig, pool: Optional[ProcessPoolExecutor]
+def _collect_points(cfg: ExperimentConfig, pool: Optional[ProcessPoolExecutor], workers: int
                     ) -> Dict[Tuple[AnsatzKind, int], np.ndarray]:
-    """Gradients of every (ansatz, n) point.  Each qubit count's graphs are
-    drawn once, before any gradient, and handed to every chunk at that n;
-    a dataset that cannot be balanced fails the run before any chunk runs."""
+    """Gradients of every (ansatz, n) point, in `workers` chunks of samples
+    each when a pool is given.  Each qubit count's graphs are drawn once,
+    before any gradient, and handed to every chunk at that n; a dataset
+    that cannot be balanced fails the run before any chunk runs."""
     datasets = {n: _draw_graphs(n, cfg) for n in cfg.qubit_counts}
     points = [(kind, n) for n in cfg.qubit_counts for kind in cfg.ansatz_kinds]
     total = cfg.samples_per_point
     if pool is None:
         return {(kind, n): _gradient_samples(cfg, kind, n, *datasets[n], 0, total)
                 for kind, n in points}
-    chunk = max(1, math.ceil(total / cfg.workers))
+    chunk = max(1, math.ceil(total / workers))
     # every chunk is submitted before any is collected, so no point waits
     # for the one before it
     futures = {(kind, n): [pool.submit(_gradient_samples, cfg, kind, n, *datasets[n], s,
@@ -308,14 +309,18 @@ def _collect_points(cfg: ExperimentConfig, pool: Optional[ProcessPoolExecutor]
 
 def run_variance_experiment(cfg: ExperimentConfig) -> List[VarianceRow]:
     """One row per (qubit count, ansatz) in default mode; one row per slot
-    when probe_all_slots is set.  Rows are ordered by ansatz, then n."""
+    when probe_all_slots is set.  Rows are ordered by ansatz, then n.  The
+    samples run on min(cfg.workers, usable cores) processes."""
+    # a process per usable core at most: the pool starts all its workers at
+    # the first submit, and chunking changes no result
+    cores = _usable_cores()
+    workers = min(cfg.workers, cores)
     pool = None
-    if cfg.workers > 1:
-        threads = max(1, _usable_cores() // cfg.workers)
-        pool = ProcessPoolExecutor(max_workers=cfg.workers, initializer=_cap_blas_threads,
-                                   initargs=(threads,))
+    if workers > 1:
+        pool = ProcessPoolExecutor(max_workers=workers, initializer=_cap_blas_threads,
+                                   initargs=(cores // workers,))
     try:
-        grads = _collect_points(cfg, pool)
+        grads = _collect_points(cfg, pool, workers)
     finally:
         if pool is not None:
             # after a failed chunk, the chunks not yet started never run
@@ -332,25 +337,3 @@ def run_variance_experiment(cfg: ExperimentConfig) -> List[VarianceRow]:
                     samples=cfg.samples_per_point, seed=cfg.seed,
                     slot=slot if cfg.probe_all_slots else None))
     return rows
-
-
-def rows_to_csv(rows: Sequence[VarianceRow]) -> str:
-    """Semicolon-delimited table; a slot column appears only in all-slot mode."""
-    with_slot = any(r.slot is not None for r in rows)
-    columns = [c for c in ("qubits", "ansatz", "slot", "variance", "samples", "seed")
-               if with_slot or c != "slot"]
-    lines = [";".join(columns)]
-    lines += [";".join(repr(r.variance) if c == "variance" else str(getattr(r, c))
-                       for c in columns) for r in rows]
-    return "\n".join(lines) + "\n"
-
-
-def rows_to_json(rows: Sequence[VarianceRow]) -> List[dict]:
-    out = []
-    for r in rows:
-        item = {"qubits": r.qubits, "ansatz": r.ansatz, "variance": r.variance,
-                "samples": r.samples, "seed": r.seed}
-        if r.slot is not None:
-            item["slot"] = r.slot
-        out.append(item)
-    return out

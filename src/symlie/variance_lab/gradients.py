@@ -53,8 +53,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..indexing import CHUNK_ENTRIES, MAX_STORED_STATE_BYTES
-from ..pauli_orbits import SIGMA
+from ..indexing import CHUNK_ENTRIES, MAX_STORED_STATE_BYTES, SIGMA
 from .simulator import (_LOCAL, Circuit, GateKind, StateVector, Step, Workspace,
                         _apply_local, _check_arguments, _factor, _local_blocks,
                         _parity_batch, _run_batch, _summed_pair_signs, _wire_matrix)

@@ -52,29 +52,11 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..indexing import hamming_weights
+from ..indexing import popcount
 from .circuits import all_pairs
 from .simulator import _LOCAL, Circuit, GateKind, _check_arguments, subset_codes
 
 __all__ = ["graph_spin_states", "loss_gradient_from_blocks"]
-
-
-@lru_cache(maxsize=None)
-def _word_weights() -> np.ndarray:
-    """Set bits of every 16-bit word."""
-    return hamming_weights(16).astype(np.uint8)
-
-
-def _table_popcount(x: np.ndarray) -> np.ndarray:
-    """Set bits of each entry of a uint16 or uint32 array, as uint8."""
-    weights = _word_weights()
-    if x.dtype == np.uint16:
-        return np.take(weights, x)
-    return np.take(weights, x & 0xFFFF) + np.take(weights, x >> 16)
-
-
-# NumPy 2 counts bits without the table's index copies
-_popcount = getattr(np, "bitwise_count", _table_popcount)
 
 
 def _histogram_offsets(n: int) -> np.ndarray:
@@ -101,11 +83,11 @@ def _signed_counts(codes: np.ndarray, start: int, n: int, offsets: np.ndarray) -
     """The histogram rows of one piece of `simulator.subset_codes`."""
     width = int(offsets[-1])
     subsets = np.arange(start, start + codes.shape[1], dtype=codes.dtype)
-    sizes = _popcount(subsets)
+    sizes = popcount(subsets)
     # bin 2 (offset + #Y (n - |S| + 1) + #Z) + parity, with
     # #Z = |Z(S)| - #Y and the code's set bits |Z(S)| + parity
-    bins = _popcount(codes & subsets) * (2 * (n - sizes)).astype(np.intp)
-    ones = _popcount(codes)
+    bins = popcount(codes & subsets) * (2 * (n - sizes)).astype(np.intp)
+    ones = popcount(codes)
     bins += ones
     bins += ones
     bins -= codes >> n

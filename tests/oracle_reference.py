@@ -1,7 +1,7 @@
 """Dense reference build of the commutant oracle's constraint matrix.
 
 Each i*P_w is a Kronecker product of the single-qubit matrices in
-`pauli_orbits.SIGMA`, and each commutator [B, i*P_w] is a dense matrix
+`indexing.SIGMA`, and each commutator [B, i*P_w] is a dense matrix
 product, with no use of `indexing.pauli_columns`; so a test that compares
 the package's stored entries with this module compares two independent
 constructions.  The layout is the package's: column j belongs to word
@@ -17,7 +17,7 @@ import itertools
 import numpy as np
 
 from symlie.dense_oracle import ENTRY, _union
-from symlie.pauli_orbits import SIGMA
+from symlie.indexing import SIGMA
 
 
 def pauli_basis(n):

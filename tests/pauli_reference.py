@@ -3,7 +3,7 @@ listing's text, for the tests.
 
 An orbit is held as the digit strings of its words, as
 `OrbitListing.member_strings` gives them.  A word's matrix here is the
-Kronecker fold of `pauli_orbits.SIGMA`, with no use of
+Kronecker fold of `indexing.SIGMA`, with no use of
 `indexing.pauli_columns`, so it is an independent reference for the
 package's matrices; an orbit's generator, i times the sum of its words'
 matrices, is the package's `indexing.pauli_sum`.  `listing_text` writes
@@ -16,7 +16,7 @@ import functools
 import numpy as np
 
 from symlie.indexing import pauli_sum, word_digits
-from symlie.pauli_orbits import SIGMA
+from symlie.indexing import SIGMA
 from symlie.permutation_rep import orbit_canonical_labels
 
 

@@ -55,7 +55,7 @@ class TestSlotBudgets:
     @pytest.mark.parametrize("kind", list(AnsatzKind))
     def test_gate_count_counts_the_built_gates(self, kind):
         for n in range(2, 10):
-            for layers in range(1, 6):
+            for layers in range(1, 8):
                 for distance2 in (True, False):
                     circuit = build_ansatz(kind, n, layers, cyclic_distance2=distance2)
                     assert gate_count(kind, n, layers, distance2) == len(circuit.gates)

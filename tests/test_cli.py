@@ -21,7 +21,7 @@ from symlie.combinatorics import (
     ProductGroupSpec,
     dim_invariant_algebra,
 )
-from symlie.indexing import MAX_LISTED_WORDS
+from symlie.indexing import DEFAULT_SPACE_CAP, MAX_LISTED_WORDS
 from symlie.permutation_rep import apply_to_tuple, enumerate_elements
 
 
@@ -205,9 +205,12 @@ class TestOrbits:
 
     @pytest.mark.parametrize("extra", [(), ("--count-only",)])
     def test_count_and_listing_share_the_state_cap(self, capsys, extra):
-        code, out, err = run_cli(capsys, "orbits", "S:7", "--cap-space", str(4**6), *extra)
+        # 4^13 words lie above the scan's cap, which a listing's smaller cap
+        # refuses first
+        cap = MAX_LISTED_WORDS if not extra else DEFAULT_SPACE_CAP
+        code, out, err = run_cli(capsys, "orbits", "C:13", *extra)
         assert code == 2 and out == ""
-        assert "state space of size 16384 exceeds cap 4096" in err
+        assert f"state space of size {4**13} exceeds cap {cap}" in err
 
     def test_listing_cap_refuses_before_the_scan(self, capsys, monkeypatch):
         def refuse(*args):

@@ -18,12 +18,11 @@ from dataset_reference import is_connected, random_graph, reference_dataset
 from symlie.errors import (DatasetGenerationFailed, GateCapExceeded, StateBatchCapExceeded,
                            SubsetCapExceeded, SymlieError)
 from symlie.indexing import MAX_CIRCUIT_GATES, MAX_GRAPH_SUBSETS, MAX_STATE_BATCH_BYTES
+from symlie import cli
 from symlie.variance_lab import (
     AnsatzKind,
     ExperimentConfig,
     generate_dataset,
-    rows_to_csv,
-    rows_to_json,
     run_variance_experiment,
 )
 from symlie.variance_lab import experiment
@@ -299,12 +298,13 @@ class TestExperiment:
         cfg = ExperimentConfig(**SMALL)
         first = run_variance_experiment(cfg)
         second = run_variance_experiment(cfg)
-        assert rows_to_csv(first) == rows_to_csv(second)
+        assert first == second
 
-    def test_worker_count_does_not_change_results(self):
+    def test_worker_count_does_not_change_results(self, monkeypatch):
+        monkeypatch.setattr(experiment, "_usable_cores", lambda: 2)  # a pool on any machine
         serial = run_variance_experiment(ExperimentConfig(**SMALL, workers=1))
         parallel = run_variance_experiment(ExperimentConfig(**SMALL, workers=2))
-        assert rows_to_csv(serial) == rows_to_csv(parallel)
+        assert serial == parallel
         # two qubit counts share the workers' datasets in turn, field by field
         for all_slots in (False, True):
             cfg = ExperimentConfig(qubit_counts=(4, 5), samples_per_point=5, dataset_size=8,
@@ -330,6 +330,7 @@ class TestExperiment:
             return original(n, cfg)
 
         monkeypatch.setattr(experiment, "_draw_graphs", counting)
+        monkeypatch.setattr(experiment, "_usable_cores", lambda: 2)
         for workers in (1, 2):
             drawn.clear()
             run_variance_experiment(ExperimentConfig(qubit_counts=(4, 5, 6), samples_per_point=2,
@@ -348,6 +349,7 @@ class TestExperiment:
             raise DatasetGenerationFailed(f"no dataset at n={n}")
 
         monkeypatch.setattr(experiment, "graph_amplitudes", failing)
+        monkeypatch.setattr(experiment, "_usable_cores", lambda: 2)  # a pool on any machine
         cfg = ExperimentConfig(qubit_counts=(4, 5, 6, 7, 8), samples_per_point=4,
                                dataset_size=4, workers=2)
         with pytest.raises(DatasetGenerationFailed, match="no dataset at n=4"):
@@ -377,6 +379,7 @@ class TestExperiment:
                 pass
 
         monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(experiment, "_usable_cores", lambda: 2)
         cfg = ExperimentConfig(qubit_counts=(4, 12), samples_per_point=2, dataset_size=10,
                                seed=1, dataset_retry_cap=100, workers=2)
         with pytest.raises(DatasetGenerationFailed, match="n=12"):
@@ -386,7 +389,7 @@ class TestExperiment:
         rows = run_variance_experiment(replace(cfg, qubit_counts=(4,)))
         assert len(submitted) == 3 * 2 and len(rows) == 3
 
-    @pytest.mark.parametrize("affinity, threads", [({0}, 1), ({0, 1, 2, 3}, 2)])
+    @pytest.mark.parametrize("affinity, threads", [({0, 1}, 1), ({0, 1, 2, 3}, 2)])
     def test_blas_threads_follow_the_cpu_affinity(self, monkeypatch, affinity, threads):
         # a process pinned to fewer cores than the machine has sizes each
         # worker's BLAS pool from the cores it may use
@@ -410,6 +413,39 @@ class TestExperiment:
         run_variance_experiment(ExperimentConfig(qubit_counts=(4,), samples_per_point=2,
                                                  dataset_size=4, workers=2))
         assert pools == [(2, experiment._cap_blas_threads, (threads,))]
+
+    def test_pool_holds_at_most_one_worker_per_core(self, monkeypatch):
+        # the pool would fork all its workers at the first submit, so
+        # --workers 500 on 2 usable cores starts 2 and splits each point's
+        # samples in 2 chunks; on 1 core no pool starts.  No real pool runs.
+        pools, chunks = [], []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer, initargs):
+                pools.append((max_workers, initializer, initargs))
+
+            def submit(self, fn, *args):
+                chunks.append(args[-2:])
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+        cfg = ExperimentConfig(qubit_counts=(4,), samples_per_point=6, dataset_size=4,
+                               ansatz_kinds=PERMUTATION_ONLY, workers=500)
+        serial = run_variance_experiment(replace(cfg, workers=1))
+        monkeypatch.setattr(experiment, "_usable_cores", lambda: 2)
+        assert run_variance_experiment(cfg) == serial
+        assert pools == [(2, experiment._cap_blas_threads, (1,))]
+        assert chunks == [(0, 3), (3, 6)]
+        pools.clear()
+        chunks.clear()
+        monkeypatch.setattr(experiment, "_usable_cores", lambda: 1)
+        assert run_variance_experiment(cfg) == serial
+        assert pools == chunks == []
 
     def test_blas_thread_count_does_not_change_output(self):
         # the block matmuls may run on several BLAS threads; the printed
@@ -461,33 +497,80 @@ class TestExperiment:
         assert with_t4[0].variance != without_t4[0].variance
 
 
+def emitted(capsys, monkeypatch, rows, *argv):
+    """What `symlie variance` prints for `rows`."""
+    monkeypatch.setattr(cli, "run_variance_experiment", lambda cfg: rows)
+    assert cli.main(["variance", "--qubits", "4", "--samples", "2", *argv]) == 0
+    return capsys.readouterr().out
+
+
 class TestOutputFormats:
     ROWS = [
         VarianceRow(qubits=4, ansatz="permutation", variance=0.125, samples=6, seed=12),
         VarianceRow(qubits=6, ansatz="cyclic", variance=3e-4, samples=6, seed=12),
     ]
 
-    def test_csv_header_and_rows(self):
-        text = rows_to_csv(self.ROWS)
+    def test_csv_header_and_rows(self, capsys, monkeypatch):
+        text = emitted(capsys, monkeypatch, self.ROWS)
         lines = text.strip().split("\n")
         assert lines[0] == "qubits;ansatz;variance;samples;seed"
         assert lines[1] == "4;permutation;0.125;6;12"
         assert lines[2] == "6;cyclic;0.0003;6;12"
         assert len(lines) == 3
 
-    def test_csv_slot_column_only_in_all_slot_mode(self):
+    def test_csv_slot_column_only_in_all_slot_mode(self, capsys, monkeypatch):
         rows = [VarianceRow(4, "cyclic", 0.5, 6, 12, slot=3)]
-        text = rows_to_csv(rows)
+        text = emitted(capsys, monkeypatch, rows, "--all-slots")
         assert text.startswith("qubits;ansatz;slot;variance;samples;seed")
         assert "4;cyclic;3;0.5;6;12" in text
 
-    def test_json_round_trip(self):
-        data = json.loads(json.dumps(rows_to_json(self.ROWS)))
+    def test_json_round_trip(self, capsys, monkeypatch):
+        data = json.loads(emitted(capsys, monkeypatch, self.ROWS, "--format", "json"))
         assert data[0] == {"qubits": 4, "ansatz": "permutation",
                            "variance": 0.125, "samples": 6, "seed": 12}
 
-    def test_variance_repr_round_trips(self):
+    def test_variance_repr_round_trips(self, capsys, monkeypatch):
         value = 1.2345678901234567e-05
         row = VarianceRow(4, "cyclic", value, 6, 12)
-        emitted = rows_to_csv([row]).strip().split("\n")[1].split(";")[2]
-        assert float(emitted) == value
+        emitted_row = emitted(capsys, monkeypatch, [row]).strip().split("\n")[1]
+        assert float(emitted_row.split(";")[2]) == value
+
+    @pytest.mark.parametrize("all_slots", [False, True])
+    def test_cli_output_parses_back_to_the_rows(self, capsys, all_slots):
+        # the slot is the third CSV column and the last JSON key, and only
+        # with --all-slots
+        cfg = ExperimentConfig(qubit_counts=(4, 5), samples_per_point=3, dataset_size=6,
+                               seed=2, layers=2, probe_all_slots=all_slots)
+        rows = run_variance_experiment(cfg)
+        argv = ["variance", "--qubits", "4,5", "--samples", "3", "--dataset-size", "6",
+                "--seed", "2", "--layers", "2"] + ["--all-slots"] * all_slots
+        assert cli.main(argv) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        columns = ["qubits", "ansatz", "slot", "variance", "samples", "seed"]
+        if not all_slots:
+            columns.remove("slot")
+        assert header == ";".join(columns)
+        types = {"ansatz": str, "variance": float}
+        parsed = [VarianceRow(**{c: types.get(c, int)(v)
+                                 for c, v in zip(columns, line.split(";"))})
+                  for line in lines]
+        assert parsed == rows
+        assert cli.main(argv + ["--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        keys = ["qubits", "ansatz", "variance", "samples", "seed"] + ["slot"] * all_slots
+        assert [list(item) for item in data] == [keys] * len(rows)
+        assert [VarianceRow(**item) for item in data] == rows
+
+
+def test_variance_lab_loads_no_dimension_route():
+    # the experiment needs the Pauli matrices and bit counts of
+    # symlie.indexing, not the orbit scan or the oracle behind them
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    routes = ("symlie.pauli_orbits", "symlie.permutation_rep", "symlie.dense_oracle")
+    code = (f"import sys, symlie.variance_lab; "
+            f"print([m for m in {routes!r} if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "[]\n"

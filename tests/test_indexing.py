@@ -1,4 +1,4 @@
-"""Index encodings shared by the orbit scan, the oracle and the simulator."""
+"""Index encodings and bit counts shared by the orbit scan, the oracle and the simulator."""
 
 import functools
 import itertools
@@ -11,31 +11,13 @@ from hypothesis import strategies as st
 from symlie.errors import MatrixSizeCapExceeded
 from symlie.indexing import (
     DEFAULT_MATRIX_CAP,
-    digit_action,
+    SIGMA,
     hamming_weights,
     matrix_side,
     max_partition_degree,
     pauli_columns,
     word_digits,
 )
-from symlie.pauli_orbits import SIGMA
-from symlie.permutation_rep import apply_to_tuple
-
-
-@st.composite
-def permutations(draw):
-    n = draw(st.integers(min_value=1, max_value=6))
-    return tuple(draw(st.permutations(range(n))))
-
-
-class TestDigitAction:
-    @given(permutations(), st.sampled_from((2, 3, 4)))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_tuple_action(self, p, k):
-        # index order is itertools.product order, so words[i] is what i encodes
-        words = list(itertools.product(range(k), repeat=len(p)))
-        images = digit_action(p, k)
-        assert [words[j] for j in images] == [apply_to_tuple(p, w) for w in words]
 
 
 class TestDecoder:

@@ -10,9 +10,9 @@ from pauli_reference import word_matrix
 
 from symlie.cli import parse_group_spec
 from symlie.combinatorics import (Family, GroupSpec, ProductGroupSpec, cycle_index, dimension,
-                                  evaluate)
+                                  evaluate, group_order)
 from symlie.errors import OrderCapExceeded, StateSpaceCapExceeded
-from symlie.indexing import digit_action
+from symlie.indexing import DEFAULT_SPACE_CAP
 from symlie.permutation_rep import (
     _digit_permuted,
     apply_to_tuple,
@@ -85,6 +85,16 @@ class TestEnumeration:
             assert inverse(p) in elems
         for p, q in itertools.islice(itertools.product(elems, elems), 500):
             assert compose(p, q) in elems
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_named_group_is_its_one_part_product(self, family, n):
+        spec = GroupSpec(family, n)
+        product = ProductGroupSpec((spec,))
+        assert spec.parts == product.parts == (spec,)
+        assert group_order(spec) == group_order(product)
+        assert group_generators(spec) == group_generators(product)
+        assert enumerate_elements(spec).elements == enumerate_elements(product).elements
 
     def test_product_enumeration(self):
         spec = ProductGroupSpec((GroupSpec(Family.SYMMETRIC, 2), GroupSpec(Family.CYCLIC, 2)))
@@ -159,8 +169,10 @@ class TestOrbitCounts:
         assert count_orbits_bruteforce(GroupSpec(Family.SYMMETRIC, 3), 4) == 20
 
     def test_space_cap(self):
-        with pytest.raises(StateSpaceCapExceeded):
-            count_orbits_bruteforce(GroupSpec(Family.SYMMETRIC, 8), 4, space_cap=4**7)
+        # 4^13 words lie above the constant cap; refused before any buffer
+        with pytest.raises(StateSpaceCapExceeded) as err:
+            count_orbits_bruteforce(GroupSpec(Family.SYMMETRIC, 13), 4)
+        assert (err.value.size, err.value.cap) == (4**13, DEFAULT_SPACE_CAP)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     @pytest.mark.parametrize("n", range(1, 9))
@@ -191,6 +203,22 @@ class TestOrbitCounts:
         assert count_orbits_bruteforce(spec, 4) == 100
 
 
+def tuple_action_loop(p, k):
+    """The index of apply_to_tuple(p, w) for each base-k word w, one word at
+    a time; itertools.product order is index order."""
+    words = list(itertools.product(range(k), repeat=len(p)))
+    index = {w: i for i, w in enumerate(words)}
+    return np.array([index[apply_to_tuple(p, w)] for w in words])
+
+
+def tuple_action_map(p, k):
+    """`tuple_action_loop` in array form: digit j of the image of a word is
+    its digit p[j]."""
+    n = len(p)
+    digits = np.indices((k,) * n).reshape(n, -1)  # row j: digit j of every index
+    return (k ** np.arange(n - 1, -1, -1)) @ digits[list(p)]
+
+
 def index_map_labels(spec, k):
     """Reference scan: one index map per generator and inverse, applied as a
     gather and swept to a fixed point, with no pointer jumps."""
@@ -200,7 +228,7 @@ def index_map_labels(spec, k):
         for q in (g, inverse(g)):
             if q not in seen and q != identity(n):
                 seen.add(q)
-                maps.append(digit_action(q, k))
+                maps.append(tuple_action_map(q, k))
     labels = np.arange(k**n, dtype=np.int64)
     while maps:
         before = labels.copy()
@@ -220,7 +248,9 @@ class TestLabelScan:
         values = np.array(rnd.sample(range(k ** len(q)), k ** len(q)), dtype=np.uint32)
         permuted = _digit_permuted(values, q, k)
         assert permuted.shape == (k,) * len(q)
-        assert np.array_equal(permuted.ravel(), values[digit_action(q, k)])
+        images = tuple_action_loop(q, k)
+        assert np.array_equal(permuted.ravel(), values[images])
+        assert np.array_equal(tuple_action_map(q, k), images)
 
     @pytest.mark.parametrize("spec, k", [
         ("C:6", 4), ("S:7", 4), ("A:8", 4), ("D:9", 4), ("S:3xC:4", 4), ("E:5", 4),
@@ -250,6 +280,13 @@ class TestQubitMatrices:
 
     def test_identity_permutation(self):
         assert np.array_equal(qubit_permutation_matrix(identity(3)), np.eye(8))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_index_permutation_matches_tuple_action(self, n):
+        for p in itertools.permutations(range(n)):
+            out = qubit_index_permutation(p)
+            assert out.dtype == np.int64
+            assert np.array_equal(out, tuple_action_loop(p, 2))
 
     def test_cap(self):
         from symlie.errors import MatrixSizeCapExceeded

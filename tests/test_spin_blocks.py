@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from spin_reference import spin_densities, spin_states
 
+from symlie import indexing
 from symlie.combinatorics import Family, GroupSpec, dim_invariant_algebra
 from symlie.indexing import CHUNK_ENTRIES
 from symlie.variance_lab import experiment, simulator, spin_blocks
@@ -235,12 +236,12 @@ class TestGraphSweep:
 
     @pytest.mark.parametrize("dtype", [np.uint16, np.uint32])
     def test_table_popcount_counts_bits(self, dtype):
-        # the bit count NumPy < 2 falls back to
+        # the sweep's bit count, and the table NumPy < 2 falls back to
         words = np.random.default_rng(1).integers(0, np.iinfo(dtype).max, 1000, endpoint=True)
         words = words.astype(dtype)
         want = [bin(int(word)).count("1") for word in words]
-        assert np.array_equal(spin_blocks._table_popcount(words), want)
-        assert np.array_equal(spin_blocks._popcount(words), want)
+        assert np.array_equal(indexing._popcount_by_table(words), want)
+        assert np.array_equal(indexing.popcount(words), want)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_legendre_nodes_integrate_to_their_degree(self, n):
