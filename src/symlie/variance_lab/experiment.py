@@ -79,6 +79,11 @@ class ExperimentConfig:
             raise ValueError("qubit counts must all be >= 2")
         if len(set(self.qubit_counts)) < len(self.qubit_counts):
             raise ValueError(f"qubit counts must be distinct, got {list(self.qubit_counts)}")
+        if not self.ansatz_kinds or len(set(self.ansatz_kinds)) < len(self.ansatz_kinds):
+            raise ValueError("ansatz kinds must be distinct and at least one, got "
+                             f"{[kind.value for kind in self.ansatz_kinds]}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.samples_per_point < 2:
             # the variance is the unbiased (ddof=1) estimate
             raise ValueError("samples_per_point must be >= 2")
@@ -127,22 +132,22 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
         np.random.SeedSequence(entropy=seed, spawn_key=key)))
 
 
-# graphs drawn and labelled at a time; the (rows, n, n) float32 closure
-# stays under 1 MB up to n = 31
+# graphs drawn and labelled at a time; a block's arrays stay under 0.5 MB to n = 22
 _GRAPH_BLOCK_ROWS = 256
 
 
-def _connected_rows(adjacency: np.ndarray) -> np.ndarray:
-    """Connectivity of each graph of a (rows, n, n) boolean adjacency stack.
-
-    The closure of I + A by repeated squaring reaches, after k squarings,
-    every vertex within distance 2^k; a graph is connected iff vertex 0
-    then reaches all n."""
-    n = adjacency.shape[-1]
-    reach = (adjacency | np.eye(n, dtype=bool)).astype(np.float32)
-    for _ in range((n - 2).bit_length()):  # 2^k >= n - 1, the longest path
-        reach = np.minimum(reach @ reach, 1.0)
-    return reach[:, 0].all(axis=1)
+def _connected_rows(masks: np.ndarray) -> np.ndarray:
+    """Connectivity of each graph of a (rows, n) array of neighbour masks:
+    the set reached from vertex 0 grows by OR-ing in the masks of the
+    vertices it holds until it stops growing, and a graph is connected iff
+    it then holds all n vertices."""
+    bits = 1 << np.arange(masks.shape[-1] - 1, -1, -1)
+    reached = np.full(len(masks), bits[0])
+    while True:
+        grown = reached | np.bitwise_or.reduce(masks * (reached[:, None] & bits > 0), axis=1)
+        if np.array_equal(grown, reached):
+            return reached == 2 * bits[0] - 1
+        reached = grown
 
 
 def _draw_graphs(n: int, cfg: ExperimentConfig) -> Tuple[np.ndarray, np.ndarray]:
@@ -153,12 +158,16 @@ def _draw_graphs(n: int, cfg: ExperimentConfig) -> Tuple[np.ndarray, np.ndarray]
     are drawn and kept only while their class still has room (per-class
     rejection sampling); needing more than `dataset_retry_cap` draws raises
     DatasetGenerationFailed.  The coins of up to _GRAPH_BLOCK_ROWS graphs
-    are read in one call and labelled by one vectorised connectivity test.
-    The stream feeds only this dataset, so reading past the last kept graph
-    changes nothing."""
+    are read in one call, made masks by one product with a pair-to-bit
+    matrix and labelled by one vectorised connectivity test.  The stream
+    feeds only this dataset, so reading past the last kept graph changes
+    nothing."""
     rng = _stream(cfg.seed, 0, n)
     first, second = np.triu_indices(n, 1)
-    bits = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
+    # pair (i, j) sets bit n-1-j of mask i and bit n-1-i of mask j
+    pair_bits = np.zeros((len(first), n), dtype=np.int64)
+    pair_bits[np.arange(len(first)), first] = 1 << (n - 1 - second)
+    pair_bits[np.arange(len(first)), second] = 1 << (n - 1 - first)
     quota = {1.0: cfg.dataset_size // 2, -1.0: cfg.dataset_size // 2}
     graphs = np.empty((cfg.dataset_size, n), dtype=np.int64)
     labels: List[float] = []
@@ -172,9 +181,8 @@ def _draw_graphs(n: int, cfg: ExperimentConfig) -> Tuple[np.ndarray, np.ndarray]
         rows = min(_GRAPH_BLOCK_ROWS, cfg.dataset_retry_cap - drawn)
         coins = rng.random((rows, len(first))) < cfg.edge_probability
         drawn += rows
-        adjacency = np.zeros((rows, n, n), dtype=bool)
-        adjacency[:, first, second] = adjacency[:, second, first] = coins
-        for masks, connected in zip(adjacency @ bits, _connected_rows(adjacency)):
+        block = coins.astype(np.int64) @ pair_bits
+        for masks, connected in zip(block, _connected_rows(block)):
             label = 1.0 if connected else -1.0
             if quota[label]:
                 quota[label] -= 1

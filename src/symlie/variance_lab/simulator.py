@@ -14,11 +14,12 @@ counted from the least significant end, are applied one block at a time as
 one matmul by the block's Kronecker product, identities on its ungated
 qubits, so a block of width one is a 2x2 matmul; the same kernel applies any
 product of per-qubit 2x2 matrices, which the gradient uses for the parity's
-image.  A maximal run of ZZ gates
-is one diagonal, and a maximal run of CNOT gates is one gather by the
-composed index permutation.  A step's adjoint is the per-qubit dagger, the
-conjugate phases or the inverse gather, so `_run_batch` runs any stretch of
-steps forward or backward.  Every kernel pass writes into a batch taken from
+image.  A maximal run of ZZ gates is one diagonal, and a maximal run of
+CNOT gates is one gather by the composed index permutation, its gates' XOR
+flips applied in place to one index array; no per-gate or per-qubit table
+is built or kept.  A step's adjoint is the per-qubit dagger, the conjugate
+phases or the inverse gather, so `_run_batch` runs any stretch of steps
+forward or backward.  Every kernel pass writes into a batch taken from
 a `Workspace`, a short list of free batches, and a stretch of steps gives
 each intermediate batch back as soon as the next step has read it; the
 input is never written.  A caller that passes no workspace gets a new array,
@@ -195,20 +196,21 @@ class Step:
     @cached_property
     def gather(self) -> np.ndarray:
         """Indices of a CNOT step: `np.take(amps, gather, axis=-1)` applies
-        its gates in order, since gathering by p and then by q is gathering
-        by p[q]."""
-        perm = _cnot_permutation(self.n_qubits, *self.gates[0].targets)
-        for gate in self.gates[1:]:
-            perm = perm[_cnot_permutation(self.n_qubits, *gate.targets)]
-        return perm
+        its gates in order.  One CNOT gathers by the index with its target
+        bit flipped where its control bit is set, and gathering by p and
+        then by q is gathering by p[q], so the flips compose on one index
+        array, last gate first."""
+        n = self.n_qubits
+        index = np.arange(1 << n)
+        for control, target in reversed([gate.targets for gate in self.gates]):
+            index ^= ((index >> (n - 1 - control)) & 1) << (n - 1 - target)
+        return index
 
     @cached_property
     def inverse_gather(self) -> np.ndarray:
-        """Indices that undo `gather`; a run of CNOTs, unlike one CNOT, is
-        in general not its own inverse."""
-        inverse = np.empty_like(self.gather)
-        inverse[self.gather] = np.arange(self.gather.size)
-        return inverse
+        """Indices that undo `gather`, the permutation's inverse; a run of
+        CNOTs, unlike one CNOT, is in general not its own inverse."""
+        return np.argsort(self.gather)
 
 
 @dataclass
@@ -229,18 +231,6 @@ def zero_state(n: int) -> StateVector:
     amps = np.zeros(1 << n, dtype=np.complex128)
     amps[0] = 1.0
     return StateVector(n, amps)
-
-
-@lru_cache(maxsize=None)
-def _bit(n: int, q: int) -> np.ndarray:
-    return ((np.arange(1 << n) >> (n - 1 - q)) & 1).astype(np.int8)
-
-
-@lru_cache(maxsize=None)
-def _cnot_permutation(n: int, control: int, target: int) -> np.ndarray:
-    idx = np.arange(1 << n)
-    flip = _bit(n, control).astype(np.int64) << (n - 1 - target)
-    return idx ^ flip
 
 
 @lru_cache(maxsize=None)
@@ -317,9 +307,11 @@ class Workspace:
 
 @lru_cache(maxsize=None)
 def _summed_pair_signs(n: int, pairs: Tuple[Tuple[int, int], ...]) -> np.ndarray:
+    index = np.arange(1 << n)
     total = np.zeros(1 << n, dtype=np.int16)
     for i, j in pairs:
-        total += 1 - 2 * (_bit(n, i) ^ _bit(n, j)).astype(np.int16)
+        odd = ((index >> (n - 1 - i)) ^ (index >> (n - 1 - j))) & 1
+        total += 1 - 2 * odd.astype(np.int16)
     return total
 
 

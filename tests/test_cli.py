@@ -504,6 +504,8 @@ class TestVariance:
         # 50 states of 2^40 amplitudes are never drawn
         (("--qubits", "40"), "above the state batch cap"),
         (("--qubits", "20", "--dataset-size", "66"), "above the state batch cap"),
+        # NumPy's seed sequence would refuse it only at the first dataset draw
+        (("--qubits", "4", "--seed", "-1"), "seed must be >= 0, got -1"),
     ])
     def test_bad_grid_refused_before_the_pool(self, capsys, monkeypatch, argv, message):
         # refused by ExperimentConfig, before any worker starts or any row is

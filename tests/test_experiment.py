@@ -46,6 +46,39 @@ class TestConnectivity:
         assert is_connected(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)])
 
 
+def neighbour_masks(n, edges):
+    """The neighbour masks of a graph, vertex u at bit n - 1 - u, set edge
+    by edge."""
+    masks = [0] * n
+    for i, j in edges:
+        masks[i] |= 1 << (n - 1 - j)
+        masks[j] |= 1 << (n - 1 - i)
+    return masks
+
+
+class TestMaskConnectivity:
+    # the draw labels its graphs on their neighbour masks; the union-find
+    # reads their edge lists
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_small_graph(self, n):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        graphs = [[pair for k, pair in enumerate(pairs) if code >> k & 1]
+                  for code in range(1 << len(pairs))]
+        masks = np.array([neighbour_masks(n, edges) for edges in graphs], dtype=np.int64)
+        assert experiment._connected_rows(masks).tolist() == [
+            is_connected(n, edges) for edges in graphs]
+
+    @pytest.mark.parametrize("n", range(2, 23))
+    def test_random_graphs(self, n):
+        rng = _stream(3, 9, n)
+        graphs = [random_graph(n, p, rng) for p in (0.05, 0.1, 0.2, 0.4) for _ in range(40)]
+        masks = np.array([neighbour_masks(n, edges) for edges in graphs], dtype=np.int64)
+        want = [is_connected(n, edges) for edges in graphs]
+        assert experiment._connected_rows(masks).tolist() == want
+        assert any(want) and not all(want)
+
+
 class TestRandomGraph:
     def test_edges_are_ordered_pairs(self):
         rng = _stream(0, 0, 5)
@@ -164,6 +197,15 @@ class TestDatasetGeneration:
             ExperimentConfig(layers=0)
         with pytest.raises(ValueError, match="qubit counts must be distinct"):
             ExperimentConfig(qubit_counts=(4, 6, 4))
+        # a repeated ansatz would compute and print its rows twice, and none
+        # would print no row after drawing every dataset
+        with pytest.raises(ValueError, match=r"ansatz kinds .* got \['cyclic', 'cyclic'\]"):
+            ExperimentConfig(ansatz_kinds=(AnsatzKind.CYCLIC, AnsatzKind.CYCLIC))
+        with pytest.raises(ValueError, match=r"ansatz kinds must be distinct and at least one"):
+            ExperimentConfig(ansatz_kinds=())
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            ExperimentConfig(seed=-1)
+        assert ExperimentConfig(seed=0).seed == 0
         assert ExperimentConfig(layers=1).layers == 1
 
     def test_state_batch_cap(self):
@@ -562,15 +604,33 @@ class TestOutputFormats:
         assert [VarianceRow(**item) for item in data] == rows
 
 
-def test_variance_lab_loads_no_dimension_route():
-    # the experiment needs the Pauli matrices and bit counts of
-    # symlie.indexing, not the orbit scan or the oracle behind them
+def _loaded_by(module, candidates):
+    """Those of `candidates` that a fresh interpreter has loaded after
+    importing `module`."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    routes = ("symlie.pauli_orbits", "symlie.permutation_rep", "symlie.dense_oracle")
-    code = (f"import sys, symlie.variance_lab; "
-            f"print([m for m in {routes!r} if m in sys.modules])")
+    code = (f"import sys, {module}; "
+            f"print([m for m in {tuple(candidates)!r} if m in sys.modules])")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    assert done.stdout == "[]\n"
+    return done.stdout
+
+
+def test_variance_lab_loads_no_dimension_route():
+    # the experiment needs the Pauli matrices and bit counts of
+    # symlie.indexing, not the orbit scan or the oracle behind them
+    routes = ("symlie.pauli_orbits", "symlie.permutation_rep", "symlie.dense_oracle")
+    assert _loaded_by("symlie.variance_lab", routes) == "[]\n"
+
+
+@pytest.mark.parametrize("route, others", [
+    ("combinatorics", ("permutation_rep", "pauli_orbits", "dense_oracle")),
+    ("dense_oracle", ("pauli_orbits",)),
+    ("pauli_orbits", ("dense_oracle",)),
+])
+def test_dimension_routes_load_independently(route, others):
+    # the three routes share nothing but the group's generators
+    # (permutation_rep), which the cycle index does not need; their
+    # agreement means something only while each loads without the others
+    assert _loaded_by(f"symlie.{route}", [f"symlie.{m}" for m in others]) == "[]\n"

@@ -316,8 +316,9 @@ def fused_circuits(draw):
 
 @st.composite
 def cnot_runs(draw):
-    """A circuit of 1..2n CNOTs on random ordered pairs of 2..7 qubits."""
-    n = draw(st.integers(min_value=2, max_value=7))
+    """A circuit of 1..2n CNOTs on random ordered pairs of 2..10 qubits; a
+    run of more than n/2 gates reuses a qubit, as control or as target."""
+    n = draw(st.integers(min_value=2, max_value=10))
     orders = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=2 * n))
     return Circuit(n, tuple(Gate(GateKind.CNOT, tuple(o[:2])) for o in orders), 0)
 
