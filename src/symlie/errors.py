@@ -63,7 +63,8 @@ class ConstraintCapExceeded(SymlieError):
 
 
 class StateBatchCapExceeded(SymlieError):
-    """A variance experiment's batch of dataset states would exceed the cap."""
+    """A variance experiment's dataset states, counted as one batch, would
+    exceed the cap (`indexing.MAX_STATE_BATCH_BYTES`)."""
 
     _fields = ("qubits", "size", "nbytes", "cap")
 

@@ -32,8 +32,11 @@ MAX_ORACLE_QUBITS = 6  # 64x64 matrices over a 4095-element basis
 # each, bounded by 4 * (4^N - 1) * sum(nnz(B)); 2^25 (768 MiB) admits every set
 # up to 6 qubits (S:3xS:3 and D:3xD:3: 4,193,280) and refuses a dense 64x64 one.
 MAX_CONSTRAINT_ENTRIES = 2**25
-# complex128 amplitudes of one variance experiment's dataset batch, dataset
-# size x 2^n x 16 bytes; 2^30 admits 50 states at n = 20 and refuses n = 21.
+# complex128 amplitudes of one variance experiment's dataset, dataset size x
+# 2^n x 16 bytes; 2^30 admits 50 states at n = 20 and refuses n = 21.  No
+# batch of that size is built (a statevector chunk builds one row chunk's
+# states at a time, see CHUNK_ENTRIES), but the cap still refuses exactly
+# the runs it refused when the whole dataset was one batch.
 MAX_STATE_BATCH_BYTES = 2**30
 # Vertex subsets a permutation-only variance experiment sweeps, dataset size
 # x 2^n.  The sweep and its histogram visit about 36 million subsets a second
@@ -55,11 +58,12 @@ MAX_CYCLE_INDEX_TERMS = 10**5  # cycle types of S_n or A_n: p(45) = 89,134 < cap
 MAX_DIMENSION_DIGITS = 4300  # Python prints an int of at most this many digits by default
 # Entries per chunk of a chunked array build (Pauli columns, orbit-listing
 # rows, the oracle's union-find passes), and amplitudes per row chunk of an
-# adjoint gradient's batches (at least one row): bounds their temporaries to
-# a few MB whatever the matrix or dataset size.  The oracle's chunks of
-# words hold CHUNK_ENTRIES // 4 candidate entries, since each costs 40-60
-# bytes of temporaries (key, term, value and the unique/inverse sort): 3-4 MB
-# per chunk.
+# adjoint gradient's batches and of the graph states a statevector chunk of
+# the variance experiment builds at a time (at least one row): bounds their
+# temporaries to a few MB whatever the matrix or dataset size.  The oracle's
+# chunks of words hold CHUNK_ENTRIES // 4 candidate entries, since each costs
+# 40-60 bytes of temporaries (key, term, value and the unique/inverse sort):
+# 3-4 MB per chunk.
 CHUNK_ENTRIES = 2**18
 
 

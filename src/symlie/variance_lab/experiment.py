@@ -9,9 +9,12 @@ parity observable commute with S_n, so its gradients are computed on the
 spin blocks of each dataset state (`spin_blocks`), reduced from the state's
 graph once per chunk of samples; a run whose only ansatz is the permutation
 one builds no amplitude.  The other ansatzes run on the statevector: a chunk
-writes its graph states by one sweep over their vertex subsets, and its
-gradients reuse one workspace of free batches (`simulator.Workspace`); both
-are dropped when the chunk ends.
+writes the graph states of one row chunk of the dataset at a time, by one
+sweep over their vertex subsets, and sweeps every sample of a tile over
+them before it drops them and builds the next row chunk's
+(`gradients._loss_gradients`), so no batch of the whole dataset's states
+is built.  Its gradients reuse one workspace of free batches
+(`simulator.Workspace`), dropped when the chunk ends.
 
 The run draws each qubit count's graphs once, before any gradient, a block
 of graphs drawn and labelled at a time, and hands them to every chunk at
@@ -45,7 +48,9 @@ from ..errors import (DatasetGenerationFailed, GateCapExceeded, StateBatchCapExc
                       SubsetCapExceeded)
 from ..indexing import MAX_CIRCUIT_GATES, MAX_GRAPH_SUBSETS, MAX_STATE_BATCH_BYTES
 from .circuits import AnsatzKind, build_ansatz, default_layer_count, gate_count, probe_slot
-from .gradients import _loss_gradient_from_arrays
+# `_loss_gradient_from_arrays` is the one-sample case of `_loss_gradients`;
+# it stays importable here, where the benchmark's tracer wraps it by name
+from .gradients import _loss_gradient_from_arrays, _loss_gradients  # noqa: F401
 from .simulator import Circuit, Workspace, graph_amplitudes
 from .spin_blocks import graph_spin_states, loss_gradient_from_blocks
 
@@ -99,8 +104,9 @@ class ExperimentConfig:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         # the largest dataset, refused before any graph is drawn: its
-        # complex128 amplitudes when an ansatz runs on the statevector, else
-        # the vertex subsets its graphs' sweep visits
+        # complex128 amplitudes counted as one batch when an ansatz runs on
+        # the statevector (though only a row chunk's are built at a time),
+        # else the vertex subsets its graphs' sweep visits
         n = max(self.qubit_counts)
         if _needs_amplitudes(self):
             nbytes = self.dataset_size * (16 << n)
@@ -197,9 +203,10 @@ def generate_dataset(n: int, cfg: ExperimentConfig) -> Tuple[np.ndarray, np.ndar
 
     The amplitudes are written by one subset sweep per block of graphs
     (`simulator.graph_amplitudes`) into one preallocated batch.  The run
-    itself does not call this: it draws the graphs and builds the states
-    per chunk (`_gradient_samples`); the tests and the benchmark's
-    finite-difference check use it for a dataset's states."""
+    itself does not call this: it draws the graphs, and each chunk builds
+    the states of one row chunk at a time (`_gradient_samples`); the tests
+    and the benchmark's finite-difference check use it for a dataset's
+    states."""
     graphs, labels = _draw_graphs(n, cfg)
     return graph_amplitudes(graphs, n), labels
 
@@ -231,26 +238,22 @@ def _gradient_samples(cfg: ExperimentConfig, kind: AnsatzKind, n: int,
     (`_draw_graphs`); shape (stop-start, n_probed_slots)."""
     circuit = _build_circuit(kind, n, cfg)
     slots = _probed_slots(circuit, cfg)
+    ansatz_index = list(AnsatzKind).index(kind)
+    lo, hi = cfg.parameter_range
+    params = [_stream(cfg.seed, 1 + ansatz_index, n, sample).uniform(lo, hi, circuit.n_params)
+              for sample in range(start, stop)]
     if kind is AnsatzKind.PERMUTATION:
         # the ansatz and the parity commute with S_n: each state enters the
         # loss only through its spin blocks, reduced from its graph once per
         # chunk
-        amps, loss_gradient = graph_spin_states(graphs, n), loss_gradient_from_blocks
-    else:
-        # the chunk builds its graph states, and its gradients sweep through
-        # one workspace's batches; both are dropped with the chunk
-        amps, workspace = graph_amplitudes(graphs, n), Workspace()
-
-        def loss_gradient(*args):
-            return _loss_gradient_from_arrays(*args, workspace)
-    ansatz_index = list(AnsatzKind).index(kind)
-    lo, hi = cfg.parameter_range
-    out = np.empty((stop - start, len(slots)))
-    for row, sample in enumerate(range(start, stop)):
-        rng = _stream(cfg.seed, 1 + ansatz_index, n, sample)
-        params = rng.uniform(lo, hi, circuit.n_params)
-        out[row] = loss_gradient(circuit, params, amps, labels, slots)
-    return out
+        blocks = graph_spin_states(graphs, n)
+        return np.array([loss_gradient_from_blocks(circuit, p, blocks, labels, slots)
+                         for p in params])
+    # each row chunk's graph states are built once per tile of samples and
+    # dropped after it, and the gradients sweep through one workspace's
+    # batches, dropped with the chunk
+    return _loss_gradients(circuit, params, labels, slots,
+                           lambda rows: graph_amplitudes(graphs[rows], n), Workspace())
 
 
 # thread-count setters exported by OpenBLAS builds, plain and as renamed in

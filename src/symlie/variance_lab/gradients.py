@@ -23,17 +23,27 @@ A row's prediction and prediction gradient depend on no other row, so
 the passes run over a row chunk of the dataset at a time, at most
 max(1, CHUNK_ENTRIES >> n) rows: a 50-row dataset is one row chunk up to
 n = 12, and from n = 13 on a row chunk's batch holds at most 2^18
-amplitudes (4 MB).  Every batch a row chunk writes (stored states, psi,
+amplitudes (4 MB).  The rows come from a function that gives the
+amplitudes of a row range (`_loss_gradients`), so no batch of the whole
+dataset's states need exist: the experiment builds each row chunk's graph
+states when they are asked for and drops them after the row chunk, and
+every parameter vector of a tile is swept over one row chunk before the
+next is asked for.  A vector's step operators and per-row results are
+kept from its first row chunk to its last, so a tile holds as many
+vectors as keep them within one row chunk's batch (`_tile_samples`):
+every vector when the dataset is one row chunk or the circuit has no ZZ
+step, and one cyclic vector from n = 13 on, where each ZZ step's phases
+take 16 * 2^n bytes.  Every batch a row chunk writes (stored states, psi,
 mu, and the overlaps' conjugate and products) is taken from one
 `simulator.Workspace` and given back as soon as nothing reads it; a short
 last row chunk takes the leading rows of the others' batches.  In default
-mode the workspace peaks at four row-chunk batches beside the dataset: the
-stored state, psi_b or mu, and the two batches a kernel pass reads and
-writes.  A caller that keeps the workspace over many gradients, as the
-experiment does over a chunk of samples, allocates no new batch for them
-after the first gradient.  Each step's Kronecker blocks or ZZ phases are
-built once per gradient, for the forward pass, the reverse sweep and every
-row chunk.
+mode the workspace peaks at four row-chunk batches beside the row chunk's
+states: the stored state, psi_b or mu, and the two batches a kernel pass
+reads and writes.  A caller that keeps the workspace over many gradients,
+as the experiment does over a chunk of samples, allocates no new batch
+for them after the first gradient.  Each step's Kronecker blocks or ZZ
+phases are built once per parameter vector, for the forward pass, the
+reverse sweep and every row chunk.
 
 The sweep measures only at step boundaries, so one pass serves any set of
 probed slots.  A ZZ generator is diagonal and commutes
@@ -49,7 +59,7 @@ spin blocks instead (`spin_blocks`).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -210,45 +220,103 @@ def _tail_observable(circuit: Circuit, params: Sequence[float], stop: int
     return b, _local_blocks(mats, n)
 
 
+def _tile_samples(circuit: Circuit, slots: Sequence[int], size: int, rows: int,
+                  count: int) -> int:
+    """Parameter vectors per tile of `_loss_gradients`, of `count` in all:
+    as many as keep their step operators and per-row results, from their
+    first row chunk to their last, within one row chunk's batch.  Each ZZ
+    step's phases take 16 * 2^n bytes, the predictions and prediction
+    gradients 8 bytes per row and slot.  A dataset of one row chunk keeps
+    nothing across row chunks, so its tile is every vector."""
+    if rows >= size:
+        return max(1, count)
+    zz_steps = sum(step.kind is GateKind.ZZ for step in circuit.steps)
+    per_vector = zz_steps * (16 << circuit.n_qubits) + 8 * size * (1 + len(slots))
+    return max(1, (16 * rows << circuit.n_qubits) // per_vector)
+
+
+class _Sample:
+    """One parameter vector's sweep state, kept from its first row chunk to
+    its last: the parity's image, the step operators and full-length arrays
+    of predictions and prediction gradients."""
+
+    def __init__(self, circuit: Circuit, params: Sequence[float], slots: Sequence[int],
+                 size: int, stop: int):
+        self.params = params
+        self.boundary, self.observable = _tail_observable(circuit, params, stop)
+        # each step's operator is built once, by the first pass that applies
+        # it (`simulator._step_operator`)
+        self.operators: dict = {}
+        self.preds = np.empty(size)
+        self.pred_grad = {slot: np.zeros(size) for slot in slots}
+
+    def loss_gradient(self, labels: np.ndarray, slots: Sequence[int]) -> np.ndarray:
+        return np.array([np.mean(2.0 * (self.preds - labels) * self.pred_grad[slot])
+                         for slot in slots])
+
+
+def _loss_gradients(circuit: Circuit, param_vectors: Sequence[Sequence[float]],
+                    labels: np.ndarray, slots: Sequence[int],
+                    states: Callable[[slice], np.ndarray],
+                    workspace: Optional[Workspace] = None) -> np.ndarray:
+    """d(loss)/d(theta_s) for every s in `slots` at each of `param_vectors`,
+    one row per vector, from one forward pass and one reverse sweep of the
+    costate per row chunk and vector.
+
+    `states(rows)` gives the amplitudes of the dataset rows in the slice
+    `rows`, an array the sweeps only read.  A row's prediction and
+    prediction gradient depend on no other row, so the rows are taken a row
+    chunk of at most max(1, CHUNK_ENTRIES >> n) rows at a time, and every
+    vector of a tile (`_tile_samples`) is swept on one row chunk
+    (`_row_chunk_sweep`) before the next is asked for; each vector's
+    results go into full-length arrays, and its loss gradient is the mean
+    over all rows of 2 (p - y) dp/dtheta_s.  Every row chunk stores the
+    states at the same probed steps: as many as `MAX_STORED_STATE_BYTES`
+    holds of a row chunk's batches.
+
+    Batches come from `workspace` and go back to it (see the module
+    docstring); without one a throwaway workspace is used.
+    """
+    for params in param_vectors:
+        _check_arguments(circuit, params, slots)
+    if workspace is None:
+        workspace = Workspace()
+    steps, n, size = circuit.steps, circuit.n_qubits, len(labels)
+    probed = [k for k, step in enumerate(steps) if not step.slots.isdisjoint(slots)]
+    stop = probed[-1] + 1 if probed else len(steps)
+    rows = max(1, min(size, CHUNK_ENTRIES >> n))
+    kept = probed[:MAX_STORED_STATE_BYTES // (16 * rows << n)]
+    tile = _tile_samples(circuit, slots, size, rows, len(param_vectors))
+    out = np.empty((len(param_vectors), len(slots)))
+    for first in range(0, len(param_vectors), tile):
+        samples: Dict[int, _Sample] = {}
+        for lo in range(0, size, rows):
+            chunk = slice(lo, lo + rows)
+            amps = states(chunk)
+            for i in range(first, min(first + tile, len(param_vectors))):
+                if lo == 0:
+                    samples[i] = _Sample(circuit, param_vectors[i], slots, size, stop)
+                sample = samples[i]
+                sample.preds[chunk] = _row_chunk_sweep(
+                    circuit, sample.params, amps, probed, kept, sample.boundary,
+                    sample.observable, {slot: g[chunk] for slot, g in sample.pred_grad.items()},
+                    workspace, sample.operators)
+                if lo + rows >= size:
+                    out[i] = samples.pop(i).loss_gradient(labels, slots)
+            # the next row chunk's states are not built beside these
+            del amps
+    return out
+
+
 def _loss_gradient_from_arrays(circuit: Circuit, params: Sequence[float],
                                amps: np.ndarray, labels: np.ndarray,
                                slots: Sequence[int],
                                workspace: Optional[Workspace] = None) -> np.ndarray:
-    """d(loss)/d(theta_s) for every s in `slots` from one forward pass and
-    one reverse sweep of the costate per row chunk.
-
-    A row's prediction and prediction gradient depend on no other row, so
-    the rows are swept a row chunk of at most max(1, CHUNK_ENTRIES >> n)
-    rows at a time (`_row_chunk_sweep`), each row's results written into
-    full-length arrays, and the loss gradient is the mean over all rows of
-    2 (p - y) dp/dtheta_s.  Every row chunk stores the states at the same
-    probed steps: as many as `MAX_STORED_STATE_BYTES` holds of a row
-    chunk's batches.
-
-    Batches come from `workspace` and go back to it (see the module
-    docstring); without one a throwaway workspace is used.  `amps` is never
-    written.
-    """
-    _check_arguments(circuit, params, slots)
-    if workspace is None:
-        workspace = Workspace()
-    steps, n = circuit.steps, circuit.n_qubits
-    preds = np.empty(amps.shape[0])
-    pred_grad: Dict[int, np.ndarray] = {slot: np.zeros(amps.shape[0]) for slot in slots}
-    probed = [k for k, step in enumerate(steps) if not step.slots.isdisjoint(pred_grad)]
-    boundary, observable = _tail_observable(circuit, params,
-                                            probed[-1] + 1 if probed else len(steps))
-    rows = max(1, min(amps.shape[0], CHUNK_ENTRIES >> n))
-    kept = probed[:MAX_STORED_STATE_BYTES // (16 * rows << n)]
-    # each step's operator is built once, by the first pass that applies it
-    # (`simulator._step_operator`)
-    operators: dict = {}
-    for lo in range(0, amps.shape[0], rows):
-        chunk = slice(lo, lo + rows)
-        preds[chunk] = _row_chunk_sweep(
-            circuit, params, amps[chunk], probed, kept, boundary, observable,
-            {slot: g[chunk] for slot, g in pred_grad.items()}, workspace, operators)
-    return np.array([np.mean(2.0 * (preds - labels) * pred_grad[slot]) for slot in slots])
+    """d(loss)/d(theta_s) for every s in `slots` at one parameter vector:
+    `_loss_gradients` with the rows sliced from `amps`, which is never
+    written."""
+    return _loss_gradients(circuit, [params], labels, slots, lambda rows: amps[rows],
+                           workspace)[0]
 
 
 def _row_chunk_sweep(circuit: Circuit, params: Sequence[float], amps: np.ndarray,

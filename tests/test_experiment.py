@@ -25,7 +25,7 @@ from symlie.variance_lab import (
     generate_dataset,
     run_variance_experiment,
 )
-from symlie.variance_lab import experiment
+from symlie.variance_lab import experiment, gradients
 from symlie.variance_lab.experiment import ALL_ANSATZE, VarianceRow, _stream
 
 PERMUTATION_ONLY = (AnsatzKind.PERMUTATION,)
@@ -537,6 +537,88 @@ class TestExperiment:
         with_t4 = run_variance_experiment(base)
         without_t4 = run_variance_experiment(replace(base, cyclic_distance2=False))
         assert with_t4[0].variance != without_t4[0].variance
+
+
+STATEVECTOR_ANSATZE = (AnsatzKind.CYCLIC, AnsatzKind.STRONGLY_ENTANGLING)
+
+
+def chunk_problem(kind, n, samples, all_slots=False):
+    """The configuration, graphs and labels of a chunk of `samples` samples
+    at n qubits, its circuit and its probed slots."""
+    cfg = ExperimentConfig(qubit_counts=(n,), samples_per_point=max(2, samples),
+                           ansatz_kinds=(kind,), probe_all_slots=all_slots)
+    graphs, labels = experiment._draw_graphs(n, cfg)
+    circuit = experiment._build_circuit(kind, n, cfg)
+    return cfg, graphs, labels, circuit, experiment._probed_slots(circuit, cfg)
+
+
+class TestRowChunkedChunks:
+    # a statevector chunk builds its graph states a row chunk at a time and
+    # sweeps every sample of a tile over each row chunk before the next
+
+    @pytest.mark.parametrize("n", [13, 14])
+    @pytest.mark.parametrize("kind", STATEVECTOR_ANSATZE)
+    def test_graph_states_come_one_row_chunk_at_a_time(self, monkeypatch, kind, n):
+        # no call builds more than one row chunk's states, and each is built
+        # once per tile: the cyclic ansatz's ZZ phases (20 steps of 128 KiB
+        # at n = 13, 21 of 256 KiB at 14) give tiles of one sample, the
+        # strongly-entangling ansatz has none and sweeps both samples on
+        # one build
+        samples = 2
+        cfg, graphs, labels, circuit, slots = chunk_problem(kind, n, samples)
+        rows = max(1, gradients.CHUNK_ENTRIES >> n)
+        row_chunks = -(-len(graphs) // rows)
+        tile = gradients._tile_samples(circuit, slots, len(graphs), rows, samples)
+        tiles = -(-samples // tile)
+        assert row_chunks == {13: 2, 14: 4}[n]
+        assert tiles == {AnsatzKind.CYCLIC: samples, AnsatzKind.STRONGLY_ENTANGLING: 1}[kind]
+        built = []
+        original = experiment.graph_amplitudes
+
+        def spy(graphs, n):
+            built.append(len(graphs))
+            return original(graphs, n)
+
+        monkeypatch.setattr(experiment, "graph_amplitudes", spy)
+        experiment._gradient_samples(cfg, kind, n, graphs, labels, 0, samples)
+        assert max(built) <= rows
+        assert len(built) == row_chunks * tiles
+        assert sum(built) == len(graphs) * tiles
+
+    def test_strongly_entangling_chunk_memory(self):
+        # two samples at n = 14 hold one row chunk's states (16 rows, 4 MB)
+        # and the workspace's row-chunk batches, not the dataset's 13 MB of
+        # amplitudes beside them (30.2 MB when the chunk built every state)
+        n, kind = 14, AnsatzKind.STRONGLY_ENTANGLING
+        cfg, graphs, labels, _, _ = chunk_problem(kind, n, 2)
+        tracemalloc.start()
+        try:
+            experiment._gradient_samples(cfg, kind, n, graphs, labels, 0, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6
+
+    @pytest.mark.parametrize("kind, all_slots, n", [
+        # cyclic all-slot gradients take 0.8 s at n = 13 and 1.7 s at 14
+        pytest.param(kind, all_slots, n, marks=pytest.mark.slow if (
+            kind is AnsatzKind.CYCLIC and all_slots and n >= 13) else ())
+        for kind in STATEVECTOR_ANSATZE for all_slots in (False, True) for n in (5, 12, 13, 14)])
+    def test_chunk_equals_one_gradient_per_sample(self, kind, all_slots, n):
+        # three samples swept row chunk by row chunk, across a cyclic tile
+        # boundary from n = 13 on, equal one gradient per sample on the
+        # whole dataset's amplitudes, bit for bit
+        samples = 3
+        cfg, graphs, labels, circuit, slots = chunk_problem(kind, n, samples, all_slots)
+        chunk = experiment._gradient_samples(cfg, kind, n, graphs, labels, 0, samples)
+        amps, dataset_labels = generate_dataset(n, cfg)
+        assert np.array_equal(dataset_labels, labels)
+        index = list(AnsatzKind).index(kind)
+        for sample in range(samples):
+            params = _stream(cfg.seed, 1 + index, n, sample).uniform(*cfg.parameter_range,
+                                                                     circuit.n_params)
+            alone = gradients._loss_gradient_from_arrays(circuit, params, amps, labels, slots)
+            assert np.array_equal(chunk[sample], alone), sample
 
 
 def emitted(capsys, monkeypatch, rows, *argv):

@@ -290,7 +290,7 @@ class TestReducedGradients:
         def refuse(*args):
             raise AssertionError("statevector gradient called")
 
-        monkeypatch.setattr(experiment, "_loss_gradient_from_arrays", refuse)
+        monkeypatch.setattr(experiment, "_loss_gradients", refuse)
         cfg = ExperimentConfig(qubit_counts=(4,), samples_per_point=2)
         dataset = experiment._draw_graphs(4, cfg)
         reduced = experiment._gradient_samples(cfg, AnsatzKind.PERMUTATION, 4, *dataset, 0, 2)
