@@ -46,8 +46,9 @@ MAX_STATE_BATCH_BYTES = 2**30
 MAX_GRAPH_SUBSETS = 2**28
 # Forward states an adjoint gradient keeps at its probed steps, so that only
 # the costate is swept back, counted per row chunk of the dataset (see
-# CHUNK_ENTRIES): 2^27 holds 40 batches of 50 states at n = 12 and 32 row
-# chunks of 4 MB from n = 13 to 18.
+# CHUNK_ENTRIES): 2^27 holds 163 batches of 50 states at n = 10, 128 row
+# chunks of 1 MB from n = 11 to 16 (every probed step of the default
+# ansatzes), 64 one-state chunks at n = 17 and 32 at n = 18.
 MAX_STORED_STATE_BYTES = 2**27
 # Gates of one variance-experiment circuit, whose gate list and fused steps
 # are held as Python objects: 2^17 admits the largest default circuit
@@ -57,13 +58,15 @@ MAX_CIRCUIT_GATES = 2**17
 MAX_CYCLE_INDEX_TERMS = 10**5  # cycle types of S_n or A_n: p(45) = 89,134 < cap < p(46)
 MAX_DIMENSION_DIGITS = 4300  # Python prints an int of at most this many digits by default
 # Entries per chunk of a chunked array build (Pauli columns, orbit-listing
-# rows, the oracle's union-find passes), and amplitudes per row chunk of an
-# adjoint gradient's batches and of the graph states a statevector chunk of
-# the variance experiment builds at a time (at least one row): bounds their
-# temporaries to a few MB whatever the matrix or dataset size.  The oracle's
-# chunks of words hold CHUNK_ENTRIES // 4 candidate entries, since each costs
-# 40-60 bytes of temporaries (key, term, value and the unique/inverse sort):
-# 3-4 MB per chunk.
+# rows, the oracle's union-find passes, a graph sweep's subsets): bounds
+# their temporaries to a few MB whatever the matrix or dataset size.  An
+# adjoint gradient's budget covers its sweep's whole working set, the four
+# row-chunk batches it holds at once, so each batch and each row chunk of
+# graph states a statevector chunk of the variance experiment builds at a
+# time holds at most CHUNK_ENTRIES // 4 amplitudes (1 MB), or one row from
+# n = 17 on.  The oracle's chunks of words hold CHUNK_ENTRIES // 4 candidate
+# entries, since each costs 40-60 bytes of temporaries (key, term, value and
+# the unique/inverse sort): 3-4 MB per chunk.
 CHUNK_ENTRIES = 2**18
 
 

@@ -20,30 +20,34 @@ psi back from psi_b as well, and that second batch is given back once no
 such step is left.
 
 A row's prediction and prediction gradient depend on no other row, so
-the passes run over a row chunk of the dataset at a time, at most
-max(1, CHUNK_ENTRIES >> n) rows: a 50-row dataset is one row chunk up to
-n = 12, and from n = 13 on a row chunk's batch holds at most 2^18
-amplitudes (4 MB).  The rows come from a function that gives the
+the passes run over a row chunk of the dataset at a time.  Every batch a
+row chunk writes (stored states, psi, mu, and the overlaps' conjugate and
+products) is taken from one `simulator.Workspace` and given back as soon
+as nothing reads it; a short last row chunk takes the leading rows of the
+others' batches.  In default mode the workspace peaks at four row-chunk
+batches beside the row chunk's states: the stored state, psi_b or mu, and
+the two batches a kernel pass reads and writes.  So a row chunk holds at
+most max(1, CHUNK_ENTRIES >> (n + 2)) rows (`_chunk_rows`), and up to
+n = 16 the four batches together hold at most CHUNK_ENTRIES amplitudes
+(4 MB): a 50-row dataset is one row chunk up to n = 10, and each batch
+holds 2^16 amplitudes (1 MB) from n = 11 to 16.  From n = 16 on a row
+chunk is one row.  The rows come from a function that gives the
 amplitudes of a row range (`_loss_gradients`), so no batch of the whole
 dataset's states need exist: the experiment builds each row chunk's graph
 states when they are asked for and drops them after the row chunk, and
 every parameter vector of a tile is swept over one row chunk before the
-next is asked for.  A vector's step operators and per-row results are
-kept from its first row chunk to its last, so a tile holds as many
-vectors as keep them within one row chunk's batch (`_tile_samples`):
+next is asked for.  A vector's step operators, per-row results and
+`_step_probes` are kept from its first row chunk to its last, so a tile
+holds as many vectors as keep them within one row chunk's batch
+(`_tile_samples`):
 every vector when the dataset is one row chunk or the circuit has no ZZ
-step, and one cyclic vector from n = 13 on, where each ZZ step's phases
-take 16 * 2^n bytes.  Every batch a row chunk writes (stored states, psi,
-mu, and the overlaps' conjugate and products) is taken from one
-`simulator.Workspace` and given back as soon as nothing reads it; a short
-last row chunk takes the leading rows of the others' batches.  In default
-mode the workspace peaks at four row-chunk batches beside the row chunk's
-states: the stored state, psi_b or mu, and the two batches a kernel pass
-reads and writes.  A caller that keeps the workspace over many gradients,
-as the experiment does over a chunk of samples, allocates no new batch
-for them after the first gradient.  Each step's Kronecker blocks or ZZ
-phases are built once per parameter vector, for the forward pass, the
-reverse sweep and every row chunk.
+step, and one cyclic vector from n = 11 on, where each ZZ step's phases
+take 16 * 2^n bytes.  A caller that keeps the workspace over many
+gradients, as the experiment does over a chunk of samples, allocates no
+new batch for them after the first gradient.  Each step's Kronecker
+blocks or ZZ phases, and each probed step's conjugated generators, are
+built once per parameter vector, for the forward pass, the reverse sweep
+and every row chunk.
 
 The sweep measures only at step boundaries, so one pass serves any set of
 probed slots.  A ZZ generator is diagonal and commutes
@@ -59,7 +63,7 @@ spin blocks instead (`spin_blocks`).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Container, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -85,6 +89,7 @@ def stack_dataset(dataset: Dataset) -> Tuple[np.ndarray, np.ndarray]:
 
 def _batch_predictions(circuit: Circuit, params: Sequence[float],
                        amps: np.ndarray) -> np.ndarray:
+    _check_arguments(circuit, params)
     out = _run_batch(circuit, params, amps)
     return _parity_batch(out, circuit.n_qubits)
 
@@ -110,7 +115,7 @@ _DIAGONAL_ON_Z_STRINGS = (GateKind.CNOT, GateKind.ZZ)
 
 def _conjugated_generators(rotations: Sequence[Tuple[str, int]],
                            params: Sequence[float],
-                           probed: Dict[int, np.ndarray]) -> Dict[int, np.ndarray]:
+                           probed: Container[int]) -> Dict[int, np.ndarray]:
     """Per probed slot on one qubit of a step: the sum of V G V^dagger over
     its rotations, V the product of the rotations that follow on the qubit."""
     v = np.eye(2, dtype=np.complex128)
@@ -155,27 +160,43 @@ def _qubit_overlaps(block: np.ndarray, position: int, width: int) -> np.ndarray:
     return np.einsum("blxrlyr->bxy", d).reshape(-1, 4)
 
 
-def _step_overlaps(step: Step, params: Sequence[float], mu: np.ndarray,
-                   psi: np.ndarray, n: int, pred_grad: Dict[int, np.ndarray],
-                   workspace: Workspace) -> None:
-    """Add each probed occurrence in `step` to its slot's prediction
-    gradient; mu and psi are taken at the step's output."""
+def _step_probes(step: Step, params: Sequence[float], slots: Container[int]) -> tuple:
+    """What `_step_overlaps` reads of `step` at `params` for the probed
+    `slots`: (slot, summed pair signs) of each probed phase group of a ZZ
+    step; for a single-qubit step, (first, width, qubits) of each Kronecker
+    block with a probed rotation, `qubits` holding (position in the block,
+    {slot: conjugated generator}) per such qubit (`_conjugated_generators`).
+    It depends on the parameter vector alone, so `_Sample` builds it once
+    for all row chunks."""
     if step.kind is GateKind.ZZ:
-        for slot, pairs in step.phase_groups:
-            if slot in pred_grad:
-                signs = _summed_pair_signs(n, pairs)
-                pred_grad[slot] += (np.einsum("bx,bx,x->b", mu.real, psi.imag, signs)
-                                    - np.einsum("bx,bx,x->b", mu.imag, psi.real, signs))
-        return
+        return tuple((slot, _summed_pair_signs(step.n_qubits, pairs))
+                     for slot, pairs in step.phase_groups if slot in slots)
+    out = []
     for first, width, gated in step.blocks:
-        block = None
+        qubits = []
         for q in gated:
-            generators = _conjugated_generators(step.wires[q], params, pred_grad)
-            if not generators:
-                continue
-            if block is None:
-                block = _block_overlaps(mu, psi, first, width, n, workspace)
-            d = _qubit_overlaps(block, q - first, width)
+            generators = _conjugated_generators(step.wires[q], params, slots)
+            if generators:
+                qubits.append((q - first, generators))
+        if qubits:
+            out.append((first, width, tuple(qubits)))
+    return tuple(out)
+
+
+def _step_overlaps(step: Step, probes: tuple, mu: np.ndarray, psi: np.ndarray, n: int,
+                   pred_grad: Dict[int, np.ndarray], workspace: Workspace) -> None:
+    """Add each probed occurrence in `step` to its slot's prediction
+    gradient; `probes` is the step's `_step_probes`, and mu and psi are
+    taken at the step's output."""
+    if step.kind is GateKind.ZZ:
+        for slot, signs in probes:
+            pred_grad[slot] += (np.einsum("bx,bx,x->b", mu.real, psi.imag, signs)
+                                - np.einsum("bx,bx,x->b", mu.imag, psi.real, signs))
+        return
+    for first, width, qubits in probes:
+        block = _block_overlaps(mu, psi, first, width, n, workspace)
+        for position, generators in qubits:
+            d = _qubit_overlaps(block, position, width)
             if len(d) == 1:
                 # NumPy takes a one-row matrix times a vector as a dot
                 # product, which sums in another order than the
@@ -220,6 +241,14 @@ def _tail_observable(circuit: Circuit, params: Sequence[float], stop: int
     return b, _local_blocks(mats, n)
 
 
+def _chunk_rows(n: int, size: int) -> int:
+    """Rows per row chunk of `_loss_gradients` on `size` rows of 2^n
+    amplitudes: a sweep holds four row-chunk batches at once (the module
+    docstring), so each batch takes CHUNK_ENTRIES / 2^2 amplitudes, and at
+    least one row."""
+    return max(1, min(size, CHUNK_ENTRIES >> (n + 2)))
+
+
 def _tile_samples(circuit: Circuit, slots: Sequence[int], size: int, rows: int,
                   count: int) -> int:
     """Parameter vectors per tile of `_loss_gradients`, of `count` in all:
@@ -237,11 +266,12 @@ def _tile_samples(circuit: Circuit, slots: Sequence[int], size: int, rows: int,
 
 class _Sample:
     """One parameter vector's sweep state, kept from its first row chunk to
-    its last: the parity's image, the step operators and full-length arrays
-    of predictions and prediction gradients."""
+    its last: the parity's image, the step operators, each probed step's
+    `_step_probes` and full-length arrays of predictions and prediction
+    gradients."""
 
     def __init__(self, circuit: Circuit, params: Sequence[float], slots: Sequence[int],
-                 size: int, stop: int):
+                 size: int, probed: Sequence[int], stop: int):
         self.params = params
         self.boundary, self.observable = _tail_observable(circuit, params, stop)
         # each step's operator is built once, by the first pass that applies
@@ -249,6 +279,8 @@ class _Sample:
         self.operators: dict = {}
         self.preds = np.empty(size)
         self.pred_grad = {slot: np.zeros(size) for slot in slots}
+        self.probes = {k: _step_probes(circuit.steps[k], params, self.pred_grad)
+                       for k in probed}
 
     def loss_gradient(self, labels: np.ndarray, slots: Sequence[int]) -> np.ndarray:
         return np.array([np.mean(2.0 * (self.preds - labels) * self.pred_grad[slot])
@@ -266,13 +298,13 @@ def _loss_gradients(circuit: Circuit, param_vectors: Sequence[Sequence[float]],
     `states(rows)` gives the amplitudes of the dataset rows in the slice
     `rows`, an array the sweeps only read.  A row's prediction and
     prediction gradient depend on no other row, so the rows are taken a row
-    chunk of at most max(1, CHUNK_ENTRIES >> n) rows at a time, and every
-    vector of a tile (`_tile_samples`) is swept on one row chunk
-    (`_row_chunk_sweep`) before the next is asked for; each vector's
-    results go into full-length arrays, and its loss gradient is the mean
-    over all rows of 2 (p - y) dp/dtheta_s.  Every row chunk stores the
-    states at the same probed steps: as many as `MAX_STORED_STATE_BYTES`
-    holds of a row chunk's batches.
+    chunk of `_chunk_rows` rows at a time, and every vector of a tile
+    (`_tile_samples`) is swept on one row chunk (`_row_chunk_sweep`) before
+    the next is asked for; each vector's results go into full-length
+    arrays, and its loss gradient is the mean over all rows of
+    2 (p - y) dp/dtheta_s.  Every row chunk stores the states at the same
+    probed steps: as many as `MAX_STORED_STATE_BYTES` holds of a row
+    chunk's batches.
 
     Batches come from `workspace` and go back to it (see the module
     docstring); without one a throwaway workspace is used.
@@ -284,7 +316,7 @@ def _loss_gradients(circuit: Circuit, param_vectors: Sequence[Sequence[float]],
     steps, n, size = circuit.steps, circuit.n_qubits, len(labels)
     probed = [k for k, step in enumerate(steps) if not step.slots.isdisjoint(slots)]
     stop = probed[-1] + 1 if probed else len(steps)
-    rows = max(1, min(size, CHUNK_ENTRIES >> n))
+    rows = _chunk_rows(n, size)
     kept = probed[:MAX_STORED_STATE_BYTES // (16 * rows << n)]
     tile = _tile_samples(circuit, slots, size, rows, len(param_vectors))
     out = np.empty((len(param_vectors), len(slots)))
@@ -295,12 +327,8 @@ def _loss_gradients(circuit: Circuit, param_vectors: Sequence[Sequence[float]],
             amps = states(chunk)
             for i in range(first, min(first + tile, len(param_vectors))):
                 if lo == 0:
-                    samples[i] = _Sample(circuit, param_vectors[i], slots, size, stop)
-                sample = samples[i]
-                sample.preds[chunk] = _row_chunk_sweep(
-                    circuit, sample.params, amps, probed, kept, sample.boundary,
-                    sample.observable, {slot: g[chunk] for slot, g in sample.pred_grad.items()},
-                    workspace, sample.operators)
+                    samples[i] = _Sample(circuit, param_vectors[i], slots, size, probed, stop)
+                _row_chunk_sweep(circuit, samples[i], amps, chunk, probed, kept, workspace)
                 if lo + rows >= size:
                     out[i] = samples.pop(i).loss_gradient(labels, slots)
             # the next row chunk's states are not built beside these
@@ -319,12 +347,12 @@ def _loss_gradient_from_arrays(circuit: Circuit, params: Sequence[float],
                            workspace)[0]
 
 
-def _row_chunk_sweep(circuit: Circuit, params: Sequence[float], amps: np.ndarray,
-                     probed: Sequence[int], kept: Sequence[int], boundary: int,
-                     observable: tuple, pred_grad: Dict[int, np.ndarray],
-                     workspace: Workspace, operators: dict) -> np.ndarray:
-    """The predictions of the rows of `amps`, adding each probed slot's
-    prediction gradient into `pred_grad`.
+def _row_chunk_sweep(circuit: Circuit, sample: _Sample, amps: np.ndarray, chunk: slice,
+                     probed: Sequence[int], kept: Sequence[int],
+                     workspace: Workspace) -> None:
+    """Write the predictions of the dataset rows `chunk`, whose amplitudes
+    are `amps`, into the sample's, and add each probed slot's prediction
+    gradient of those rows into the sample's.
 
     The forward pass stores the state at the `kept` steps, the earliest
     probed ones, and stops at the boundary b of `_tail_observable`, at or
@@ -334,6 +362,8 @@ def _row_chunk_sweep(circuit: Circuit, params: Sequence[float], amps: np.ndarray
     earliest probed step left unstored, so with nothing stored this is the
     sweep of both."""
     n, steps = circuit.n_qubits, circuit.steps
+    params, operators, boundary = sample.params, sample.operators, sample.boundary
+    pred_grad = {slot: g[chunk] for slot, g in sample.pred_grad.items()}
     stored: Dict[int, np.ndarray] = {}
 
     def release(batch: Optional[np.ndarray]) -> None:
@@ -350,9 +380,16 @@ def _row_chunk_sweep(circuit: Circuit, params: Sequence[float], amps: np.ndarray
     if cursor < boundary:
         psi = _run_batch(circuit, params, psi, start=cursor, stop=boundary,
                          workspace=workspace, operators=operators)
-    mu = _apply_local(psi, observable, n, workspace)
-    # Re<psi|mu>: the real dot product of the interleaved (re, im) pairs
-    preds = np.einsum("bx,bx->b", psi.view(np.float64), mu.view(np.float64))
+    mu = _apply_local(psi, sample.observable, n, workspace)
+    # Re<psi|mu>: the real dot product of the interleaved (re, im) pairs.
+    # NumPy sums a one-row batch as one dot product, which from n = 13 on
+    # sums in another order than a batch of more rows; a second row that
+    # repeats the first (stride 0, no copy) keeps a row's bits independent
+    # of its row chunk's size
+    pairs = psi.view(np.float64), mu.view(np.float64)
+    if len(psi) == 1:
+        pairs = tuple(np.broadcast_to(a, (2, a.shape[1])) for a in pairs)
+    sample.preds[chunk] = np.einsum("bx,bx->b", *pairs)[:len(psi)]
     swept = probed[len(kept):]  # steps reached by sweeping psi back
     if not swept:
         release(psi)
@@ -371,14 +408,13 @@ def _row_chunk_sweep(circuit: Circuit, params: Sequence[float], amps: np.ndarray
             mu = back
             cursor = k + 1
         state = stored.pop(k, psi)
-        _step_overlaps(steps[k], params, mu, state, n, pred_grad, workspace)
+        _step_overlaps(steps[k], sample.probes[k], mu, state, n, pred_grad, workspace)
         if state is not psi:
             release(state)
         if swept and k == swept[0]:
             release(psi)
             psi = None
     workspace.give(mu)
-    return preds
 
 
 def gradient(circuit: Circuit, params: Sequence[float], dataset: Dataset,

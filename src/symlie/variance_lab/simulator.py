@@ -417,7 +417,15 @@ def _apply_step(amps: np.ndarray, step: Step, params: Sequence[float], n: int,
     out = workspace.take(amps.shape)
     if step.kind is GateKind.ZZ:
         phases = _step_operator(step, params, False, operators)
-        np.multiply(amps, phases.conj() if adjoint else phases, out=out)
+        if adjoint:
+            # the conjugate phases go into the output's last row, which is
+            # multiplied last, rather than into a new array per pass
+            src, dst = amps.reshape(-1, 1 << n), out.reshape(-1, 1 << n)
+            conj = np.conjugate(phases, out=dst[-1])
+            np.multiply(src[:-1], conj, out=dst[:-1])
+            np.multiply(src[-1], conj, out=conj)
+        else:
+            np.multiply(amps, phases, out=out)
     elif step.kind is GateKind.CNOT:
         # mode="clip" gathers straight into `out`; the default "raise"
         # gathers into a buffer first (the indices are always in range)
@@ -456,8 +464,11 @@ def _run_batch(circuit: Circuit, params: Sequence[float], amps: np.ndarray,
     written or given back.  Returns a batch taken from `workspace`, which
     the caller holds until it gives it back; without a workspace a
     throwaway one is used, so the result is a new array.
+
+    `params` is not checked here: the public entry points and the
+    gradient check each vector once (`_check_arguments`), not once per
+    stretch.
     """
-    _check_arguments(circuit, params)
     if workspace is None:
         workspace = Workspace()
     if operators is None:
@@ -498,11 +509,13 @@ def run_circuit(circuit: Circuit, params: Sequence[float],
         state = zero_state(circuit.n_qubits)
     if state.n_qubits != circuit.n_qubits:
         raise ValueError("state and circuit qubit counts differ")
+    _check_arguments(circuit, params)
     return StateVector(circuit.n_qubits, _run_batch(circuit, params, state.amplitudes))
 
 
 def circuit_unitary(circuit: Circuit, params: Sequence[float]) -> np.ndarray:
     """Dense unitary of the whole circuit (for verification at small n)."""
+    _check_arguments(circuit, params)
     dim = 1 << circuit.n_qubits
     basis = np.eye(dim, dtype=np.complex128)
     columns = _run_batch(circuit, params, basis)  # row b is the image of e_b

@@ -18,7 +18,7 @@ from typing import Dict, Sequence
 import numpy as np
 
 from symlie.indexing import MAX_STORED_STATE_BYTES
-from symlie.variance_lab.gradients import _step_overlaps
+from symlie.variance_lab.gradients import _step_overlaps, _step_probes
 from symlie.variance_lab.simulator import (_LOCAL, Circuit, GateKind, Workspace,
                                            _check_arguments, _local_blocks, _parity_batch,
                                            _parity_signs, _run_batch, _wire_matrix)
@@ -55,7 +55,8 @@ def reference_loss_gradient(circuit: Circuit, params: Sequence[float], amps: np.
                 psi = _run_batch(circuit, params, psi, start=k + 1, stop=cursor, adjoint=True)
             mu = _run_batch(circuit, params, mu, start=k + 1, stop=cursor, adjoint=True)
             cursor = k + 1
-        _step_overlaps(steps[k], params, mu, stored.pop(k, psi), n, pred_grad, Workspace())
+        _step_overlaps(steps[k], _step_probes(steps[k], params, pred_grad), mu,
+                       stored.pop(k, psi), n, pred_grad, Workspace())
         if swept and k == swept[0]:
             psi = None
     return np.array([np.mean(2.0 * (preds - labels) * pred_grad[slot]) for slot in slots])

@@ -559,18 +559,19 @@ class TestRowChunkedChunks:
     @pytest.mark.parametrize("n", [13, 14])
     @pytest.mark.parametrize("kind", STATEVECTOR_ANSATZE)
     def test_graph_states_come_one_row_chunk_at_a_time(self, monkeypatch, kind, n):
-        # no call builds more than one row chunk's states, and each is built
-        # once per tile: the cyclic ansatz's ZZ phases (20 steps of 128 KiB
-        # at n = 13, 21 of 256 KiB at 14) give tiles of one sample, the
+        # no call builds more than one row chunk's states (8 rows of 128 KiB
+        # at n = 13, 4 of 256 KiB at 14), and each is built once per tile:
+        # the cyclic ansatz's ZZ phases (20 steps of 128 KiB at n = 13, 21
+        # of 256 KiB at 14) give tiles of one sample, the
         # strongly-entangling ansatz has none and sweeps both samples on
         # one build
         samples = 2
         cfg, graphs, labels, circuit, slots = chunk_problem(kind, n, samples)
-        rows = max(1, gradients.CHUNK_ENTRIES >> n)
+        rows = gradients._chunk_rows(n, len(graphs))
         row_chunks = -(-len(graphs) // rows)
         tile = gradients._tile_samples(circuit, slots, len(graphs), rows, samples)
         tiles = -(-samples // tile)
-        assert row_chunks == {13: 2, 14: 4}[n]
+        assert row_chunks == {13: 7, 14: 13}[n]
         assert tiles == {AnsatzKind.CYCLIC: samples, AnsatzKind.STRONGLY_ENTANGLING: 1}[kind]
         built = []
         original = experiment.graph_amplitudes
@@ -586,9 +587,10 @@ class TestRowChunkedChunks:
         assert sum(built) == len(graphs) * tiles
 
     def test_strongly_entangling_chunk_memory(self):
-        # two samples at n = 14 hold one row chunk's states (16 rows, 4 MB)
-        # and the workspace's row-chunk batches, not the dataset's 13 MB of
-        # amplitudes beside them (30.2 MB when the chunk built every state)
+        # two samples at n = 14 hold one row chunk's states (4 rows, 1 MB)
+        # and the workspace's four row-chunk batches, 5.8 MB in all, not the
+        # dataset's 13 MB of amplitudes beside them (30.2 MB when the chunk
+        # built every state, 21.9 MB with row chunks of 16 rows)
         n, kind = 14, AnsatzKind.STRONGLY_ENTANGLING
         cfg, graphs, labels, _, _ = chunk_problem(kind, n, 2)
         tracemalloc.start()
@@ -597,7 +599,7 @@ class TestRowChunkedChunks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 24e6
+        assert peak < 8e6
 
     @pytest.mark.parametrize("kind, all_slots, n", [
         # cyclic all-slot gradients take 0.8 s at n = 13 and 1.7 s at 14
@@ -606,7 +608,7 @@ class TestRowChunkedChunks:
         for kind in STATEVECTOR_ANSATZE for all_slots in (False, True) for n in (5, 12, 13, 14)])
     def test_chunk_equals_one_gradient_per_sample(self, kind, all_slots, n):
         # three samples swept row chunk by row chunk, across a cyclic tile
-        # boundary from n = 13 on, equal one gradient per sample on the
+        # boundary from n = 12 on, equal one gradient per sample on the
         # whole dataset's amplitudes, bit for bit
         samples = 3
         cfg, graphs, labels, circuit, slots = chunk_problem(kind, n, samples, all_slots)
