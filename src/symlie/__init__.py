@@ -26,6 +26,7 @@ from .errors import (
     ConstraintCapExceeded,
     DatasetGenerationFailed,
     DigitCapExceeded,
+    GradientMemoryCapExceeded,
     IndeterminateRank,
     MatrixSizeCapExceeded,
     NonIntegerCount,

@@ -8,11 +8,12 @@ Z[G](k, ..., k) with k = 4, where Z[G] is the cycle index of G.
 With every a_i equal to k, an element with j cycles contributes k^j, so a
 dimension needs only c_j, the number of elements of G with j cycles: N + 1
 integers at most.  S_n has the unsigned Stirling numbers of the first kind,
-c(m + 1, j) = m c(m, j) + c(m, j - 1), cached per degree; A_n the entries
-with n - j even; C_n phi(d) elements with n/d cycles per divisor d; D_n those
-plus its reflections (Harary and Palmer, *Graphical Enumeration*, 1973,
-ch. 2).  The orbit count is sum_j c_j k^j, divided exactly by |G|, so no
-float or fraction appears.
+c(m + 1, j) = m c(m, j) + c(m, j - 1), of which only the last row built is
+kept (an ascending sweep builds each row once; a smaller degree starts
+again from row 0); A_n the entries with n - j even; C_n phi(d) elements
+with n/d cycles per divisor d; D_n those plus its reflections (Harary and
+Palmer, *Graphical Enumeration*, 1973, ch. 2).  The orbit count is
+sum_j c_j k^j, divided exactly by |G|, so no float or fraction appears.
 
 A named group is a product of one part (`GroupSpec.parts`), so the
 order, the caps and the dimension run one loop over the parts of any spec:

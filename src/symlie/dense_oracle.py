@@ -28,7 +28,7 @@ single block, which is one SVD of the whole matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -72,14 +72,7 @@ class CommutantReport:
         # an unbounded gap (nothing rejected) serializes as null: bare
         # Infinity is not valid JSON
         gap = self.singular_value_gap
-        return {
-            "n_qubits": self.n_qubits,
-            "constraint_count": self.constraint_count,
-            "rank": self.rank,
-            "dimension": self.dimension,
-            "tolerance": self.tolerance,
-            "singular_value_gap": None if math.isinf(gap) else gap,
-        }
+        return {**asdict(self), "singular_value_gap": None if math.isinf(gap) else gap}
 
 
 def _classify_singular_values(svals: np.ndarray) -> Tuple[int, float, float]:

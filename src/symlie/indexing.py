@@ -32,11 +32,16 @@ MAX_ORACLE_QUBITS = 6  # 64x64 matrices over a 4095-element basis
 # each, bounded by 4 * (4^N - 1) * sum(nnz(B)); 2^25 (768 MiB) admits every set
 # up to 6 qubits (S:3xS:3 and D:3xD:3: 4,193,280) and refuses a dense 64x64 one.
 MAX_CONSTRAINT_ENTRIES = 2**25
-# complex128 amplitudes of one variance experiment's dataset, dataset size x
-# 2^n x 16 bytes; 2^30 admits 50 states at n = 20 and refuses n = 21.  No
-# batch of that size is built (a statevector chunk builds one row chunk's
-# states at a time, see CHUNK_ENTRIES), but the cap still refuses exactly
-# the runs it refused when the whole dataset was one batch.
+# Two byte counts of a statevector variance run, each refused above this
+# cap before any graph is drawn.  (a) Its dataset's complex128 amplitudes,
+# dataset size x 2^n x 16 bytes: 2^30 admits 50 states at n = 20 and
+# refuses n = 21.  No batch of that size is built (a statevector chunk
+# builds one row chunk's states at a time, see CHUNK_ENTRIES), but the cap
+# still refuses exactly the runs it refused when the whole dataset was one
+# batch.  (b) What one gradient holds, (layers + 5 x row-chunk rows) x 2^n
+# x 16 bytes: a 2^n table per layer (a sample's ZZ phases or a CNOT step's
+# gather pair) and five row-chunk batches; the cyclic ansatz at n = 20
+# holds 560 MiB.
 MAX_STATE_BATCH_BYTES = 2**30
 # Vertex subsets a permutation-only variance experiment sweeps, dataset size
 # x 2^n.  The sweep and its histogram visit about 36 million subsets a second

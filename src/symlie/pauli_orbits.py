@@ -13,6 +13,7 @@ generator is `indexing.pauli_sum` of its members' digits, each weighted 1j.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterator, List
 
 import numpy as np
@@ -25,6 +26,7 @@ from .permutation_rep import orbit_canonical_labels
 __all__ = ["OrbitListing", "enumerate_invariant_basis"]
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class OrbitListing:
     """Orbits held as one table of digit characters.
 
@@ -36,12 +38,9 @@ class OrbitListing:
     words joined by the separator.
     """
 
-    __slots__ = ("table", "bounds", "degree")
-
-    def __init__(self, table: np.ndarray, bounds: np.ndarray, degree: int):
-        self.table = table
-        self.bounds = bounds
-        self.degree = degree
+    table: np.ndarray
+    bounds: np.ndarray
+    degree: int
 
     def __len__(self) -> int:
         return self.bounds.size - 1

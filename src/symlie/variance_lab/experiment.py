@@ -44,13 +44,13 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import (DatasetGenerationFailed, GateCapExceeded, StateBatchCapExceeded,
-                      SubsetCapExceeded)
+from ..errors import (DatasetGenerationFailed, GateCapExceeded, GradientMemoryCapExceeded,
+                      StateBatchCapExceeded, SubsetCapExceeded)
 from ..indexing import MAX_CIRCUIT_GATES, MAX_GRAPH_SUBSETS, MAX_STATE_BATCH_BYTES
 from .circuits import AnsatzKind, build_ansatz, default_layer_count, gate_count, probe_slot
 # `_loss_gradient_from_arrays` is the one-sample case of `_loss_gradients`;
 # it stays importable here, where the benchmark's tracer wraps it by name
-from .gradients import _loss_gradient_from_arrays, _loss_gradients  # noqa: F401
+from .gradients import _chunk_rows, _loss_gradient_from_arrays, _loss_gradients  # noqa: F401
 from .simulator import Circuit, Workspace, graph_amplitudes
 from .spin_blocks import graph_spin_states, loss_gradient_from_blocks
 
@@ -121,6 +121,16 @@ class ExperimentConfig:
             gates = gate_count(kind, n, _layer_count(kind, n, self), self.cyclic_distance2)
             if gates > MAX_CIRCUIT_GATES:
                 raise GateCapExceeded(kind.value, n, gates, MAX_CIRCUIT_GATES)
+        # what a statevector gradient holds: a 2^n table per layer (a
+        # sample's ZZ phases or a CNOT step's gather pair) and five
+        # row-chunk batches (the row chunk's states and the workspace's four)
+        for kind in self.ansatz_kinds:
+            if kind is AnsatzKind.PERMUTATION:
+                continue
+            tables = _layer_count(kind, n, self) + 5 * _chunk_rows(n, self.dataset_size)
+            nbytes = tables * (16 << n)
+            if nbytes > MAX_STATE_BATCH_BYTES:
+                raise GradientMemoryCapExceeded(kind.value, n, nbytes, MAX_STATE_BATCH_BYTES)
 
 
 @dataclass(frozen=True)

@@ -506,6 +506,14 @@ class TestVariance:
         (("--qubits", "20", "--dataset-size", "66"), "above the state batch cap"),
         # NumPy's seed sequence would refuse it only at the first dataset draw
         (("--qubits", "4", "--seed", "-1"), "seed must be >= 0, got -1"),
+        # datasets that fit as one batch, but whose gradient would hold
+        # 1.6-10 GB
+        (("--ansatz", "cyclic", "--qubits", "24", "--dataset-size", "4",
+          "--edge-probability", "0.2"), "a cyclic gradient on 24 qubits would hold"),
+        (("--ansatz", "cyclic", "--qubits", "22", "--dataset-size", "16",
+          "--edge-probability", "0.2"), "a cyclic gradient on 22 qubits would hold"),
+        (("--ansatz", "cyclic", "--qubits", "20", "--layers", "100"),
+         "a cyclic gradient on 20 qubits would hold"),
     ])
     def test_bad_grid_refused_before_the_pool(self, capsys, monkeypatch, argv, message):
         # refused by ExperimentConfig, before any worker starts or any row is

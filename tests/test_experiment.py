@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 from dataset_reference import is_connected, random_graph, reference_dataset
 
-from symlie.errors import (DatasetGenerationFailed, GateCapExceeded, StateBatchCapExceeded,
-                           SubsetCapExceeded, SymlieError)
+from symlie.errors import (DatasetGenerationFailed, GateCapExceeded, GradientMemoryCapExceeded,
+                           StateBatchCapExceeded, SubsetCapExceeded, SymlieError)
 from symlie.indexing import MAX_CIRCUIT_GATES, MAX_GRAPH_SUBSETS, MAX_STATE_BATCH_BYTES
 from symlie import cli
 from symlie.variance_lab import (
@@ -283,6 +283,46 @@ class TestDatasetGeneration:
             finally:
                 tracemalloc.stop()
             assert peak < 100_000
+
+    # statevector runs whose gradient holds more than the cap although their
+    # dataset, counted as one batch, fits: 36 ZZ phase tables of 256 MiB at
+    # n = 24, 33 of 64 MiB at n = 22, 100 of 16 MiB at n = 20
+    GRADIENT_REFUSED = [
+        dict(qubit_counts=(24,), dataset_size=4, edge_probability=0.2),
+        dict(qubit_counts=(22,), dataset_size=16, edge_probability=0.2),
+        dict(qubit_counts=(20,), layers=100),
+    ]
+
+    @pytest.mark.parametrize("kwargs", GRADIENT_REFUSED)
+    def test_gradient_memory_cap_refuses_before_any_draw(self, monkeypatch, kwargs):
+        drawn = []
+        monkeypatch.setattr(experiment, "_draw_graphs", lambda *args: drawn.append(args))
+        with pytest.raises(GradientMemoryCapExceeded) as info:
+            run_variance_experiment(ExperimentConfig(
+                samples_per_point=2, ansatz_kinds=(AnsatzKind.CYCLIC,), **kwargs))
+        assert drawn == []
+        n = kwargs["qubit_counts"][0]
+        layers = kwargs.get("layers") or experiment.default_layer_count(AnsatzKind.CYCLIC, n)
+        assert (info.value.ansatz, info.value.qubits) == ("cyclic", n)
+        assert info.value.nbytes == (layers + 5) * (16 << n) > MAX_STATE_BATCH_BYTES
+        assert info.value.cap == MAX_STATE_BATCH_BYTES
+        assert isinstance(info.value, SymlieError)
+        # the permutation ansatz holds no 2^n table, so only the subset cap
+        # bounds it
+        ExperimentConfig(ansatz_kinds=PERMUTATION_ONLY, **kwargs)
+
+    def test_gradient_memory_cap_admits_default_layers_to_20_qubits(self):
+        # every default-layer statevector run of at most 20 qubits and 50
+        # rows: cyclic at n = 20 holds (30 + 5) x 16 MiB, strongly-entangling
+        # at n = 18 (2 + 5) x 4 MiB
+        ExperimentConfig(qubit_counts=(4, 20))
+        ExperimentConfig(qubit_counts=(18,), ansatz_kinds=(AnsatzKind.STRONGLY_ENTANGLING,))
+        kinds = (AnsatzKind.CYCLIC, AnsatzKind.STRONGLY_ENTANGLING)
+        for distance2 in (True, False):
+            for n in range(2, 21):
+                for size in range(2, 51, 2):
+                    ExperimentConfig(qubit_counts=(n,), dataset_size=size, ansatz_kinds=kinds,
+                                     cyclic_distance2=distance2)
 
     def test_subset_cap_refuses_before_any_allocation(self, monkeypatch):
         # both sides of a lowered cap end to end; a refused run draws no
